@@ -126,10 +126,9 @@ def _cmd_pairing(args, config):
     state = StateSpace(model, args.group_order_bound)
     sectors = []
     for sec in state.sectors:
-        gram = state.gram_matrix(sec.element.phases)
         sectors.append({
             "sector": [str(p) for p in sec.element.phases],
-            "gram": [[str(x) for x in row] for row in gram],
+            "gram": state.gram_strings(sec.element.phases),
             "nonsingular": state.gram_nonsingular(sec.element.phases),
         })
     report = {"command": "pairing", "conventions": CONVENTIONS, "sectors": sectors}

@@ -7,10 +7,7 @@ from .poly import MultiPoly, drl_key
 from .groebner import (
     PolyIdeal,
     buchberger,
-    groebner_basis,
     jacobian_ideal,
-    normal_form,
-    quotient_basis,
     reduce_full,
 )
 from .cone import ConeResult, exact_lp_cone_membership
@@ -26,9 +23,6 @@ __all__ = [
     "drl_key",
     "PolyIdeal",
     "buchberger",
-    "groebner_basis",
-    "normal_form",
-    "quotient_basis",
     "jacobian_ideal",
     "reduce_full",
     "ConeResult",

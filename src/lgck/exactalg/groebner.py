@@ -181,18 +181,6 @@ class PolyIdeal:
         return out
 
 
-def groebner_basis(generators: list[MultiPoly]) -> PolyIdeal:
-    return PolyIdeal(generators)
-
-
-def normal_form(p: MultiPoly, ideal: PolyIdeal) -> MultiPoly:
-    return ideal.normal_form(p)
-
-
-def quotient_basis(ideal: PolyIdeal):
-    return ideal.quotient_basis()
-
-
 def jacobian_ideal(w: MultiPoly) -> PolyIdeal:
     """Ideal of the partial derivatives of w."""
     parts = [w.derivative(v) for v in w.variables]

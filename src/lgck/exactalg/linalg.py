@@ -1,7 +1,8 @@
-"""Dense exact linear algebra over any field-like element type.
+"""Exact linear algebra over any field-like element type.
 
 Matrices are lists of lists whose entries support +, -, *, / and truth
 testing (zero iff falsy).  Works for ``Fraction`` and ``Cyclo`` alike.
+``sparse_rank`` takes sparse rows ({column: entry}) instead.
 """
 
 from __future__ import annotations
@@ -24,17 +25,6 @@ def mat_mul(a, b):
             row.append(acc)
         out.append(row)
     return out
-
-
-def mat_vec(a, v):
-    return [sum_entries([a[i][t] * v[t] for t in range(len(v))]) for i in range(len(a))]
-
-
-def sum_entries(entries):
-    acc = entries[0]
-    for e in entries[1:]:
-        acc = acc + e
-    return acc
 
 
 def _rref(rows):
@@ -158,7 +148,36 @@ def det(mat):
     return result * sign if sign == 1 else -result
 
 
+def sparse_rank(rows) -> int:
+    """Rank of a matrix given as sparse rows ({column: entry}).
+
+    Exact elimination that only touches nonzero entries: each row is
+    reduced against the pivot rows found so far until its leading column
+    is new, and then becomes the pivot row of that column.  Rows that
+    meet no pivot cost no arithmetic at all.
+    """
+    pivots = {}  # leading column -> pivot row
+    for row in rows:
+        row = {c: Fraction(x) if isinstance(x, int) else x
+               for c, x in row.items() if x}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            f = row[col] / pivot[col]
+            for c, y in pivot.items():
+                x = row.get(c, 0) - f * y  # exactly 0 at col
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 def is_nonsingular(mat) -> bool:
     if not mat:
         return True
-    return len(mat) == len(mat[0]) and rank(mat) == len(mat)
+    return len(mat) == len(mat[0]) and sparse_rank(
+        {j: x for j, x in enumerate(r) if x} for r in mat) == len(mat)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
-from .exactalg.linalg import is_nonsingular
+from .exactalg.linalg import sparse_rank
 from .glsm import GlsmModel
 from .orbifold import GroupElement, Sector, inertia_sectors, sector_group
 
@@ -62,12 +63,19 @@ class ResidueCalculator:
     monomial of top weighted degree and the hessian class is a scalar
     multiple of it.  The residue of p is then the coefficient of that
     monomial in the normal form of p, rescaled so res(hessian) = mu.
+    Normal forms keep the weighted degree, so a monomial's residue
+    vanishes unless its degree is the socle degree (the selection rule).
     """
 
     def __init__(self, w: MultiPoly, weights):
         self.w = w
         self.variables = w.variables
         self.weights = [Fraction(x) for x in weights]
+        for exp in w.terms:
+            if self.weighted_degree(exp) != 1:
+                raise ValueError(
+                    f"potential {w.canonical_str()} is not quasi-homogeneous "
+                    f"of degree 1 under weights ({', '.join(map(str, self.weights))})")
         self.ideal = jacobian_ideal(w)
         std = self.ideal.quotient_basis()
         if std is None:
@@ -77,7 +85,7 @@ class ResidueCalculator:
         self.standard_monomials = std
         self.milnor_number = len(std)
         self._cache: dict[tuple, Cyclo] = {}
-        self._monomial_gb = all(len(g.terms) == 1 for g in self.ideal.basis)
+        self.monomial_gb = all(len(g.terms) == 1 for g in self.ideal.basis)
         if self.milnor_number:
             hess = _poly_det([
                 [w.derivative(a).derivative(b) for b in self.variables]
@@ -86,17 +94,18 @@ class ResidueCalculator:
             hess_nf = self.ideal.normal_form(hess)
             if len(hess_nf.terms) != 1:
                 raise ValueError(
-                    "hessian class is not a single standard monomial; "
-                    "the potential is not quasi-homogeneous with 1-dim socle"
+                    f"potential {w.canonical_str()}: hessian class is not a single "
+                    "standard monomial; no quasi-homogeneous 1-dim socle"
                 )
             (self.socle_monomial, self.socle_coeff), = hess_nf.terms.items()
-            self.socle_degree = sum(
-                w_ * a for w_, a in zip(self.weights, self.socle_monomial)
-            )
+            self.socle_degree = self.weighted_degree(self.socle_monomial)
         else:
             self.socle_monomial = None
             self.socle_coeff = None
             self.socle_degree = None
+
+    def weighted_degree(self, exp) -> Fraction:
+        return sum((w_ * a for w_, a in zip(self.weights, exp)), Fraction(0))
 
     def residue(self, p: MultiPoly) -> Cyclo:
         """res[p dx / (dw_1 ... dw_n)], normalized so res(hessian) = mu."""
@@ -110,10 +119,8 @@ class ResidueCalculator:
 
     def residue_of_monomial(self, exp: tuple) -> Cyclo:
         exp = tuple(exp)
-        if self._monomial_gb:
+        if self.monomial_gb and exp != self.socle_monomial:
             # normal form of a monomial modulo a monomial basis is itself or 0
-            if self.milnor_number and exp == self.socle_monomial:
-                return Cyclo.from_rational(self.milnor_number) / self.socle_coeff
             return Cyclo.zero()
         hit = self._cache.get(exp)
         if hit is None:
@@ -188,10 +195,15 @@ class SectorElement:
 
 def sector_space(model: GlsmModel, h: GroupElement,
                  group=None) -> SectorSpace:
-    """Invariant Jacobian-ring classes of the restricted potential."""
+    """Invariant Jacobian-ring classes of the restricted potential.
+
+    Invariance is tested against ``group`` when given and otherwise
+    against the generators J and ``finite_generators``: a character is
+    trivial on the group exactly when it is trivial on its generators.
+    """
     sector = Sector.of(h)
     if group is None:
-        group = sector_group(model)
+        group = [GroupElement(g) for g in (model.j_phases, *model.finite_generators)]
     fixed = sorted(sector.fixed_support)
     fixed_names = tuple(model.variables[i] for i in fixed)
     deg = Fraction(len(fixed)) + 2 * (sector.age - model.q)
@@ -204,24 +216,20 @@ def sector_space(model: GlsmModel, h: GroupElement,
     weights = [Fraction(model.r_charges[i], model.d_w) for i in fixed]
     try:
         calc = ResidueCalculator(w_res, weights)
-    except NonIsolatedSingularityError:
-        raise NonIsolatedSingularityError(
-            f"sector {h.label()}: restricted potential "
-            f"{w_res.canonical_str()} has a non-isolated singularity"
-        ) from None
+    except ValueError as exc:
+        raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
 
-    invariant = []
-    for exp in calc.standard_monomials:
-        ok = True
-        for g in group:
-            phase = sum(g.phases[i] * a for i, a in zip(fixed, exp))
-            phase += sum(g.phases[i] for i in fixed)  # det twist on the top form
-            if phase % 1 != 0:
-                ok = False
-                break
-        if ok:
-            invariant.append(exp)
-    return SectorSpace(sector, fixed_names, tuple(invariant), deg, calc)
+    # g acts on x^exp dx_fixed by exp(2 pi i sum_i nums_i (exp_i + 1) / den)
+    actions = []
+    for g in group:
+        den = lcm(*(g.phases[i].denominator for i in fixed))
+        nums = [g.phases[i].numerator * (den // g.phases[i].denominator) for i in fixed]
+        actions.append((den, nums, sum(nums)))
+    invariant = tuple(
+        exp for exp in calc.standard_monomials
+        if all((twist + sum(n * a for n, a in zip(nums, exp))) % den == 0
+               for den, nums, twist in actions))
+    return SectorSpace(sector, fixed_names, invariant, deg, calc)
 
 
 def _phase_scalar(model: GlsmModel, t: Fraction) -> Cyclo:
@@ -232,7 +240,13 @@ def _phase_scalar(model: GlsmModel, t: Fraction) -> Cyclo:
 
 
 class StateSpace:
-    """All sectors of a model, with the twisted residue pairing."""
+    """All sectors of a model, with the twisted residue pairing.
+
+    Gram blocks are kept as sparse rows ({column: nonzero entry}).  By the
+    selection rule a basis monomial e1 pairs only with the inverse-sector
+    monomials of weighted degree socle_degree - deg(e1); for a monomial
+    Groebner basis that is the single monomial socle - e1.
+    """
 
     def __init__(self, model: GlsmModel, bound: int = 10 ** 6):
         self.model = model
@@ -241,8 +255,8 @@ class StateSpace:
         self.sectors = inertia_sectors(model, bound)
         self.spaces: dict[tuple, SectorSpace] = {}
         for sec in self.sectors:
-            self.spaces[sec.element.phases] = sector_space(model, sec.element, self.group)
-        self._gram_cache: dict[tuple, list[list[Cyclo]]] = {}
+            self.spaces[sec.element.phases] = sector_space(model, sec.element)
+        self._gram_cache: dict[tuple, list[dict[int, Cyclo]]] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -268,88 +282,101 @@ class StateSpace:
 
     # -- the inversion pullback and pairing --------------------------------
 
+    def _inversion_scalars(self, space: SectorSpace) -> list[Cyclo]:
+        """The factor x -> zeta.x puts on each basis class (top form included)."""
+        fixed = sorted(space.sector.fixed_support)
+        charges = [self.model.r_charges[i] for i in fixed]
+        return [_phase_scalar(self.model, sum(c * (a + 1) for c, a in zip(charges, exp)))
+                for exp in space.basis]
+
     def inv_pullback(self, el: SectorElement) -> SectorElement:
         """Substitute x -> zeta.x and move the class to the inverse sector."""
         space = self.space(el.phases)
         inv_phases = GroupElement(el.phases).inverse().phases
         if space.narrow:
             return SectorElement(inv_phases, el.coefficients)
-        fixed = sorted(space.sector.fixed_support)
-        charge_sum = sum(self.model.r_charges[i] for i in fixed)
-        out = []
-        for exp, c in zip(space.basis, el.coefficients):
-            t = sum(self.model.r_charges[i] * a for i, a in zip(fixed, exp)) + charge_sum
-            out.append(c * _phase_scalar(self.model, t))
-        return SectorElement(inv_phases, tuple(out))
+        scalars = self._inversion_scalars(space)
+        return SectorElement(inv_phases, tuple(
+            c * s for c, s in zip(el.coefficients, scalars)))
 
     def pairing(self, el1: SectorElement, el2: SectorElement) -> Cyclo:
         if el1.phases not in self.spaces or el2.phases not in self.spaces:
             raise ValueError("sector element does not belong to this model")
-        space1 = self.space(el1.phases)
-        inv = GroupElement(el1.phases).inverse().phases
-        if el2.phases != inv:
-            return Cyclo.zero()
-        if space1.narrow:
-            return el1.coefficients[0] * el2.coefficients[0]
-        moved = self.inv_pullback(el2)
-        calc = space1.calculator
         total = Cyclo.zero()
-        for exp1, c1 in zip(space1.basis, el1.coefficients):
-            if not c1:
-                continue
-            for exp2, c2 in zip(space1.basis, moved.coefficients):
-                if not c2:
-                    continue
-                r = calc.residue_of_monomial(
-                    tuple(a + b for a, b in zip(exp1, exp2)))
-                if r:
-                    total = total + c1 * c2 * r
-        return total * Fraction(1, self.group_order)
+        if el2.phases != GroupElement(el1.phases).inverse().phases:
+            return total
+        for c1, row in zip(el1.coefficients, self.gram_rows(el1.phases)):
+            if c1:
+                for j, g in row.items():
+                    if el2.coefficients[j]:
+                        total = total + c1 * el2.coefficients[j] * g
+        return total
+
+    def gram_rows(self, phases) -> list[dict[int, Cyclo]]:
+        """The sector's Gram block as sparse rows over the inverse sector's basis."""
+        phases = tuple(phases)
+        rows = self._gram_cache.get(phases)
+        if rows is not None:
+            return rows
+        space = self.space(phases)
+        if space.narrow:
+            rows = [{0: Cyclo.one()}]
+        else:
+            other = self.space(GroupElement(phases).inverse().phases)
+            calc = space.calculator
+            inv_order = Fraction(1, self.group_order)
+            scalars = [s * inv_order for s in self._inversion_scalars(other)]
+            if calc.monomial_gb:  # the one partner of e1 is socle - e1
+                index = {e2: (j,) for j, e2 in enumerate(other.basis)}
+                key = lambda e1: tuple(s - a for s, a in zip(calc.socle_monomial, e1))
+            else:  # the partners of e1 have weighted degree socle - deg(e1)
+                index = {}
+                for j, e2 in enumerate(other.basis):
+                    index.setdefault(calc.weighted_degree(e2), []).append(j)
+                key = lambda e1: calc.socle_degree - calc.weighted_degree(e1)
+            rows = []
+            for e1 in space.basis:
+                row = {}
+                for j in index.get(key(e1), ()):
+                    r = calc.residue_of_monomial(
+                        tuple(a + b for a, b in zip(e1, other.basis[j])))
+                    if r:
+                        row[j] = r * scalars[j]
+                rows.append(row)
+        self._gram_cache[phases] = rows
+        return rows
+
+    def _gram_width(self, phases) -> int:
+        return self.space(GroupElement(phases).inverse().phases).dimension
 
     def gram_matrix(self, phases) -> list[list[Cyclo]]:
-        phases = tuple(phases)
-        if phases in self._gram_cache:
-            return self._gram_cache[phases]
-        space = self.space(phases)
-        inv = GroupElement(phases).inverse().phases
-        other = self.space(inv)
-        if space.narrow:
-            mat = [[Cyclo.one()]]
-        else:
-            fixed = sorted(space.sector.fixed_support)
-            charge_sum = sum(self.model.r_charges[i] for i in fixed)
-            scalars = []
-            for exp in other.basis:
-                t = sum(self.model.r_charges[i] * a
-                        for i, a in zip(fixed, exp)) + charge_sum
-                scalars.append(_phase_scalar(self.model, t))
-            inv_order = Fraction(1, self.group_order)
-            calc = space.calculator
-            zero = Cyclo.zero()
-            mat = []
-            for e1 in space.basis:
-                row = []
-                for e2, s in zip(other.basis, scalars):
-                    r = calc.residue_of_monomial(
-                        tuple(a + b for a, b in zip(e1, e2)))
-                    row.append(r * s * inv_order if r else zero)
-                mat.append(row)
-        self._gram_cache[phases] = mat
-        return mat
+        """The Gram block as dense rows; absent entries share one zero."""
+        zero, width = Cyclo.zero(), self._gram_width(phases)
+        return [[row.get(j, zero) for j in range(width)] for row in self.gram_rows(phases)]
+
+    def gram_strings(self, phases) -> list[list[str]]:
+        """The Gram block as dense rows of entry strings, for reports."""
+        width = self._gram_width(phases)
+        out = []
+        for row in self.gram_rows(phases):
+            out.append(["0"] * width)  # str(Cyclo.zero())
+            for j, x in row.items():
+                out[-1][j] = str(x)
+        return out
 
     def gram_nonsingular(self, phases) -> bool:
-        return is_nonsingular(self.gram_matrix(phases))
+        rows = self.gram_rows(phases)
+        return len(rows) == self._gram_width(phases) == sparse_rank(rows)
 
     # -- reporting ------------------------------------------------------------
 
     def to_jsonable(self) -> dict:
         sectors = []
         for sec in self.sectors:
-            space = self.spaces[sec.element.phases]
-            entry = space.to_jsonable(self.model.variables)
-            gram = self.gram_matrix(sec.element.phases)
-            entry["gram"] = [[str(x) for x in row] for row in gram]
-            entry["gram_nonsingular"] = is_nonsingular(gram)
+            phases = sec.element.phases
+            entry = self.spaces[phases].to_jsonable(self.model.variables)
+            entry["gram"] = self.gram_strings(phases)
+            entry["gram_nonsingular"] = self.gram_nonsingular(phases)
             sectors.append(entry)
         return {
             "conventions": CONVENTIONS,
@@ -357,10 +384,6 @@ class StateSpace:
             "degree_histogram": {str(d): n for d, n in self.degree_histogram().items()},
             "sectors": sectors,
         }
-
-
-def build_state_space(model: GlsmModel, bound: int = 10 ** 6) -> StateSpace:
-    return StateSpace(model, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,16 @@ def test_determinism_byte_for_byte(quintic_config, tmp_path):
 
 def test_bad_bounds_exit_2(quintic_config):
     assert _run(["state-space", quintic_config, "--group-order-bound", "0"]) == 2
+
+
+def test_state_space_rejects_zero_charges(tmp_path, capsys):
+    """With every R-charge 0 the potential is not quasi-homogeneous, so the
+    selection rule has no footing: exit 1 with the sector and the reason."""
+    bad = make_quintic_lg().to_dict()
+    bad["r_charges"] = [0] * 5
+    path = tmp_path / "zero_charges.json"
+    path.write_text(json.dumps(bad))
+    assert _run(["validate", path]) == 1
+    assert _run(["state-space", path]) == 1
+    err = capsys.readouterr().err
+    assert "sector (0,0,0,0,0)" in err and "not quasi-homogeneous" in err
