@@ -62,16 +62,6 @@ class PairedBasis:
         b = self.by_sector[kj].index(j)
         return self.gram[ki][a][b]
 
-    def eta_vectors(self, u, v) -> Cyclo:
-        total = Cyclo.zero()
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj:
-                    total = total + ci * cj * self.eta(i, j)
-        return total
-
     def sector_parity(self, key) -> int:
         idx = self.by_sector[key]
         return self.parities[idx[0]] if idx else 0
@@ -356,6 +346,19 @@ def _contract(data: CohftData, duals: DualBases,
     return total
 
 
+def _handle_trace(data: CohftData, duals: DualBases, g: int) -> Cyclo:
+    """sum over dual pairs (t, t^dual) of omega_{0,3}(g, t, t^dual)."""
+    total = Cyclo.zero()
+    for t, tdual in duals.pairs():
+        for i, ci in enumerate(t):
+            if not ci:
+                continue
+            for j, cj in enumerate(tdual):
+                if cj:
+                    total = total + ci * cj * data.o3(g, i, j)
+    return total
+
+
 def _unit_vec(n, i):
     v = [Cyclo.zero()] * n
     v[i] = Cyclo.one()
@@ -391,15 +394,7 @@ def check_loop_gluing(data: CohftData) -> list[dict]:
     for key in sorted(data.omega11):
         v0, v2 = data.omega11[key]
         lhs = v0 * coeff[0] + v2 * coeff[1]
-        rhs = Cyclo.zero()
-        for t, tdual in duals.pairs():
-            for i, ci in enumerate(t):
-                if not ci:
-                    continue
-                for j, cj in enumerate(tdual):
-                    if cj:
-                        rhs = rhs + ci * cj * data.o3(key[0], i, j)
-        out.append(_entry("loop", key, lhs, rhs))
+        out.append(_entry("loop", key, lhs, _handle_trace(data, duals, key[0])))
     return out
 
 
@@ -483,19 +478,8 @@ def frobenius_toy(labels, degrees, trace, mult_table,
     data = CohftData(basis, _unit_vec(n, unit_index),
                      -2 * Fraction(central_charge), omega03, omega04, {})
     duals = dual_bases(basis)
-    omega11 = {}
-    for g in range(n):
-        total = Cyclo.zero()
-        for t, tdual in duals.pairs():
-            for i, ci in enumerate(t):
-                if not ci:
-                    continue
-                for j, cj in enumerate(tdual):
-                    if cj:
-                        total = total + ci * cj * data.o3(g, i, j)
-        if total:
-            omega11[(g,)] = (total, Cyclo.zero())
-    data.omega11 = omega11
+    data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
+                    if (v := _handle_trace(data, duals, g))}
     return data
 
 
@@ -536,19 +520,8 @@ def axiom_seeded_data(basis: PairedBasis, unit_vector,
             omega04[key] = (v, Cyclo.zero())
     data.omega04 = omega04
 
-    omega11 = {}
-    for g in range(n):
-        total = Cyclo.zero()
-        for t, tdual in duals.pairs():
-            for i, ci in enumerate(t):
-                if not ci:
-                    continue
-                for j, cj in enumerate(tdual):
-                    if cj:
-                        total = total + ci * cj * data.o3(g, i, j)
-        if total:
-            omega11[(g,)] = (total, Cyclo.zero())
-    data.omega11 = omega11
+    data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
+                    if (v := _handle_trace(data, duals, g))}
     return data
 
 

@@ -23,6 +23,7 @@ from math import gcd
 Rat = Fraction
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     result = n
     m = n
@@ -136,7 +137,7 @@ class Cyclo:
         phi = euler_phi(order)
         c = list(coeffs) + [Fraction(0)] * phi
         self.order = order
-        self.coeffs = tuple(Fraction(x) for x in c[:phi])
+        self.coeffs = tuple(x if type(x) is Fraction else Fraction(x) for x in c[:phi])
 
     # -- constructors ------------------------------------------------
 
@@ -203,6 +204,8 @@ class Cyclo:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         a, b = self._pair(other)
         if b is None:
             return NotImplemented

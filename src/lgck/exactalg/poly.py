@@ -22,6 +22,8 @@ _ZTOKEN = re.compile(r"^z(\d+)(?:\^(\d+))?$")
 _VARTOKEN = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*?)(?:\^(\d+))?$")
 _RATTOKEN = re.compile(r"^\(?(-?\d+(?:/\d+)?)\)?$")
 
+MAX_CYCLO_ORDER = 1024  # largest N of a parsed root of unity zN
+
 
 def drl_key(exp: tuple[int, ...]):
     """Sort key realizing degree-reverse-lexicographic order (larger = bigger)."""
@@ -82,10 +84,6 @@ class MultiPoly:
 
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=None)
-
-    def weighted_degrees(self, weights) -> set:
-        """Set of weighted degrees occurring among the terms."""
-        return {sum(Fraction(w) * a for w, a in zip(weights, exp)) for exp in self.terms}
 
     def leading(self):
         """(exponent, coefficient) of the degrevlex-largest term."""
@@ -301,6 +299,9 @@ class MultiPoly:
                 m = _ZTOKEN.match(factor)
                 if m:
                     order, power = int(m.group(1)), int(m.group(2) or 1)
+                    if not 1 <= order <= MAX_CYCLO_ORDER:
+                        raise ValueError(f"root of unity {factor!r}: order outside "
+                                         f"1..{MAX_CYCLO_ORDER}")
                     coef = coef * Cyclo.root_of_unity(order, power)
                     continue
                 m = _VARTOKEN.match(factor)

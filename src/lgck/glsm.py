@@ -90,6 +90,8 @@ class GlsmModel:
     @classmethod
     def from_dict(cls, data: dict) -> "GlsmModel":
         variables = tuple(data["variables"])
+        if not isinstance(data["potential"], str):
+            raise TypeError(f"potential must be a string, got {type(data['potential']).__name__}")
         potential = MultiPoly.parse(data["potential"], variables)
         torus = tuple(tuple(_frac(x) for x in row) for row in data.get("torus_weights", []))
         gens = tuple(tuple(_frac(x) % 1 for x in g) for g in data.get("finite_generators", []))
@@ -373,12 +375,6 @@ def _stable_equals_semistable(model: GlsmModel, character) -> bool:
         if mat_rank(rows) < k:
             return False
     return True
-
-
-def kernel_semistable_support(model: GlsmModel, character, support) -> bool:
-    """Semistability of a support for Ker(chi) (cone augmented by the chi line)."""
-    tester = _ConeTester(model, character, include_chi_line=True)
-    return tester.semistable(frozenset(support))
 
 
 def r_fixed_locus(model: GlsmModel, subgroup) -> frozenset[int]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
@@ -115,8 +116,9 @@ def _subset_sign_insert(subset: tuple[int, ...], j: int) -> int:
     return -1 if sum(1 for i in subset if i < j) % 2 else 1
 
 
-def _subset_sign_remove(subset: tuple[int, ...], j: int) -> int:
-    return -1 if subset.index(j) % 2 else 1
+def _subsets(r: int) -> list[tuple[int, ...]]:
+    """Subsets of range(r) as sorted tuples, in (size, lexicographic) order."""
+    return [s for k in range(r + 1) for s in combinations(range(r), k)]
 
 
 def koszul(tau, sigma) -> Factorization:
@@ -135,12 +137,9 @@ def koszul(tau, sigma) -> Factorization:
     for t, s in zip(tau, sigma):
         w = w + t * s
 
-    subsets: list[tuple[int, ...]] = [()]
-    for i in range(r):
-        subsets += [s + (i,) for s in subsets]
-    subsets = [tuple(sorted(s)) for s in subsets]
-    even = sorted([s for s in subsets if len(s) % 2 == 0], key=lambda s: (len(s), s))
-    odd = sorted([s for s in subsets if len(s) % 2 == 1], key=lambda s: (len(s), s))
+    subsets = _subsets(r)
+    even = [s for s in subsets if len(s) % 2 == 0]
+    odd = [s for s in subsets if len(s) % 2 == 1]
     index = {s: ("even", k) for k, s in enumerate(even)}
     index.update({s: ("odd", k) for k, s in enumerate(odd)})
 
@@ -297,12 +296,6 @@ class Cdga:
                     out[k] = c
         return out
 
-    def element_degree(self, x):
-        degs = {self.degrees[i] for i in x}
-        if len(degs) > 1:
-            raise ValueError("inhomogeneous element")
-        return degs.pop() if degs else None
-
     def _verify(self):
         n = self.dimension
         for i in range(n):
@@ -339,10 +332,7 @@ def koszul_cdga(sigma) -> Cdga:
     contraction by sigma."""
     variables, sigma = _align_ring(list(sigma))
     r = len(sigma)
-    subsets: list[tuple[int, ...]] = [()]
-    for i in range(r):
-        subsets += [s + (i,) for s in subsets]
-    subsets = sorted([tuple(sorted(s)) for s in subsets], key=lambda s: (len(s), s))
+    subsets = _subsets(r)
     index = {s: k for k, s in enumerate(subsets)}
     degrees = [-len(s) for s in subsets]
     one = MultiPoly.const(variables, 1)
@@ -539,18 +529,6 @@ class FormEndomorphism:
             entry = self.entries[i][i]
             out = out + (entry if self.parities[i] == 0 else -entry)
         return out
-
-    def total_parity_homogeneous(self) -> int | None:
-        """Total parity (endomorphism + form) if homogeneous, else None."""
-        seen = set()
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                endo = (self.parities[i] + self.parities[j]) % 2
-                for idx in e.terms:
-                    seen.add((endo + len(idx)) % 2)
-        if len(seen) > 1:
-            return None
-        return seen.pop() if seen else 0
 
 
 def supertrace(endo: FormEndomorphism) -> DiffForm:

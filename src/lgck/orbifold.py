@@ -105,9 +105,6 @@ class Sector:
         support = h.fixed_support()
         return cls(h, support, not support, h.age())
 
-    def inverse_key(self):
-        return self.element.inverse().phases
-
     def to_jsonable(self, variables):
         return {
             "element": [str(p) for p in self.element.phases],

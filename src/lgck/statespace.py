@@ -124,7 +124,8 @@ class ResidueCalculator:
             return Cyclo.zero()
         hit = self._cache.get(exp)
         if hit is None:
-            hit = self.residue(MultiPoly.monomial(self.variables, exp, 1))
+            c = self.ideal.monomial_normal_form(exp).get(self.socle_monomial)
+            hit = Cyclo.zero() if c is None else c * self.milnor_number / self.socle_coeff
             self._cache[exp] = hit
         return hit
 
@@ -455,14 +456,9 @@ def kunneth_sum(model1: GlsmModel, model2: GlsmModel):
                 raise AssertionError(
                     f"Kunneth dimension mismatch on sectors {h1.label()} x {h2.label()}"
                 )
-            if sp1.narrow and sp2.narrow:
-                scale = Fraction(1)
-            else:
-                scale = Fraction(1)
-                if sp1.narrow:
-                    scale /= s1.group_order
-                if sp2.narrow:
-                    scale /= s2.group_order
+            scale = Fraction(1)  # 1/|G_i| when only summand i is narrow
+            if sp1.narrow != sp2.narrow:
+                scale /= s1.group_order if sp1.narrow else s2.group_order
             pairs.append({
                 "sector_1": [str(p) for p in h1.phases],
                 "sector_2": [str(p) for p in h2.phases],

@@ -178,3 +178,24 @@ def test_state_space_rejects_zero_charges(tmp_path, capsys):
     assert _run(["state-space", path]) == 1
     err = capsys.readouterr().err
     assert "sector (0,0,0,0,0)" in err and "not quasi-homogeneous" in err
+
+
+def test_non_string_potential_exits_2(tmp_path, capsys):
+    bad = make_quintic_lg().to_dict()
+    bad["potential"] = 5
+    path = tmp_path / "int_potential.json"
+    path.write_text(json.dumps(bad))
+    assert _run(["state-space", path]) == 2
+    assert "potential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["z100000000", "z0"])
+def test_cyclotomic_order_budget_exits_2(tmp_path, capsys, token):
+    """An order outside 1..MAX_CYCLO_ORDER is refused before any cyclotomic
+    polynomial is built, so the huge order cannot hang the parser."""
+    bad = make_quintic_lg().to_dict()
+    bad["potential"] += f" + {token}*x1^2*x2^3"
+    path = tmp_path / "huge_order.json"
+    path.write_text(json.dumps(bad))
+    assert _run(["state-space", path]) == 2
+    assert token in capsys.readouterr().err
