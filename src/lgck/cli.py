@@ -20,6 +20,7 @@ from .matfact import chern_char, koszul, splitting_degree_check, todd_chern, uni
 from .orbifold import GroupElement, inertia_sectors
 from .simplicial import (
     FinitePosetSheaf,
+    PosetConfigError,
     de_rham_triangle_check,
     godement,
     order_complex_cohomology,
@@ -40,9 +41,12 @@ class ConfigError(Exception):
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return config
 
 
 def _model_from_config(config: dict) -> GlsmModel:
@@ -245,9 +249,11 @@ def _builtin_posets():
 def _cmd_simplicial_demo(args, config):
     block = config.get("simplicial", {})
     if "poset" in block:
-        sheaf = FinitePosetSheaf.from_dict(block["poset"])
-        name = block["poset"].get("name", "custom")
-        sheaves = {name: sheaf}
+        try:
+            sheaf = FinitePosetSheaf.from_dict(block["poset"])
+        except PosetConfigError as exc:
+            raise ConfigError(f"malformed simplicial.poset.{exc}") from exc
+        sheaves = {block["poset"].get("name", "custom"): sheaf}
     else:
         sheaves = _builtin_posets()
     levels = min(args.level_bound, 3)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .exactalg import Cyclo
-from .exactalg.linalg import inverse as mat_inverse
+from .exactalg.linalg import inverse as mat_inverse, mat_mul
 from .glsm import GlsmModel
 from .orbifold import GroupElement
 
@@ -99,9 +99,7 @@ class DualBases:
         n = self.basis.dimension
         for key, idx in self.basis.by_sector.items():
             for pos, i in enumerate(idx):
-                t = [Cyclo.zero()] * n
-                t[i] = Cyclo.one()
-                yield t, self.duals[key][pos]
+                yield _unit_vec(n, i), self.duals[key][pos]
 
 
 def dual_bases(basis: PairedBasis) -> DualBases:
@@ -130,24 +128,6 @@ def dual_bases(basis: PairedBasis) -> DualBases:
     return DualBases(basis, duals)
 
 
-def _sparse_mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    zero = Cyclo.zero()
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(inner):
-            x = a[i][t]
-            if not x:
-                continue
-            row_b = b[t]
-            row_o = out[i]
-            for j in range(cols):
-                y = row_b[j]
-                if y:
-                    row_o[j] = row_o[j] + x * y
-    return out
-
-
 def casimir_check(basis: PairedBasis) -> list[dict]:
     """eta(a, b) = sum_{h,j} eta(a, T^h_j) eta(T_h^j, b) on all basis pairs.
 
@@ -167,8 +147,7 @@ def casimir_check(basis: PairedBasis) -> list[dict]:
         # dual coefficients of sector k^{-1}, restricted to sector-k coords
         c = [[db.duals[inv_key][j][gi] for gi in idx]
              for j in range(len(inv_idx))]
-        rhs = _sparse_mat_mul(_sparse_mat_mul(g, c), g)
-        ok = rhs == g
+        ok = mat_mul(mat_mul(g, c), g) == g
         report.append({
             "axiom": "casimir",
             "tuple": ("sector", str(key)),
@@ -222,40 +201,32 @@ class CohftData:
         return self.omega03.get((i, j, k), Cyclo.zero())
 
     def o3_unit(self, i, j) -> Cyclo:
-        total = Cyclo.zero()
-        for k, c in enumerate(self.unit_vector):
-            if c:
-                total = total + c * self.o3(i, j, k)
-        return total
+        return self.o3_vec3(i, j, self.unit_vector)
 
     def o3_vec3(self, i, j, vec) -> Cyclo:
-        total = Cyclo.zero()
-        for k, c in enumerate(vec):
-            if c:
-                total = total + c * self.o3(i, j, k)
-        return total
+        return _dot(vec, lambda k: self.o3(i, j, k))
 
     def o3_vec1(self, vec, j, k) -> Cyclo:
-        total = Cyclo.zero()
-        for i, c in enumerate(vec):
-            if c:
-                total = total + c * self.o3(i, j, k)
-        return total
+        return _dot(vec, lambda i: self.o3(i, j, k))
 
     def o4(self, key) -> tuple:
         return self.omega04.get(tuple(key), (Cyclo.zero(), Cyclo.zero()))
 
     def o4_unit_last(self, i, j, k) -> tuple:
-        c0, c2 = Cyclo.zero(), Cyclo.zero()
-        for l, c in enumerate(self.unit_vector):
-            if c:
-                v0, v2 = self.o4((i, j, k, l))
-                c0 = c0 + c * v0
-                c2 = c2 + c * v2
-        return c0, c2
+        return tuple(_dot(self.unit_vector, lambda l: self.o4((i, j, k, l))[part])
+                     for part in (0, 1))
 
     def o11(self, i) -> tuple:
         return self.omega11.get((i,), (Cyclo.zero(), Cyclo.zero()))
+
+
+def _dot(vec, entry) -> Cyclo:
+    """sum of c * entry(k) over the nonzero coefficients c = vec[k]."""
+    total = Cyclo.zero()
+    for k, c in enumerate(vec):
+        if c:
+            total = total + c * entry(k)
+    return total
 
 
 def _entry(axiom, tup, lhs, rhs):

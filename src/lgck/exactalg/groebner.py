@@ -1,10 +1,12 @@
 """Groebner bases over Q(zeta_N) and Jacobian-ring utilities.
 
 The monomial order is fixed degree-reverse-lexicographic throughout.
-Buchberger's algorithm with sugar-strategy pair selection is enough at
+Buchberger's algorithm with normal-strategy pair selection is enough at
 this scale (at most a dozen variables, small degrees); the coprimality
 and chain criteria prune the pair queue, a heap keyed by
-(sugar, deg lcm, drl_key(lcm), i, j).
+(drl_key(lcm), i, j).  Under degrevlex an element's total degree is the
+degree of its leading term, so the sugar of every pair is deg lcm, the
+first component of drl_key(lcm).
 
 Basis elements are monic, so ``reduce_full`` needs no inverse: it reduces
 in place in one dict, taking terms from a heap of degrevlex keys.
@@ -105,22 +107,19 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
         return []
     leads = [g.leading()[0] for g in basis]
     divisors = _divisors(basis)
-    sugars = [g.total_degree() for g in basis]
-    pairs: list = []  # heap of (sugar, deg lcm, drl_key(lcm), i, j, lcm), i < j
+    pairs: list = []  # heap of (drl_key(lcm), i, j, lcm), i < j
 
     def queue_pairs(j):
         ej = leads[j]
         for i in range(j):
-            ei = leads[i]
-            lcm = _lcm_exp(ei, ej)
-            sugar = max(sugars[i] - sum(ei), sugars[j] - sum(ej)) + sum(lcm)
-            heapq.heappush(pairs, (sugar, sum(lcm), drl_key(lcm), i, j, lcm))
+            lcm = _lcm_exp(leads[i], ej)
+            heapq.heappush(pairs, (drl_key(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         queue_pairs(j)
     processed: set[tuple[int, int]] = set()
     while pairs:
-        *_, i, j, lcm = heapq.heappop(pairs)
+        _, i, j, lcm = heapq.heappop(pairs)
         processed.add((i, j))
         ei, ej = leads[i], leads[j]
         # coprimality criterion
@@ -138,7 +137,6 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
             basis.append(r)
             divisors += _divisors([r])
             leads.append(r.leading()[0])
-            sugars.append(r.total_degree())
             queue_pairs(len(basis) - 1)
 
     # inter-reduce to the unique reduced basis

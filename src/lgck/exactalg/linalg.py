@@ -1,8 +1,21 @@
-"""Exact linear algebra over any field-like element type.
+"""Exact linear algebra: one matrix product and one elimination.
 
-Matrices are lists of lists whose entries support +, -, *, / and truth
-testing (zero iff falsy).  Works for ``Fraction`` and ``Cyclo`` alike.
-``sparse_rank`` takes sparse rows ({column: entry}) instead.
+Dense matrices are lists of rows; entries support +, -, * and truth
+testing (zero iff falsy), and ``/`` too wherever a matrix is eliminated.
+``Fraction``, ``Cyclo`` and (for products) ``MultiPoly`` all qualify;
+``int`` entries are promoted to ``Fraction`` before any division.
+
+``mat_mul`` is Gustavson's row-by-row sparse product (ACM TOMS 4(3),
+1978): row i of the result accumulates x * b[t] over the nonzero entries
+x = a[i][t] only, and skips the zero entries of b[t].
+
+``_echelon`` is the only elimination.  It reduces sparse rows
+({column: entry}) one at a time against the pivot rows found so far, so
+rows that meet no pivot cost no arithmetic.  ``sparse_rank`` counts its
+pivots, ``det`` multiplies them, and ``rref`` back-substitutes and
+normalizes them into the reduced row echelon form, on which ``nullspace``,
+``solve`` and ``inverse`` are built.  The reduced form of a matrix is
+unique, so those results do not depend on the order of elimination.
 """
 
 from __future__ import annotations
@@ -10,153 +23,53 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def identity(n: int, one=Fraction(1)):
+    zero = one - one
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
 def mat_mul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
+    """The product a . b; an all-zero row of a gives a row of y - y."""
+    if any(len(row) != len(b) for row in a):
+        raise ValueError(f"inner dimensions differ: {len(b)} rows on the right")
+    if not a or not b or not b[0]:
+        return [[] for _ in a] if b else []
+    zero = b[0][0] - b[0][0]
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            for t in range(k):
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
+    for row_a in a:
+        row = [zero] * len(b[0])
+        for x, row_b in zip(row_a, sparse_b):
+            if x:
+                for j, y in row_b:
+                    row[j] = row[j] + x * y
         out.append(row)
     return out
 
 
-def _rref(rows):
-    """Row-reduce in place; returns pivot column list."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        recip = rows[r][c] ** (-1)  # one inversion per pivot
-        rows[r] = [x * recip if x else x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _sparse(mat):
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
-def rref(mat):
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in mat]
-    pivots = _rref(rows)
-    return rows, pivots
+def _subtract(row, f, pivot):
+    """row -= f * pivot in place, dropping the entries that cancel."""
+    for c, y in pivot.items():
+        x = row.get(c, 0) - f * y
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
-def rank(mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    _, pivots = rref(mat)
-    return len(pivots)
+def _echelon(rows) -> dict:
+    """Forward elimination of sparse rows: {lead column: reduced row}.
 
-
-def nullspace(mat, one=Fraction(1)):
-    """Basis of the right kernel."""
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    rows, pivots = rref(mat)
-    zero = one - one
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
-        basis.append(v)
-    return basis
-
-
-def solve(mat, rhs):
-    """One solution of mat*x = rhs, or None if inconsistent."""
-    if not mat:
-        return [] if not any(rhs) else None
-    ncols = len(mat[0])
-    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    for row in rows:
-        if not any(row[:-1]) and row[-1]:
-            return None
-    sample = rhs[0] if rhs else mat[0][0]
-    zero = sample - sample
-    x = [zero] * ncols
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = rows[r][-1]
-        elif rows[r][-1]:
-            return None
-    return x
-
-
-def inverse(mat, one=Fraction(1)):
-    n = len(mat)
-    zero = one - one
-    rows = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(mat)]
-    pivots = _rref(rows)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in rows]
-
-
-def det(mat):
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    rows = [list(r) for r in mat]
-    sample = rows[0][0]
-    zero = sample - sample
-    result = None
-    sign = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return zero
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        result = p if result is None else result * p
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / p
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result * sign if sign == 1 else -result
-
-
-def sparse_rank(rows) -> int:
-    """Rank of a matrix given as sparse rows ({column: entry}).
-
-    Exact elimination that only touches nonzero entries: each row is
-    reduced against the pivot rows found so far until its leading column
-    is new, and then becomes the pivot row of that column.  Rows that
-    meet no pivot cost no arithmetic at all.
+    Each row is reduced against the pivot rows found so far until its
+    leading (smallest) column is new, and then becomes the pivot row of
+    that column; a row that reduces to nothing is dropped.  Pivot rows are
+    kept in the order of the input rows they came from.
     """
-    pivots = {}  # leading column -> pivot row
+    pivots = {}
     for row in rows:
         row = {c: Fraction(x) if isinstance(x, int) else x
                for c, x in row.items() if x}
@@ -166,18 +79,98 @@ def sparse_rank(rows) -> int:
             if pivot is None:
                 pivots[col] = row
                 break
-            f = row[col] / pivot[col]
-            for c, y in pivot.items():
-                x = row.get(c, 0) - f * y  # exactly 0 at col
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
-    return len(pivots)
+            _subtract(row, row[col] / pivot[col], pivot)  # clears col
+    return pivots
+
+
+def sparse_rank(rows) -> int:
+    """Rank of a matrix given as sparse rows ({column: entry})."""
+    return len(_echelon(rows))
+
+
+def rref(mat) -> dict:
+    """Reduced row echelon form as {pivot column: row}, rows sparse.
+
+    Each pivot row has a 1 at its pivot column and nothing at any other
+    pivot column; zero rows are left out.
+    """
+    pivots = _echelon(_sparse(mat))
+    reduced = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        # clearing column c touches only c and non-pivot columns
+        for c, f in [(c, x) for c, x in row.items() if c in reduced]:
+            _subtract(row, f, reduced[c])
+        recip = row[col] ** (-1)  # one inversion per pivot
+        reduced[col] = {c: x * recip for c, x in row.items()}
+    return dict(sorted(reduced.items()))
+
+
+def rank(mat) -> int:
+    return sparse_rank(_sparse(mat))
+
+
+def nullspace(mat, one=Fraction(1)):
+    """Basis of the right kernel, one vector per non-pivot column."""
+    if not mat:
+        return []
+    reduced, zero = rref(mat), one - one
+    basis = []
+    for f in (f for f in range(len(mat[0])) if f not in reduced):
+        v = [zero] * len(mat[0])
+        v[f] = one
+        for c, row in reduced.items():
+            if f in row:
+                v[c] = -row[f]
+        basis.append(v)
+    return basis
+
+
+def solve(mat, rhs):
+    """One solution of mat*x = rhs (free variables 0), or None if inconsistent."""
+    if not mat:
+        return [] if not any(rhs) else None
+    ncols = len(mat[0])
+    reduced = rref([list(r) + [b] for r, b in zip(mat, rhs)])
+    if ncols in reduced:  # a row 0 = nonzero
+        return None
+    sample = rhs[0] if rhs else mat[0][0]
+    zero = sample - sample
+    x = [zero] * ncols
+    for c, row in reduced.items():
+        x[c] = row.get(ncols, zero)
+    return x
+
+
+def inverse(mat, one=Fraction(1)):
+    """The inverse of a square matrix, or None if it is singular or not square."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        return None
+    reduced = rref([list(row) + e for row, e in zip(mat, identity(n, one))])
+    if any(i not in reduced for i in range(n)):
+        return None
+    zero = one - one
+    return [[reduced[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+
+
+def det(mat):
+    """Sign of the lead-column permutation times the product of the leads."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return Fraction(1)
+    pivots = _echelon(_sparse(mat))
+    if len(pivots) < n:
+        return mat[0][0] - mat[0][0]
+    leads = list(pivots)  # leads[i]: lead column of the row from mat[i]
+    result = pivots[leads[0]][leads[0]]
+    for c in leads[1:]:
+        result = result * pivots[c][c]
+    inversions = sum(1 for i in range(n) for j in range(i) if leads[j] > leads[i])
+    return -result if inversions % 2 else result
 
 
 def is_nonsingular(mat) -> bool:
-    if not mat:
-        return True
-    return len(mat) == len(mat[0]) and sparse_rank(
-        {j: x for j, x in enumerate(r) if x} for r in mat) == len(mat)
+    return not mat or len(mat) == len(mat[0]) == rank(mat)

@@ -29,6 +29,7 @@ from itertools import combinations
 from math import factorial
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
+from .exactalg.linalg import identity, mat_mul
 from .forms import DiffForm, d_of_poly
 from .glsm import GlsmModel, check_dagger
 
@@ -59,26 +60,16 @@ class Factorization:
 
     def _verify_square(self):
         w = self.potential
-        p, q = self.even_rank, self.odd_rank
         zero = MultiPoly.zero(self.variables)
-        for i in range(p):
-            for j in range(p):
-                acc = zero
-                for t in range(q):
-                    acc = acc + self.block_b[i][t] * self.block_a[t][j]
-                expect = w if i == j else zero
-                if acc != expect:
-                    raise FactorizationError(
-                        f"B.A != W.Id at ({i},{j}): got {acc.canonical_str()}")
-        for i in range(q):
-            for j in range(q):
-                acc = zero
-                for t in range(p):
-                    acc = acc + self.block_a[i][t] * self.block_b[t][j]
-                expect = w if i == j else zero
-                if acc != expect:
-                    raise FactorizationError(
-                        f"A.B != W.Id at ({i},{j}): got {acc.canonical_str()}")
+        for name, prod, size in (
+                ("B.A", mat_mul(self.block_b, self.block_a), self.even_rank),
+                ("A.B", mat_mul(self.block_a, self.block_b), self.odd_rank)):
+            for i in range(size):
+                for j in range(size):
+                    got = prod[i][j] if prod else zero  # [] when the inner rank is 0
+                    if got != (w if i == j else zero):
+                        raise FactorizationError(
+                            f"{name} != W.Id at ({i},{j}): got {got.canonical_str()}")
 
     @property
     def total_rank(self) -> int:
@@ -451,10 +442,6 @@ def homotopy_iso(algebra: Cdga, a, a_prime, h):
     d_a = op_matrix(lambda x: algebra.add(algebra.apply_diff(x), algebra.multiply(a, x)))
     d_ap = op_matrix(lambda x: algebra.add(algebra.apply_diff(x), algebra.multiply(a_prime, x)))
 
-    def mat_mul(p, q):
-        return [[sum((p[i][t] * q[t][j] for t in range(n)), zerop)
-                 for j in range(n)] for i in range(n)]
-
     lhs = mat_mul(mult_exp, d_a)
     rhs = mat_mul(d_ap, mult_exp)
     if lhs != rhs:
@@ -481,11 +468,8 @@ class FormEndomorphism:
 
     @classmethod
     def identity(cls, variables, parities) -> "FormEndomorphism":
-        n = len(parities)
-        one = DiffForm.const(variables, 1)
-        zero = DiffForm.zero(variables)
         return cls(variables, parities,
-                   [[one if i == j else zero for j in range(n)] for i in range(n)])
+                   identity(len(parities), DiffForm.const(variables, 1)))
 
     @property
     def size(self) -> int:

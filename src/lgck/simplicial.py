@@ -24,7 +24,7 @@ from itertools import combinations
 from math import factorial
 
 from .exactalg import MultiPoly
-from .exactalg.linalg import mat_mul, nullspace, rank, solve
+from .exactalg.linalg import identity, mat_mul, nullspace, rank, solve
 from .forms import DiffForm
 
 
@@ -228,10 +228,7 @@ class CosimplicialModule:
                         if expect is not None and sj_di != expect:
                             raise ValueError("mixed identity fails (i<j)")
                     elif i in (j, j + 1):
-                        ident = [[Fraction(1) if a == b else Fraction(0)
-                                  for b in range(self.dims[n])]
-                                 for a in range(self.dims[n])]
-                        if sj_di != ident:
+                        if sj_di != identity(self.dims[n]):
                             raise ValueError(f"s^j d^i != id at n={n}, i={i}, j={j}")
                     else:
                         if n >= 1:
@@ -239,10 +236,6 @@ class CosimplicialModule:
                                              self.codegens[(n - 1, j)])
                             if sj_di != expect:
                                 raise ValueError("mixed identity fails (i>j+1)")
-
-    def identity_matrix(self, n: int):
-        return [[Fraction(1) if a == b else Fraction(0)
-                 for b in range(self.dims[n])] for a in range(self.dims[n])]
 
     def map_into(self, f, m: int) -> list[list[Fraction]]:
         """Matrix of A(f) for monotone f: [n] -> [m] with explicit target."""
@@ -258,7 +251,7 @@ class CosimplicialModule:
                 return mat_mul(self.map_into(inner, m), self.codegens[(n - 1, i)])
         missed = [j for j in range(m + 1) if j not in f]
         if not missed:
-            return self.identity_matrix(n)
+            return identity(self.dims[n])
         j = missed[-1]
         inner = tuple(v if v < j else v - 1 for v in f)
         return mat_mul(self.cofaces[(m, j)], self.map_into(inner, m - 1))
@@ -269,8 +262,7 @@ class CosimplicialModule:
 
 
 def constant_cosimplicial(dim: int, levels: int, algebra: bool = False) -> CosimplicialModule:
-    ident = [[Fraction(1) if a == b else Fraction(0) for b in range(dim)]
-             for a in range(dim)]
+    ident = identity(dim)
     cofaces = {(n, i): ident for n in range(1, levels + 1) for i in range(n + 1)}
     codegens = {(n, i): ident for n in range(0, levels) for i in range(n + 1)}
     multiply = None
@@ -295,10 +287,8 @@ class NormalizedComplex:
         out = []
         for d in range(len(self.dims)):
             dim = self.dims[d]
-            rk_out = rank(self.differentials[d]) if d < len(self.differentials) \
-                and self.differentials[d] else 0
-            rk_in = rank(self.differentials[d - 1]) if d >= 1 \
-                and self.differentials[d - 1] else 0
+            rk_out = rank(self.differentials[d]) if d < len(self.differentials) else 0
+            rk_in = rank(self.differentials[d - 1]) if d >= 1 else 0
             out.append(dim - rk_out - rk_in)
         return out
 
@@ -320,18 +310,8 @@ def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
     N = cs.top_level
     bases = []
     for d in range(N + 1):
-        if d == 0:
-            cols = [[Fraction(1) if i == j else Fraction(0) for i in range(cs.dims[0])]
-                    for j in range(cs.dims[0])]
-        else:
-            stacked = []
-            for i in range(d):
-                stacked.extend(cs.codegens[(d - 1, i)])
-            cols = nullspace(stacked) if stacked else []
-            if not stacked:
-                cols = [[Fraction(1) if i == j else Fraction(0)
-                         for i in range(cs.dims[d])] for j in range(cs.dims[d])]
-        bases.append(cols)
+        stacked = [row for i in range(d) for row in cs.codegens[(d - 1, i)]]
+        bases.append(nullspace(stacked) if stacked else identity(cs.dims[d]))
     diffs = []
     for d in range(N):
         big = alternating_coface(cs, d)
@@ -340,15 +320,9 @@ def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
         target_mat = [[target[j][i] for j in range(len(target))]
                       for i in range(cs.dims[d + 1])] if target else []
         for v in bases[d]:
-            w = cs.apply(big, v)
-            if target:
-                x = solve(target_mat, w)
-                if x is None:
-                    raise ValueError("normalized differential leaves the subcomplex")
-            else:
-                if any(w):
-                    raise ValueError("normalized differential leaves the subcomplex")
-                x = []
+            x = solve(target_mat, cs.apply(big, v))  # no target: [] iff the image is 0
+            if x is None:
+                raise ValueError("normalized differential leaves the subcomplex")
             cols_out.append(x)
         mat = [[cols_out[j][i] for j in range(len(cols_out))]
                for i in range(len(target))] if bases[d] else []
@@ -358,6 +332,10 @@ def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
 
 # ---------------------------------------------------------------------------
 # finite poset sheaves and the Godement resolution
+
+
+class PosetConfigError(ValueError):
+    """A malformed poset-sheaf config; the message names the field."""
 
 
 class FinitePosetSheaf:
@@ -384,9 +362,7 @@ class FinitePosetSheaf:
         self.stalk_dims = [int(d) for d in stalk_dims]
         self.maps: dict[tuple[int, int], list[list[Fraction]]] = {}
         for i in range(n):
-            self.maps[(i, i)] = [[Fraction(1) if a == b else Fraction(0)
-                                  for b in range(self.stalk_dims[i])]
-                                 for a in range(self.stalk_dims[i])]
+            self.maps[(i, i)] = identity(self.stalk_dims[i])
         for key, mat in restriction_matrices.items():
             a, b = key
             ia, ib = self.index[a], self.index[b]
@@ -398,11 +374,36 @@ class FinitePosetSheaf:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FinitePosetSheaf":
-        mats = {}
-        for item in data.get("restriction_matrices", []):
-            mats[(item["from"], item["to"])] = item["matrix"]
-        return cls(data["points"], [tuple(p) for p in data["order_pairs"]],
-                   data["stalk_dims"], mats)
+        """Build from a config block; a malformed field raises PosetConfigError."""
+        def check(ok, message):
+            if not ok:
+                raise PosetConfigError(message)
+
+        get = data.get if isinstance(data, dict) else (lambda key, default=None: None)
+        points, pairs, dims = get("points"), get("order_pairs"), get("stalk_dims")
+        items = get("restriction_matrices", [])
+        check(isinstance(points, list) and all(isinstance(p, str) for p in points)
+              and len(set(points)) == len(points), "points: expected a list of unique names")
+        check(isinstance(pairs, list) and all(
+            isinstance(p, list) and len(p) == 2 and p[0] in points and p[1] in points
+            for p in pairs), "order_pairs: expected pairs of known points")
+        check(isinstance(dims, list) and len(dims) == len(points) and all(
+            type(d) is int and d >= 0 for d in dims),
+            "stalk_dims: expected one integer >= 0 per point")
+        check(isinstance(items, list) and all(
+            isinstance(m, dict) and m.get("from") in points and m.get("to") in points
+            for m in items), "restriction_matrices: expected 'from' and 'to' points")
+        dim, mats = dict(zip(points, dims)), {}
+        for item in items:
+            a, b, mat = item["from"], item["to"], item.get("matrix")
+            check(isinstance(mat, list) and len(mat) == dim[b] and all(
+                isinstance(row, list) and len(row) == dim[a] for row in mat),
+                f"restriction_matrices: {a} -> {b} must be {dim[b]} x {dim[a]}")
+            try:
+                mats[(a, b)] = [[Fraction(x) for x in row] for row in mat]
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise PosetConfigError(f"restriction_matrices: {a} -> {b}: {exc}") from exc
+        return cls(points, [tuple(p) for p in pairs], dims, mats)
 
     def _close_maps(self):
         n = len(self.points)
@@ -470,8 +471,7 @@ class FinitePosetSheaf:
                         row[offsets[b] + r] -= Fraction(1)
                         constraints.append(row)
         if not constraints:
-            return [[Fraction(1) if i == j else Fraction(0) for i in range(total)]
-                    for j in range(total)]
+            return identity(total)
         return nullspace(constraints)
 
     def global_sections_dim(self) -> int:
@@ -554,9 +554,7 @@ class GodementResolution:
                 if v <= u and v != u:
                     mat = self.restriction_matrix(n, u, v)
                     target = self.section_dim_over(n, v)
-                    if mat and rank(mat) != target:
-                        return False
-                    if not mat and target:
+                    if rank(mat) != target:
                         return False
         return True
 
@@ -824,8 +822,8 @@ def order_complex_cohomology(sheaf: FinitePosetSheaf, top: int) -> list[int]:
         cob[d] = rows
     for d in range(top + 1):
         dim = len(strict[d])
-        rk_out = rank(cob[d]) if cob[d] else 0
-        rk_in = rank(cob[d - 1]) if d >= 1 and cob[d - 1] else 0
+        rk_out = rank(cob[d])
+        rk_in = rank(cob[d - 1]) if d >= 1 else 0
         ranks.append(dim - rk_out - rk_in)
     return ranks
 
@@ -932,8 +930,7 @@ def de_rham_triangle_check(resolution: GodementResolution,
 def _two_periodic_ranks(block_a, block_b, even_dim, odd_dim):
     """Cohomology ranks (even, odd) of a two-periodic complex given by
     scalar matrices A: even -> odd and B: odd -> even with A.B = B.A = 0."""
-    rank_a = rank(block_a) if block_a and even_dim else 0
-    rank_b = rank(block_b) if block_b and odd_dim else 0
+    rank_a, rank_b = rank(block_a), rank(block_b)
     h_even = even_dim - rank_a - rank_b
     h_odd = odd_dim - rank_b - rank_a
     return h_even, h_odd

@@ -199,3 +199,52 @@ def test_cyclotomic_order_budget_exits_2(tmp_path, capsys, token):
     path.write_text(json.dumps(bad))
     assert _run(["state-space", path]) == 2
     assert token in capsys.readouterr().err
+
+
+def _two_point_poset(**changes):
+    poset = {"points": ["a", "b"], "order_pairs": [["a", "b"]],
+             "stalk_dims": [1, 1],
+             "restriction_matrices": [{"from": "a", "to": "b", "matrix": [[1]]}]}
+    poset.update(changes)
+    return poset
+
+
+@pytest.mark.parametrize("poset, field", [
+    (_two_point_poset(restriction_matrices=[
+        {"from": "a", "to": "b", "matrix": [[None]]}]), "restriction_matrices"),
+    (_two_point_poset(order_pairs=[["a", "c"]]), "order_pairs"),
+    (_two_point_poset(stalk_dims=[-1, 1]), "stalk_dims"),
+    (_two_point_poset(stalk_dims=[1, 2]), "restriction_matrices"),
+    (_two_point_poset(stalk_dims=[2, 1]), "restriction_matrices"),
+], ids=["null_entry", "unknown_point", "negative_dim", "wrong_shape", "wrong_width"])
+def test_malformed_poset_exits_2(tmp_path, capsys, poset, field):
+    """A malformed custom poset is refused before any sheaf is built, with
+    the field named; it is neither a traceback nor a failed check."""
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"simplicial": {"poset": poset}}))
+    assert _run(["simplicial-demo", path, "--level-bound", "2"]) == 2
+    assert f"simplicial.poset.{field}" in capsys.readouterr().err
+
+
+def test_custom_poset_still_checked(tmp_path, capsys):
+    """A well-formed poset whose maps do not compose still fails its
+    functoriality check (exit 1), and a good one passes."""
+    bad = {"points": ["a", "b", "c"], "order_pairs": [["a", "b"], ["b", "c"]],
+           "stalk_dims": [1, 1, 1],
+           "restriction_matrices": [
+               {"from": "a", "to": "b", "matrix": [[2]]},
+               {"from": "b", "to": "c", "matrix": [[1]]},
+               {"from": "a", "to": "c", "matrix": [[1]]}]}
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"simplicial": {"poset": bad}}))
+    assert _run(["simplicial-demo", path, "--level-bound", "2"]) == 1
+    assert "not functorial" in capsys.readouterr().err
+    path.write_text(json.dumps({"simplicial": {"poset": _two_point_poset()}}))
+    assert _run(["simplicial-demo", path, "--level-bound", "2"]) == 0
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert _run(["simplicial-demo", path]) == 2
+    assert "not a JSON object" in capsys.readouterr().err

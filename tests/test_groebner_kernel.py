@@ -159,8 +159,8 @@ def heap_order(monkeypatch, generators) -> list:
 
     def heappop(heap):
         item = pop(heap)
-        if len(item) == 6:  # (sugar, deg lcm, drl_key(lcm), i, j, lcm)
-            popped.append(item[3:5])
+        if len(item) == 4:  # (drl_key(lcm), i, j, lcm)
+            popped.append(item[1:3])
         return item
 
     monkeypatch.setattr(groebner.heapq, "heappop", heappop)
