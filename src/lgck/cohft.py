@@ -213,8 +213,13 @@ class CohftData:
         return self.omega04.get(tuple(key), (Cyclo.zero(), Cyclo.zero()))
 
     def o4_unit_last(self, i, j, k) -> tuple:
-        return tuple(_dot(self.unit_vector, lambda l: self.o4((i, j, k, l))[part])
-                     for part in (0, 1))
+        c0, c2 = Cyclo.zero(), Cyclo.zero()
+        for l, c in enumerate(self.unit_vector):
+            if c:
+                v0, v2 = self.o4((i, j, k, l))
+                c0 = c0 + c * v0
+                c2 = c2 + c * v2
+        return c0, c2
 
     def o11(self, i) -> tuple:
         return self.omega11.get((i,), (Cyclo.zero(), Cyclo.zero()))

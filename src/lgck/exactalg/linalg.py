@@ -12,10 +12,10 @@ x = a[i][t] only, and skips the zero entries of b[t].
 ``_echelon`` is the only elimination.  It reduces sparse rows
 ({column: entry}) one at a time against the pivot rows found so far, so
 rows that meet no pivot cost no arithmetic.  ``sparse_rank`` counts its
-pivots, ``det`` multiplies them, and ``rref`` back-substitutes and
-normalizes them into the reduced row echelon form, on which ``nullspace``,
-``solve`` and ``inverse`` are built.  The reduced form of a matrix is
-unique, so those results do not depend on the order of elimination.
+pivots, and ``rref`` back-substitutes and normalizes them into the reduced
+row echelon form, on which ``nullspace``, ``solve`` and ``inverse`` are
+built.  The reduced form of a matrix is unique, so those results do not
+depend on the order of elimination.
 """
 
 from __future__ import annotations
@@ -152,24 +152,6 @@ def inverse(mat, one=Fraction(1)):
         return None
     zero = one - one
     return [[reduced[i].get(n + j, zero) for j in range(n)] for i in range(n)]
-
-
-def det(mat):
-    """Sign of the lead-column permutation times the product of the leads."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    pivots = _echelon(_sparse(mat))
-    if len(pivots) < n:
-        return mat[0][0] - mat[0][0]
-    leads = list(pivots)  # leads[i]: lead column of the row from mat[i]
-    result = pivots[leads[0]][leads[0]]
-    for c in leads[1:]:
-        result = result * pivots[c][c]
-    inversions = sum(1 for i in range(n) for j in range(i) if leads[j] > leads[i])
-    return -result if inversions % 2 else result
 
 
 def is_nonsingular(mat) -> bool:

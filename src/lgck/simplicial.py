@@ -416,19 +416,27 @@ class FinitePosetSheaf:
                         for k in range(n):
                             if k not in (i, j) and self.leq[i][k] and self.leq[k][j] \
                                     and (i, k) in self.maps and (k, j) in self.maps:
-                                self.maps[(i, j)] = mat_mul(self.maps[(k, j)],
-                                                            self.maps[(i, k)])
+                                self.maps[(i, j)] = self._compose(i, k, j)
                                 changed = True
                                 break
         for i in range(n):
             for j in range(n):
                 if self.leq[i][j] and (i, j) not in self.maps:
                     if self.stalk_dims[i] == 0 or self.stalk_dims[j] == 0:
-                        self.maps[(i, j)] = [[Fraction(0)] * self.stalk_dims[i]
-                                             for _ in range(self.stalk_dims[j])]
+                        self.maps[(i, j)] = self._zero_map(i, j)
                     else:
                         raise ValueError(
                             f"missing restriction {self.points[i]} <= {self.points[j]}")
+
+    def _zero_map(self, i, j):
+        return [[Fraction(0)] * self.stalk_dims[i] for _ in range(self.stalk_dims[j])]
+
+    def _compose(self, i, k, j):
+        """maps[k -> j] . maps[i -> k], kept dim(j) x dim(i) when the stalk
+        at k is 0-dimensional (a [] factor carries no column count)."""
+        if self.stalk_dims[k] == 0:
+            return self._zero_map(i, j)
+        return mat_mul(self.maps[(k, j)], self.maps[(i, k)])
 
     def _check_functoriality(self):
         n = len(self.points)
@@ -436,8 +444,7 @@ class FinitePosetSheaf:
             for k in range(n):
                 for j in range(n):
                     if self.leq[i][k] and self.leq[k][j]:
-                        composed = mat_mul(self.maps[(k, j)], self.maps[(i, k)])
-                        if composed != self.maps[(i, j)]:
+                        if self._compose(i, k, j) != self.maps[(i, j)]:
                             raise ValueError("generization maps are not functorial")
 
     # -- topology ------------------------------------------------------------

@@ -243,6 +243,26 @@ def test_custom_poset_still_checked(tmp_path, capsys):
     assert _run(["simplicial-demo", path, "--level-bound", "2"]) == 0
 
 
+@pytest.mark.parametrize("points, dims, matrices, ranks", [
+    (["a", "b"], [0, 1], {("a", "b"): [[]]}, [0, 0, 0]),
+    (["a", "b"], [1, 0], {("a", "b"): []}, [1, 0, 0]),
+    (["a", "k", "j"], [1, 0, 1], {("a", "k"): [], ("k", "j"): [[]]}, [1, 0, 0]),
+], ids=["zero_then_one", "one_then_zero", "zero_in_the_middle"])
+def test_zero_dimensional_stalks(tmp_path, points, dims, matrices, ranks):
+    """A 0-dimensional stalk keeps every composite the right shape.  Each
+    chain has a least point a, so the cohomology is the stalk at a in
+    degree 0."""
+    poset = {"points": points, "stalk_dims": dims,
+             "order_pairs": [list(p) for p in zip(points, points[1:])],
+             "restriction_matrices": [{"from": a, "to": b, "matrix": m}
+                                      for (a, b), m in matrices.items()]}
+    cfg, out = tmp_path / "poset.json", tmp_path / "simp.json"
+    cfg.write_text(json.dumps({"simplicial": {"poset": poset}}))
+    assert _run(["simplicial-demo", cfg, "--output", out, "--level-bound", "2"]) == 0
+    triangle = json.loads(out.read_text())["posets"]["custom"]["triangle"]
+    assert triangle["passed"] and triangle["cohomology_ranks"] == ranks
+
+
 def test_non_object_config_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1]")

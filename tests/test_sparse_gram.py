@@ -1,11 +1,12 @@
-"""The selection-rule sparse Gram blocks and the sparse exact rank."""
+"""The selection-rule sparse Gram blocks and the sparse exact elimination,
+each checked against a dense reference kept in this file."""
 
 from fractions import Fraction
 
 import pytest
 
 from lgck.exactalg import Cyclo
-from lgck.exactalg.linalg import is_nonsingular, rank, sparse_rank
+from lgck.exactalg.linalg import is_nonsingular, rank, rref, sparse_rank
 from lgck.glsm import GlsmModel
 from lgck.orbifold import GroupElement
 from lgck.statespace import StateSpace
@@ -83,6 +84,35 @@ def _sparse(mat):
     return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
+def dense_rref(mat):
+    """Dense Gauss-Jordan elimination, kept here as a reference that shares
+    no code with the library's sparse elimination: (rows, pivot columns),
+    zero rows left in place at the bottom."""
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in mat]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        recip = rows[r][c] ** (-1)
+        rows[r] = [x * recip for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def assert_matches_dense(mat):
+    rows, pivots = dense_rref(mat)
+    assert sparse_rank(_sparse(mat)) == rank(mat) == len(pivots)
+    assert rref(mat) == {c: _sparse([row])[0] for c, row in zip(pivots, rows)}
+
+
 fractions = st.one_of(
     st.just(Fraction(0)), st.just(Fraction(0)),
     st.fractions(min_value=-5, max_value=5, max_denominator=4))
@@ -108,13 +138,13 @@ def matrices(draw, entries):
 @settings(max_examples=80, deadline=None)
 @given(matrices(fractions))
 def test_sparse_rank_matches_dense_fraction(mat):
-    assert sparse_rank(_sparse(mat)) == rank(mat)
+    assert_matches_dense(mat)
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices(cyclos))
 def test_sparse_rank_matches_dense_cyclo(mat):
-    assert sparse_rank(_sparse(mat)) == rank(mat)
+    assert_matches_dense(mat)
 
 
 def test_sparse_rank_edge_cases():
