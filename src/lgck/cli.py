@@ -201,14 +201,16 @@ def _cmd_verify_cohft(args, config):
     model = _model_from_config(config)
     state = StateSpace(model, args.group_order_bound)
     block = config.get("cohft", {})
+    if not isinstance(block, dict) or not isinstance(block.get("tables", {}), dict):
+        raise ConfigError("malformed cohft: expected an object with a 'tables' object")
     if "tables" in block:
         from .cohft import cohft_data_from_jsonable, paired_basis_from_state
         basis = paired_basis_from_state(
             state, narrow_only=block.get("basis", "narrow") == "narrow")
         try:
             data = cohft_data_from_jsonable(basis, block["tables"])
-        except (KeyError, ValueError, IndexError) as exc:
-            raise ConfigError(f"malformed cohft tables: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"malformed cohft.tables.{exc}") from exc
     else:
         data = narrow_sector_data(model, state)
     results = run_all_checks(data)

@@ -12,9 +12,10 @@ records each tuple with both sides.  The module verifies supplied
 tables; it does not integrate over moduli.  Only the (0,3)-with-unit
 entries are ever generated here, since the metric axiom forces them.
 
-Dual bases are normalized so that the contraction of the pairing with
-itself reproduces the pairing exactly; on odd sectors this inserts the
-Koszul sign into the dual-basis pairing.
+The gluing axioms contract with the Casimir element sum_i T_i (x) T_i^dual,
+kept as sparse pairs (i, {l: c}) and normalized so that the contraction
+of the pairing with itself reproduces the pairing exactly; on odd sectors
+this inserts the Koszul sign.  User tables are checked field by field.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .exactalg import Cyclo
+from .exactalg import Cyclo, MultiPoly
 from .exactalg.linalg import inverse as mat_inverse, mat_mul
 from .glsm import GlsmModel
 from .orbifold import GroupElement
@@ -34,7 +35,9 @@ class PairedBasis:
     """A graded basis split into sectors with a block pairing.
 
     ``gram[key]`` pairs the basis of sector ``key`` against the basis of
-    ``inverse[key]`` in basis order.
+    ``inverse[key]`` in basis order.  ``by_sector[key]`` lists the global
+    indices of a sector and ``position[i]`` is the place of ``i`` in its
+    sector's list.
     """
 
     labels: list[str]
@@ -43,28 +46,26 @@ class PairedBasis:
     degrees: list[Fraction]
     parities: list[int]
     gram: dict         # sector key -> matrix of Cyclo
-    by_sector: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.by_sector:
-            for i, k in enumerate(self.sector_keys):
-                self.by_sector.setdefault(k, []).append(i)
+        self.by_sector, self.position = {}, []
+        for i, k in enumerate(self.sector_keys):
+            idx = self.by_sector.setdefault(k, [])
+            self.position.append(len(idx))
+            idx.append(i)
 
     @property
     def dimension(self) -> int:
         return len(self.labels)
 
     def eta(self, i: int, j: int) -> Cyclo:
-        ki, kj = self.sector_keys[i], self.sector_keys[j]
-        if self.inverse[ki] != kj:
+        ki = self.sector_keys[i]
+        if self.inverse[ki] != self.sector_keys[j]:
             return Cyclo.zero()
-        a = self.by_sector[ki].index(i)
-        b = self.by_sector[kj].index(j)
-        return self.gram[ki][a][b]
+        return self.gram[ki][self.position[i]][self.position[j]]
 
     def sector_parity(self, key) -> int:
-        idx = self.by_sector[key]
-        return self.parities[idx[0]] if idx else 0
+        return self.parities[self.by_sector[key][0]]
 
 
 def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
@@ -87,45 +88,23 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
     return PairedBasis(labels, sector_keys, inverse, degrees, parities, gram)
 
 
-@dataclass
-class DualBases:
-    """For each sector, the dual vectors expressed over the inverse sector."""
-
-    basis: PairedBasis
-    duals: dict  # sector key -> list of global coefficient vectors
-
-    def pairs(self):
-        """Iterate (T, T_dual) as global coefficient vectors."""
-        n = self.basis.dimension
-        for key, idx in self.basis.by_sector.items():
-            for pos, i in enumerate(idx):
-                yield _unit_vec(n, i), self.duals[key][pos]
-
-
-def dual_bases(basis: PairedBasis) -> DualBases:
-    """Invert the Gram blocks; with the parity sign the contraction
-    identity eta(a, b) = sum eta(a, T) eta(T_dual, b) holds literally."""
-    duals = {}
-    n = basis.dimension
+def dual_bases(basis: PairedBasis) -> list[tuple[int, dict]]:
+    """The Casimir element sum_i T_i (x) T_i^dual as sparse pairs
+    ``(i, {l: c})``: basis index ``i`` in ``by_sector`` order and its dual
+    over the inverse sector, zero coefficients left out.  The Gram blocks
+    are inverted; with the parity sign applied the contraction identity
+    eta(a, b) = sum eta(a, T) eta(T_dual, b) holds literally."""
+    casimir = []
     for key, idx in basis.by_sector.items():
-        g = basis.gram[key]
-        if not idx:
-            duals[key] = []
-            continue
-        inv = mat_inverse(g, one=Cyclo.one())
+        inv = mat_inverse(basis.gram[key], one=Cyclo.one())
         if inv is None:
             raise ValueError(f"singular Gram block on sector {key}")
-        sign = -1 if basis.sector_parity(key) else 1
+        odd = basis.sector_parity(key)
         inv_idx = basis.by_sector[basis.inverse[key]]
-        vectors = []
-        for j in range(len(idx)):
-            vec = [Cyclo.zero()] * n
-            for l, gi in enumerate(inv_idx):
-                c = inv[l][j]
-                vec[gi] = c if sign > 0 else -c
-            vectors.append(vec)
-        duals[key] = vectors
-    return DualBases(basis, duals)
+        for j, i in enumerate(idx):
+            casimir.append((i, {l: -row[j] if odd else row[j]
+                                for l, row in zip(inv_idx, inv) if row[j]}))
+    return casimir
 
 
 def casimir_check(basis: PairedBasis) -> list[dict]:
@@ -136,17 +115,14 @@ def casimir_check(basis: PairedBasis) -> list[dict]:
     sector is G_k . C . G_k = G_k with C the dual-basis coefficients of
     sector k^{-1}.  Off-block pairs are 0 = 0 identically.
     """
-    db = dual_bases(basis)
+    duals = dict(dual_bases(basis))
+    zero = Cyclo.zero()
     report = []
     for key, idx in sorted(basis.by_sector.items()):
-        if not idx:
-            continue
-        inv_key = basis.inverse[key]
         g = basis.gram[key]
-        inv_idx = basis.by_sector[inv_key]
         # dual coefficients of sector k^{-1}, restricted to sector-k coords
-        c = [[db.duals[inv_key][j][gi] for gi in idx]
-             for j in range(len(inv_idx))]
+        c = [[duals[i].get(l, zero) for l in idx]
+             for i in basis.by_sector[basis.inverse[key]]]
         ok = mat_mul(mat_mul(g, c), g) == g
         report.append({
             "axiom": "casimir",
@@ -201,13 +177,8 @@ class CohftData:
         return self.omega03.get((i, j, k), Cyclo.zero())
 
     def o3_unit(self, i, j) -> Cyclo:
-        return self.o3_vec3(i, j, self.unit_vector)
-
-    def o3_vec3(self, i, j, vec) -> Cyclo:
-        return _dot(vec, lambda k: self.o3(i, j, k))
-
-    def o3_vec1(self, vec, j, k) -> Cyclo:
-        return _dot(vec, lambda i: self.o3(i, j, k))
+        return sum((c * self.o3(i, j, k) for k, c in enumerate(self.unit_vector) if c),
+                   Cyclo.zero())
 
     def o4(self, key) -> tuple:
         return self.omega04.get(tuple(key), (Cyclo.zero(), Cyclo.zero()))
@@ -223,15 +194,6 @@ class CohftData:
 
     def o11(self, i) -> tuple:
         return self.omega11.get((i,), (Cyclo.zero(), Cyclo.zero()))
-
-
-def _dot(vec, entry) -> Cyclo:
-    """sum of c * entry(k) over the nonzero coefficients c = vec[k]."""
-    total = Cyclo.zero()
-    for k, c in enumerate(vec):
-        if c:
-            total = total + c * entry(k)
-    return total
 
 
 def _entry(axiom, tup, lhs, rhs):
@@ -309,43 +271,33 @@ def check_sr_covariance(data: CohftData) -> list[dict]:
     return out
 
 
-def _contract(data: CohftData, duals: DualBases,
-              left_pair: tuple[int, int], right_pair: tuple[int, int]) -> Cyclo:
+def _contract(data: CohftData, casimir, left_pair: tuple[int, int],
+              right_pair: tuple[int, int]) -> Cyclo:
+    """sum over the Casimir pairs (i, dual) of
+    omega_{0,3}(left, T_i) * omega_{0,3}(T_i^dual, right).  Every nonzero
+    dual coefficient contributes a term, absent table entries included,
+    so a sum lives in the field of all its coefficients."""
     total = Cyclo.zero()
-    for t, tdual in duals.pairs():
-        a = data.o3_vec3(left_pair[0], left_pair[1], t)
+    for i, dual in casimir:
+        a = data.o3(*left_pair, i)
         if not a:
             continue
-        b = data.o3_vec1(tdual, right_pair[0], right_pair[1])
+        b = sum((c * data.o3(l, *right_pair) for l, c in dual.items()), Cyclo.zero())
         if b:
             total = total + a * b
     return total
 
 
-def _handle_trace(data: CohftData, duals: DualBases, g: int) -> Cyclo:
-    """sum over dual pairs (t, t^dual) of omega_{0,3}(g, t, t^dual)."""
-    total = Cyclo.zero()
-    for t, tdual in duals.pairs():
-        for i, ci in enumerate(t):
-            if not ci:
-                continue
-            for j, cj in enumerate(tdual):
-                if cj:
-                    total = total + ci * cj * data.o3(g, i, j)
-    return total
-
-
-def _unit_vec(n, i):
-    v = [Cyclo.zero()] * n
-    v[i] = Cyclo.one()
-    return v
+def _handle_trace(data: CohftData, casimir, g: int) -> Cyclo:
+    """sum over the Casimir pairs (i, dual) of omega_{0,3}(g, T_i, T_i^dual)."""
+    return sum((c * data.o3(g, i, l) for i, dual in casimir for l, c in dual.items()),
+               Cyclo.zero())
 
 
 def check_tree_gluing(data: CohftData) -> list[dict]:
     """Boundary pullback of (0,4) equals the dual-basis contraction of two
     (0,3) tables, in every channel supplied in the pullback data."""
-    duals = dual_bases(data.basis)
-    n = data.basis.dimension
+    casimir = dual_bases(data.basis)
     out = []
     channels = {
         "tree_12_34": (0, 1, 2, 3),
@@ -357,20 +309,20 @@ def check_tree_gluing(data: CohftData) -> list[dict]:
         for name, (p, q, r, s) in channels.items():
             coeff = data.boundary_pullbacks[name]
             lhs = v0 * coeff[0] + v2 * coeff[1]
-            rhs = _contract(data, duals, (key[p], key[q]), (key[r], key[s]))
+            rhs = _contract(data, casimir, (key[p], key[q]), (key[r], key[s]))
             out.append(_entry(name, key, lhs, rhs))
     return out
 
 
 def check_loop_gluing(data: CohftData) -> list[dict]:
     """Boundary pullback of (1,1) equals the dual-basis trace of (0,3)."""
-    duals = dual_bases(data.basis)
+    casimir = dual_bases(data.basis)
     out = []
     coeff = data.boundary_pullbacks["loop"]
     for key in sorted(data.omega11):
         v0, v2 = data.omega11[key]
         lhs = v0 * coeff[0] + v2 * coeff[1]
-        out.append(_entry("loop", key, lhs, _handle_trace(data, duals, key[0])))
+        out.append(_entry("loop", key, lhs, _handle_trace(data, casimir, key[0])))
     return out
 
 
@@ -431,31 +383,24 @@ def frobenius_toy(labels, degrees, trace, mult_table,
     def eps(vec) -> Cyclo:
         return sum((c * t for c, t in zip(vec, trace)), Cyclo.zero())
 
-    basis_vecs = [_unit_vec(n, i) for i in range(n)]
-    gram = [[eps(mul(basis_vecs[i], basis_vecs[j])) for j in range(n)]
-            for i in range(n)]
+    one, zero = Cyclo.one(), Cyclo.zero()
+    e = [[one if k == i else zero for k in range(n)] for i in range(n)]  # basis vectors
+    gram = [[eps(mul(e[i], e[j])) for j in range(n)] for i in range(n)]
     if central_charge is None:
         central_charge = max(degrees) if degrees else Fraction(0)
     basis = PairedBasis(list(labels), [key] * n, {key: key},
                         [Fraction(d) for d in degrees], [0] * n, {key: gram})
 
-    omega03 = {}
-    for i, j, k in iproduct(range(n), repeat=3):
-        v = eps(mul(mul(basis_vecs[i], basis_vecs[j]), basis_vecs[k]))
-        if v:
-            omega03[(i, j, k)] = v
-    omega04 = {}
-    for i, j, k, l in iproduct(range(n), repeat=4):
-        v = eps(mul(mul(basis_vecs[i], basis_vecs[j]),
-                    mul(basis_vecs[k], basis_vecs[l])))
-        if v:
-            omega04[(i, j, k, l)] = (v, Cyclo.zero())
-    # handle trace via dual bases
-    data = CohftData(basis, _unit_vec(n, unit_index),
+    omega03 = {(i, j, k): v for i, j, k in iproduct(range(n), repeat=3)
+               if (v := eps(mul(mul(e[i], e[j]), e[k])))}
+    omega04 = {(i, j, k, l): (v, zero) for i, j, k, l in iproduct(range(n), repeat=4)
+               if (v := eps(mul(mul(e[i], e[j]), mul(e[k], e[l]))))}
+    # handle trace via the Casimir element
+    data = CohftData(basis, list(e[unit_index]),
                      -2 * Fraction(central_charge), omega03, omega04, {})
-    duals = dual_bases(basis)
+    casimir = dual_bases(basis)
     data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
-                    if (v := _handle_trace(data, duals, g))}
+                    if (v := _handle_trace(data, casimir, g))}
     return data
 
 
@@ -465,45 +410,65 @@ def axiom_seeded_data(basis: PairedBasis, unit_vector,
     the metric axiom with full symmetrization, (0,4) by the tree-channel
     contraction, (1,1) by the loop contraction."""
     n = basis.dimension
-    unit_support = [(k, c) for k, c in enumerate(unit_vector) if c]
+    unit = {k: c for k, c in enumerate(unit_vector) if c}
 
     omega03 = {}
-    for i, j, k in iproduct(range(n), repeat=3):
-        # value = eta of the two non-unit slots whenever one slot carries
-        # a unit coefficient; consistent across slots by symmetry of eta
-        # on even sectors
-        val = Cyclo.zero()
-        tup = (i, j, k)
-        for slot in range(3):
-            coeff = Cyclo.zero()
-            for ku, cu in unit_support:
-                if tup[slot] == ku:
-                    coeff = cu
-            if coeff:
-                a, b = [tup[t] for t in range(3) if t != slot]
-                val = basis.eta(a, b) * coeff
-                break
-        if val:
-            omega03[tup] = val
+    for tup in iproduct(range(n), repeat=3):
+        # value = eta of the two non-unit slots times the unit coefficient
+        # of the first slot that carries one; consistent across slots by
+        # symmetry of eta on even sectors
+        slot = next((t for t in range(3) if tup[t] in unit), None)
+        if slot is not None:
+            a, b = [tup[t] for t in range(3) if t != slot]
+            if val := basis.eta(a, b) * unit[tup[slot]]:
+                omega03[tup] = val
 
     data = CohftData(basis, list(unit_vector), shift_genus0, omega03, {}, {})
-    duals = dual_bases(basis)
-
-    omega04 = {}
-    for key in iproduct(range(n), repeat=4):
-        v = _contract(data, duals, (key[0], key[1]), (key[2], key[3]))
-        if v:
-            omega04[key] = (v, Cyclo.zero())
-    data.omega04 = omega04
-
+    casimir = dual_bases(basis)
+    data.omega04 = {key: (v, Cyclo.zero()) for key in iproduct(range(n), repeat=4)
+                    if (v := _contract(data, casimir, key[:2], key[2:]))}
     data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
-                    if (v := _handle_trace(data, duals, g))}
+                    if (v := _handle_trace(data, casimir, g))}
     return data
 
 
-def _parse_scalar(text) -> Cyclo:
-    from .exactalg import MultiPoly
-    return MultiPoly.parse(str(text)).constant_term()
+def _parse_scalar(field: str, text) -> Cyclo:
+    """A constant (string or integer) in the cyclotomic coefficient grammar."""
+    if type(text) not in (str, int):
+        raise ValueError(f"{field}: expected a constant, got {text!r}")
+    try:
+        return MultiPoly.parse(str(text), ()).constant_term()
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field}: {text!r} is not a constant: {exc}") from exc
+
+
+def _parse_rational(field: str, text) -> Fraction:
+    try:
+        return Fraction(str(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _parse_table(obj: dict, field: str, arity: int, n: int, pair: bool) -> dict:
+    """Entries {"key": [arity basis indices], "value": scalar or [c0, c2]}."""
+    entries = obj.get(field, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{field}: expected a list of entries")
+    table = {}
+    for e in entries:
+        key, value = (e.get("key"), e.get("value")) if isinstance(e, dict) else (None, None)
+        if not (isinstance(key, list) and len(key) == arity
+                and all(type(i) is int and 0 <= i < n for i in key)):
+            raise ValueError(f"{field}: key {key!r} must be {arity} basis indices "
+                             f"in 0..{n - 1}")
+        if not pair:
+            table[tuple(key)] = _parse_scalar(field, value)
+        elif isinstance(value, list) and len(value) == 2:
+            table[tuple(key)] = (_parse_scalar(field, value[0]),
+                                 _parse_scalar(field, value[1]))
+        else:
+            raise ValueError(f"{field}: value {value!r} must be [c0, c2]")
+    return table
 
 
 def cohft_data_from_jsonable(basis: PairedBasis, obj: dict) -> CohftData:
@@ -514,26 +479,30 @@ def cohft_data_from_jsonable(basis: PairedBasis, obj: dict) -> CohftData:
              "omega04": [{"key": [...], "value": ["c0", "c2"]}],
              "omega11": [{"key": [i], "value": ["c0", "c2"]}],
              "boundary_pullbacks": {"tree_12_34": ["1", "0"], ...}}
-    Scalars use the cyclotomic coefficient grammar, e.g. "(3/2)*z5^2".
+    Scalars are constants (strings or integers) in the cyclotomic
+    coefficient grammar, e.g. "(3/2)*z5^2"; keys are lists of 3, 4 or 1
+    integers in 0..dim-1.  A malformed field raises ValueError naming it.
     """
-    unit = [_parse_scalar(c) for c in obj["unit"]]
-    if len(unit) != basis.dimension:
-        raise ValueError("unit vector length does not match the basis")
-    shift = Fraction(str(obj.get("shift_genus0", 0)))
-    omega03 = {tuple(e["key"]): _parse_scalar(e["value"])
-               for e in obj.get("omega03", [])}
-    omega04 = {tuple(e["key"]): (_parse_scalar(e["value"][0]),
-                                 _parse_scalar(e["value"][1]))
-               for e in obj.get("omega04", [])}
-    omega11 = {tuple(e["key"]): (_parse_scalar(e["value"][0]),
-                                 _parse_scalar(e["value"][1]))
-               for e in obj.get("omega11", [])}
-    data = CohftData(basis, unit, shift, omega03, omega04, omega11)
-    for name, pair in obj.get("boundary_pullbacks", {}).items():
+    n = basis.dimension
+    unit = obj.get("unit")
+    if not (isinstance(unit, list) and len(unit) == n):
+        raise ValueError(f"unit: expected a list of {n} constants")
+    unit = [_parse_scalar("unit", c) for c in unit]
+    shift = _parse_rational("shift_genus0", obj.get("shift_genus0", 0))
+    data = CohftData(basis, unit, shift, _parse_table(obj, "omega03", 3, n, False),
+                     _parse_table(obj, "omega04", 4, n, True),
+                     _parse_table(obj, "omega11", 1, n, True))
+    pullbacks = obj.get("boundary_pullbacks", {})
+    if not isinstance(pullbacks, dict):
+        raise ValueError("boundary_pullbacks: expected an object")
+    for name, pair in pullbacks.items():
+        field_name = f"boundary_pullbacks.{name}"
         if name not in data.boundary_pullbacks:
-            raise ValueError(f"unknown boundary pullback {name!r}")
-        data.boundary_pullbacks[name] = (Fraction(str(pair[0])),
-                                         Fraction(str(pair[1])))
+            raise ValueError(f"{field_name}: unknown boundary pullback")
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{field_name}: expected [c0, c2]")
+        data.boundary_pullbacks[name] = (_parse_rational(field_name, pair[0]),
+                                         _parse_rational(field_name, pair[1]))
     return data
 
 
@@ -544,13 +513,10 @@ def narrow_sector_data(model: GlsmModel, state) -> CohftData:
 
     basis = paired_basis_from_state(state, narrow_only=True)
     unit = unit_class(model)
-    vec = [Cyclo.zero()] * basis.dimension
-    placed = False
-    for gi, key in enumerate(basis.sector_keys):
-        if key == tuple(unit.sector_phases):
-            offset = basis.by_sector[key].index(gi)
-            vec[gi] = unit.coefficients[offset]
-            placed = True
-    if not placed:
+    key = tuple(unit.sector_phases)
+    if key not in basis.by_sector:
         raise ValueError("unit sector is not narrow; narrow-sector data unavailable")
+    vec = [Cyclo.zero()] * basis.dimension
+    for pos, gi in enumerate(basis.by_sector[key]):
+        vec[gi] = unit.coefficients[pos]
     return axiom_seeded_data(basis, vec, homogeneity_shift(model, 0, 0))

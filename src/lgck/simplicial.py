@@ -334,6 +334,11 @@ def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
 # finite poset sheaves and the Godement resolution
 
 
+# A discrete poset of n points has 2^n up-sets, and flasqueness compares
+# pairs of them: at level 3, 9/10/11 discrete points took 4.4/13/38 s.
+MAX_POSET_POINTS = 10
+
+
 class PosetConfigError(ValueError):
     """A malformed poset-sheaf config; the message names the field."""
 
@@ -384,6 +389,8 @@ class FinitePosetSheaf:
         items = get("restriction_matrices", [])
         check(isinstance(points, list) and all(isinstance(p, str) for p in points)
               and len(set(points)) == len(points), "points: expected a list of unique names")
+        check(len(points) <= MAX_POSET_POINTS,
+              f"points: {len(points)} points exceed the bound {MAX_POSET_POINTS}")
         check(isinstance(pairs, list) and all(
             isinstance(p, list) and len(p) == 2 and p[0] in points and p[1] in points
             for p in pairs), "order_pairs: expected pairs of known points")

@@ -1,0 +1,203 @@
+"""The sparse Casimir contractions against a dense reference.
+
+``dense_pairs``, ``dense_contract`` and ``dense_handle_trace`` copy the
+earlier dense code: every basis element is a length-n unit vector paired
+with a length-n dual vector, and each contraction loops over all n
+coordinates.  Values are compared with ``str``, so a sum that lands in a
+different cyclotomic field (a different printed order) is a mismatch even
+when the two numbers are equal.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from lgck.cohft import (
+    CohftData,
+    PairedBasis,
+    _contract,
+    _handle_trace,
+    axiom_seeded_data,
+    casimir_check,
+    dual_bases,
+    frobenius_toy,
+    narrow_sector_data,
+)
+from lgck.exactalg import Cyclo
+from lgck.exactalg.linalg import inverse
+from lgck.statespace import StateSpace
+
+from corpus import corpus
+
+
+def dense_pairs(basis):
+    """(unit vector of T, dual vector of T) per basis element, by sector."""
+    by_sector = {}
+    for i, key in enumerate(basis.sector_keys):
+        by_sector.setdefault(key, []).append(i)
+    n = basis.dimension
+    pairs = []
+    for key, idx in by_sector.items():
+        inv = inverse(basis.gram[key], one=Cyclo.one())
+        sign = -1 if basis.parities[idx[0]] else 1
+        inv_idx = by_sector[basis.inverse[key]]
+        for j, i in enumerate(idx):
+            dual = [Cyclo.zero()] * n
+            for l, gi in enumerate(inv_idx):
+                c = inv[l][j]
+                dual[gi] = c if sign > 0 else -c
+            unit = [Cyclo.zero()] * n
+            unit[i] = Cyclo.one()
+            pairs.append((unit, dual))
+    return pairs
+
+
+def dense_dot(vec, entry):
+    total = Cyclo.zero()
+    for k, c in enumerate(vec):
+        if c:
+            total = total + c * entry(k)
+    return total
+
+
+def dense_contract(data, pairs, left, right):
+    total = Cyclo.zero()
+    for t, tdual in pairs:
+        a = dense_dot(t, lambda k: data.o3(left[0], left[1], k))
+        if not a:
+            continue
+        b = dense_dot(tdual, lambda i: data.o3(i, right[0], right[1]))
+        if b:
+            total = total + a * b
+    return total
+
+
+def dense_handle_trace(data, pairs, g):
+    total = Cyclo.zero()
+    for t, tdual in pairs:
+        for i, ci in enumerate(t):
+            if not ci:
+                continue
+            for j, cj in enumerate(tdual):
+                if cj:
+                    total = total + ci * cj * data.o3(g, i, j)
+    return total
+
+
+def dense_seeded_tables(data):
+    """The (0,4) and (1,1) tables that axiom_seeded_data derives from the
+    (0,3) table, recomputed densely and printed."""
+    n, pairs = data.basis.dimension, dense_pairs(data.basis)
+    omega04 = {}
+    for key in product(range(n), repeat=4):
+        v = dense_contract(data, pairs, key[:2], key[2:])
+        if v:
+            omega04[key] = str(v)
+    omega11 = {(g,): str(v) for g in range(n)
+               if (v := dense_handle_trace(data, pairs, g))}
+    return omega04, omega11
+
+
+def assert_contractions_match(data):
+    n, pairs, casimir = data.basis.dimension, dense_pairs(data.basis), dual_bases(data.basis)
+    for left in product(range(n), repeat=2):
+        for right in product(range(n), repeat=2):
+            got = _contract(data, casimir, left, right)
+            assert str(got) == str(dense_contract(data, pairs, left, right)), (left, right)
+    for g in range(n):
+        assert str(_handle_trace(data, casimir, g)) == str(dense_handle_trace(data, pairs, g))
+
+
+def _toy():
+    mult = {(i, j): [(i + j, 1)] for i in range(3) for j in range(3) if i + j < 3}
+    return frobenius_toy(["1", "x", "x2"], [0, 2, 4], [0, 0, 1], mult, central_charge=2)
+
+
+def test_toy_contractions_match_dense():
+    toy = _toy()
+    assert_contractions_match(toy)
+    omega04, omega11 = dense_seeded_tables(toy)
+    assert {k: str(v[0]) for k, v in toy.omega04.items()} == omega04
+    assert {k: str(v[0]) for k, v in toy.omega11.items()} == omega11
+
+
+@pytest.mark.parametrize("name, model", corpus(), ids=[name for name, _ in corpus()])
+def test_seeded_tables_match_dense(name, model):
+    """The axiom-seeded (0,4) and (1,1) tables of every corpus model, E8
+    included, print exactly as the dense contraction prints them."""
+    data = narrow_sector_data(model, StateSpace(model))
+    omega04, omega11 = dense_seeded_tables(data)
+    assert {k: str(v[0]) for k, v in data.omega04.items()} == omega04
+    assert all(not v[1] for v in data.omega04.values())
+    assert {k: str(v[0]) for k, v in data.omega11.items()} == omega11
+    assert all(e["pass"] for e in casimir_check(data.basis))
+
+
+def _random_cyclo(rnd):
+    order = rnd.choice([1, 3, 4])
+    return Cyclo(order, [Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
+                         for _ in range(4)])
+
+
+def _random_data(seed):
+    """Sectors e (even, self-inverse, dim 2), o and o' (odd, inverse to each
+    other, dim 2 each), random nonsingular Gram blocks and a sparse random
+    (0,3) table whose entries live in several cyclotomic fields."""
+    rnd = random.Random(seed)
+    keys = ["e", "e", "o", "o", "p", "p"]
+    inverse_of = {"e": "e", "o": "p", "p": "o"}
+    gram = {}
+    for key in ("e", "o"):
+        while True:
+            g = [[_random_cyclo(rnd) for _ in range(2)] for _ in range(2)]
+            if key == "e":
+                g[1][0] = g[0][1]  # a self-inverse even block is symmetric
+            if inverse(g, one=Cyclo.one()) is not None:
+                break
+        gram[key] = g
+    # the block of o' is the transpose of o's, with the Koszul sign
+    gram["p"] = [[-gram["o"][j][i] for j in range(2)] for i in range(2)]
+    basis = PairedBasis([f"{k}{i}" for i, k in enumerate(keys)], keys, inverse_of,
+                        [Fraction(0)] * 6, [0, 0, 1, 1, 1, 1], gram)
+    omega03 = {key: _random_cyclo(rnd) for key in product(range(6), repeat=3)
+               if rnd.random() < 0.3}
+    return CohftData(basis, [Cyclo.zero()] * 6, Fraction(0), omega03, {}, {})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_odd_sectors_match_dense(seed):
+    """Odd sectors (a signed dual), multi-dimensional blocks, absent table
+    entries and mixed fields: every contraction prints as the dense one."""
+    data = _random_data(seed)
+    assert_contractions_match(data)
+    assert all(e["pass"] for e in casimir_check(data.basis))
+
+
+def test_seeded_data_from_random_basis_matches_dense():
+    data = _random_data(7)
+    unit = [Cyclo.zero()] * 6
+    unit[0], unit[1] = Cyclo.one(), Cyclo.root_of_unity(3)
+    seeded = axiom_seeded_data(data.basis, unit, Fraction(0))
+    omega04, omega11 = dense_seeded_tables(seeded)
+    assert {k: str(v[0]) for k, v in seeded.omega04.items()} == omega04
+    assert {k: str(v[0]) for k, v in seeded.omega11.items()} == omega11
+
+
+def test_absent_entries_keep_the_field():
+    """The dual of T_0 is -z4*T_0 + T_1.  Against right = (1, 1) only
+    omega(1, 1, 1) = z3 is present, yet the absent omega(0, 1, 1) still
+    carries the coefficient -z4 into the sum, so z3 prints in Q(z12)."""
+    z4, z3 = Cyclo.root_of_unity(4), Cyclo.root_of_unity(3)
+    gram = [[Cyclo.zero(), Cyclo.one()], [Cyclo.one(), z4]]
+    basis = PairedBasis(["a", "b"], ["1", "1"], {"1": "1"}, [Fraction(0)] * 2,
+                        [0, 0], {"1": gram})
+    data = CohftData(basis, [Cyclo.zero()] * 2, Fraction(0),
+                     {(0, 0, 0): Cyclo.one(), (1, 1, 1): z3}, {}, {})
+    casimir = dual_bases(basis)
+    assert casimir[0] == (0, {0: -z4, 1: Cyclo.one()})
+    got = _contract(data, casimir, (0, 0), (1, 1))
+    assert str(got) == str(dense_contract(data, dense_pairs(basis), (0, 0), (1, 1)))
+    assert str(got) == "-1 + z12^2" and got == z3
+    assert_contractions_match(data)

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lgck.cli import main
+from lgck.simplicial import MAX_POSET_POINTS
 
 from conftest import make_quintic_glsm, make_quintic_lg
 
@@ -216,7 +217,10 @@ def _two_point_poset(**changes):
     (_two_point_poset(stalk_dims=[-1, 1]), "stalk_dims"),
     (_two_point_poset(stalk_dims=[1, 2]), "restriction_matrices"),
     (_two_point_poset(stalk_dims=[2, 1]), "restriction_matrices"),
-], ids=["null_entry", "unknown_point", "negative_dim", "wrong_shape", "wrong_width"])
+    ({"points": [f"p{i}" for i in range(MAX_POSET_POINTS + 1)], "order_pairs": [],
+      "stalk_dims": [1] * (MAX_POSET_POINTS + 1)}, "points"),
+], ids=["null_entry", "unknown_point", "negative_dim", "wrong_shape", "wrong_width",
+        "too_many_points"])
 def test_malformed_poset_exits_2(tmp_path, capsys, poset, field):
     """A malformed custom poset is refused before any sheaf is built, with
     the field named; it is neither a traceback nor a failed check."""
@@ -268,3 +272,60 @@ def test_non_object_config_exits_2(tmp_path, capsys):
     path.write_text("[1]")
     assert _run(["simplicial-demo", path]) == 2
     assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_poset_at_points_budget_runs(tmp_path):
+    """A chain of exactly MAX_POSET_POINTS points is accepted; beyond the
+    bound is refused in test_malformed_poset_exits_2."""
+    names = [f"p{i}" for i in range(MAX_POSET_POINTS)]
+    chain = {"points": names, "order_pairs": [list(p) for p in zip(names, names[1:])],
+             "stalk_dims": [1] * len(names),
+             "restriction_matrices": [{"from": a, "to": b, "matrix": [[1]]}
+                                      for a, b in zip(names, names[1:])]}
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"simplicial": {"poset": chain}}))
+    assert _run(["simplicial-demo", path, "--level-bound", "1",
+                 "--output", tmp_path / "out.json"]) == 0
+
+
+def _quintic_tables(**changes):
+    """Well-formed tables on the quintic's 4-dimensional narrow basis."""
+    tables = {"unit": ["1", "0", "0", "0"], "shift_genus0": "-6",
+              "omega03": [{"key": [0, 1, 2], "value": "1"}],
+              "omega04": [{"key": [0, 1, 2, 3], "value": ["1", "0"]}],
+              "omega11": [{"key": [0], "value": ["1", "0"]}]}
+    tables.update(changes)
+    return tables
+
+
+@pytest.mark.parametrize("tables, field", [
+    (_quintic_tables(omega03=[{"key": [99, 0, 0], "value": "1"}]), "omega03"),
+    (_quintic_tables(omega03=[{"key": [0, 0], "value": "1"}]), "omega03"),
+    (_quintic_tables(omega04=[{"key": [0, 0], "value": ["1", "0"]}]), "omega04"),
+    (_quintic_tables(unit=5), "unit"),
+    (_quintic_tables(omega03=[{"key": [-1, 0, 0], "value": "1"}]), "omega03"),
+    (_quintic_tables(omega11=[{"key": [7], "value": ["1", "0"]}]), "omega11"),
+    (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "q"}]), "omega03"),
+    (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1/0"}]), "omega03"),
+    (_quintic_tables(boundary_pullbacks={"loop": "10"}), "boundary_pullbacks.loop"),
+], ids=["index_too_large", "omega03_short_key", "omega04_short_key", "unit_not_list",
+        "negative_index", "omega11_index_too_large", "value_not_constant",
+        "value_divides_by_zero", "pullback_not_pair"])
+def test_malformed_cohft_tables_exit_2(quintic_config, tmp_path, capsys, tables, field):
+    """A malformed table field is refused with its name; it is neither a
+    traceback nor a silently misread entry."""
+    config = json.loads(quintic_config.read_text())
+    config["cohft"] = {"tables": tables, "basis": "narrow"}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(config))
+    assert _run(["verify-cohft", path]) == 2
+    assert f"cohft.tables.{field}:" in capsys.readouterr().err
+
+
+def test_cohft_block_not_object_exits_2(quintic_config, tmp_path, capsys):
+    config = json.loads(quintic_config.read_text())
+    config["cohft"] = {"tables": [1]}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(config))
+    assert _run(["verify-cohft", path]) == 2
+    assert "malformed cohft" in capsys.readouterr().err

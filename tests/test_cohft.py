@@ -54,13 +54,13 @@ def _failures(entries):
 # -- dual bases -----------------------------------------------------------------
 
 def test_dual_bases_narrow_partner(quintic_cohft):
-    db = dual_bases(quintic_cohft.basis)
     basis = quintic_cohft.basis
-    for key, vectors in db.duals.items():
-        inv_key = basis.inverse[key]
-        for vec in vectors:
-            support = {i for i, c in enumerate(vec) if c}
-            assert all(basis.sector_keys[i] == inv_key for i in support)
+    casimir = dual_bases(basis)
+    assert sorted(i for i, _ in casimir) == list(range(basis.dimension))
+    for i, dual in casimir:
+        inv_key = basis.inverse[basis.sector_keys[i]]
+        assert dual and all(c for c in dual.values())
+        assert all(basis.sector_keys[l] == inv_key for l in dual)
 
 
 def test_dual_bases_orthonormal_toy():
@@ -68,9 +68,10 @@ def test_dual_bases_orthonormal_toy():
             for i in range(3)]
     basis = PairedBasis(["a", "b", "c"], ["1"] * 3, {"1": "1"},
                         [Fraction(0)] * 3, [0] * 3, {"1": gram})
-    db = dual_bases(basis)
-    for j, vec in enumerate(db.duals["1"]):
-        assert vec[j] == 1 and all(not c for i, c in enumerate(vec) if i != j)
+    casimir = dual_bases(basis)
+    assert [i for i, _ in casimir] == [0, 1, 2]
+    for j, dual in casimir:
+        assert list(dual) == [j] and dual[j] == 1
 
 
 def test_casimir_toy_and_quintic(toy, quintic_state):
