@@ -28,6 +28,10 @@ from .simplicial import (
 from .statespace import CONVENTIONS, StateSpace, kunneth_sum
 from .cohft import narrow_sector_data, run_all_checks, virdim
 
+# simplicial-demo is sized for Godement levels up to 3, where a poset of
+# MAX_POSET_POINTS points already takes seconds; a deeper level is refused.
+MAX_LEVEL_BOUND = 3
+
 VERBS = (
     "validate", "phases", "sectors", "state-space", "pairing", "unit",
     "chern", "virdim", "verify-cohft", "simplicial-demo", "kunneth",
@@ -164,14 +168,13 @@ def _cmd_chern(args, config):
         raise ConfigError(f"malformed koszul block: {exc}") from exc
     fact = koszul(tau, sigma)
     ch = chern_char(fact)
-    td = todd_chern(fact)
     report = {
         "command": "chern",
         "conventions": CONVENTIONS,
         "factorization": fact.to_jsonable(),
         "chern": ch.to_jsonable(),
-        "todd_chern": td.to_jsonable(),
-        "splitting_degree_ok": splitting_degree_check(fact),
+        "todd_chern": todd_chern(ch, fact.koszul_rank).to_jsonable(),
+        "splitting_degree_ok": splitting_degree_check(ch, fact.koszul_rank),
     }
     _emit(report, f"chern: {ch}", args.output)
     return 0
@@ -180,15 +183,21 @@ def _cmd_chern(args, config):
 def _cmd_virdim(args, config):
     model = _model_from_config(config)
     block = config.get("virdim")
-    if not block:
+    if not block or not isinstance(block, dict):
         raise ConfigError("virdim needs a 'virdim': {g, r, d_pairing, insertions} block")
+    n, insertions = len(model.variables), block.get("insertions")
+    try:
+        if not (isinstance(insertions, list) and all(
+                isinstance(ins, list) and len(ins) == n for ins in insertions)):
+            raise ValueError(f"expected a list of insertions of {n} rationals each")
+        insertions = [GroupElement([Fraction(str(p)) for p in ins]) for ins in insertions]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed virdim.insertions: {exc}") from exc
     try:
         g = int(block["g"])
-        insertions = [GroupElement([Fraction(str(p)) for p in ins])
-                      for ins in block["insertions"]]
         r = int(block.get("r", len(insertions)))
         d_pairing = Fraction(str(block.get("d_pairing", 0)))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed virdim block: {exc}") from exc
     value = virdim(model, g, r, d_pairing, insertions)
     report = {"command": "virdim", "g": g, "r": r,
@@ -258,7 +267,7 @@ def _cmd_simplicial_demo(args, config):
         sheaves = {block["poset"].get("name", "custom"): sheaf}
     else:
         sheaves = _builtin_posets()
-    levels = min(args.level_bound, 3)
+    levels = args.level_bound
     degree_bound = max(args.degree_bound, levels)
     out = {}
     ok = True
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--character",
                         help="character for 'phases': a name from the config's "
                              "'characters' table or comma-separated rationals")
-    parser.add_argument("--level-bound", type=int, default=3)
+    parser.add_argument("--level-bound", type=int, default=MAX_LEVEL_BOUND)
     parser.add_argument("--degree-bound", type=int, default=6)
     parser.add_argument("--group-order-bound", type=int, default=10 ** 6)
     return parser
@@ -344,6 +353,10 @@ def main(argv=None) -> int:
         if value <= 0:
             print(f"error: --{name} must be positive", file=sys.stderr)
             return 2
+    if args.level_bound > MAX_LEVEL_BOUND:
+        print(f"error: --level-bound {args.level_bound} exceeds the bound "
+              f"{MAX_LEVEL_BOUND}", file=sys.stderr)
+        return 2
     try:
         config = _load_config(args.config)
         return _HANDLERS[args.verb](args, config)

@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as iproduct
 
 from .exactalg import Cyclo, MultiPoly
 from .exactalg.linalg import inverse as mat_inverse, mat_mul
 from .glsm import GlsmModel
 from .orbifold import GroupElement
+
+_ZERO = Cyclo.zero()  # shared: a Cyclo is never changed in place
 
 
 @dataclass
@@ -37,7 +40,8 @@ class PairedBasis:
     ``gram[key]`` pairs the basis of sector ``key`` against the basis of
     ``inverse[key]`` in basis order.  ``by_sector[key]`` lists the global
     indices of a sector and ``position[i]`` is the place of ``i`` in its
-    sector's list.
+    sector's list.  A basis is not changed after construction, so its
+    Casimir element is built once, on first use.
     """
 
     labels: list[str]
@@ -61,11 +65,30 @@ class PairedBasis:
     def eta(self, i: int, j: int) -> Cyclo:
         ki = self.sector_keys[i]
         if self.inverse[ki] != self.sector_keys[j]:
-            return Cyclo.zero()
+            return _ZERO
         return self.gram[ki][self.position[i]][self.position[j]]
 
     def sector_parity(self, key) -> int:
         return self.parities[self.by_sector[key][0]]
+
+    @cached_property
+    def casimir(self) -> list[tuple[int, dict]]:
+        """The Casimir element sum_i T_i (x) T_i^dual as sparse pairs
+        ``(i, {l: c})``: basis index ``i`` in ``by_sector`` order and its
+        dual over the inverse sector, zero coefficients left out.  The Gram
+        blocks are inverted; with the parity sign applied the contraction
+        identity eta(a, b) = sum eta(a, T) eta(T_dual, b) holds literally."""
+        casimir = []
+        for key, idx in self.by_sector.items():
+            inv = mat_inverse(self.gram[key], one=Cyclo.one())
+            if inv is None:
+                raise ValueError(f"singular Gram block on sector {key}")
+            odd = self.sector_parity(key)
+            inv_idx = self.by_sector[self.inverse[key]]
+            for j, i in enumerate(idx):
+                casimir.append((i, {l: -row[j] if odd else row[j]
+                                    for l, row in zip(inv_idx, inv) if row[j]}))
+        return casimir
 
 
 def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
@@ -88,25 +111,6 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
     return PairedBasis(labels, sector_keys, inverse, degrees, parities, gram)
 
 
-def dual_bases(basis: PairedBasis) -> list[tuple[int, dict]]:
-    """The Casimir element sum_i T_i (x) T_i^dual as sparse pairs
-    ``(i, {l: c})``: basis index ``i`` in ``by_sector`` order and its dual
-    over the inverse sector, zero coefficients left out.  The Gram blocks
-    are inverted; with the parity sign applied the contraction identity
-    eta(a, b) = sum eta(a, T) eta(T_dual, b) holds literally."""
-    casimir = []
-    for key, idx in basis.by_sector.items():
-        inv = mat_inverse(basis.gram[key], one=Cyclo.one())
-        if inv is None:
-            raise ValueError(f"singular Gram block on sector {key}")
-        odd = basis.sector_parity(key)
-        inv_idx = basis.by_sector[basis.inverse[key]]
-        for j, i in enumerate(idx):
-            casimir.append((i, {l: -row[j] if odd else row[j]
-                                for l, row in zip(inv_idx, inv) if row[j]}))
-    return casimir
-
-
 def casimir_check(basis: PairedBasis) -> list[dict]:
     """eta(a, b) = sum_{h,j} eta(a, T^h_j) eta(T_h^j, b) on all basis pairs.
 
@@ -115,13 +119,12 @@ def casimir_check(basis: PairedBasis) -> list[dict]:
     sector is G_k . C . G_k = G_k with C the dual-basis coefficients of
     sector k^{-1}.  Off-block pairs are 0 = 0 identically.
     """
-    duals = dict(dual_bases(basis))
-    zero = Cyclo.zero()
+    duals = dict(basis.casimir)
     report = []
     for key, idx in sorted(basis.by_sector.items()):
         g = basis.gram[key]
         # dual coefficients of sector k^{-1}, restricted to sector-k coords
-        c = [[duals[i].get(l, zero) for l in idx]
+        c = [[duals[i].get(l, _ZERO) for l in idx]
              for i in basis.by_sector[basis.inverse[key]]]
         ok = mat_mul(mat_mul(g, c), g) == g
         report.append({
@@ -174,14 +177,14 @@ class CohftData:
     })
 
     def o3(self, i, j, k) -> Cyclo:
-        return self.omega03.get((i, j, k), Cyclo.zero())
+        return self.omega03.get((i, j, k), _ZERO)
 
     def o3_unit(self, i, j) -> Cyclo:
         return sum((c * self.o3(i, j, k) for k, c in enumerate(self.unit_vector) if c),
                    Cyclo.zero())
 
     def o4(self, key) -> tuple:
-        return self.omega04.get(tuple(key), (Cyclo.zero(), Cyclo.zero()))
+        return self.omega04.get(tuple(key), (_ZERO, _ZERO))
 
     def o4_unit_last(self, i, j, k) -> tuple:
         c0, c2 = Cyclo.zero(), Cyclo.zero()
@@ -191,9 +194,6 @@ class CohftData:
                 c0 = c0 + c * v0
                 c2 = c2 + c * v2
         return c0, c2
-
-    def o11(self, i) -> tuple:
-        return self.omega11.get((i,), (Cyclo.zero(), Cyclo.zero()))
 
 
 def _entry(axiom, tup, lhs, rhs):
@@ -297,7 +297,7 @@ def _handle_trace(data: CohftData, casimir, g: int) -> Cyclo:
 def check_tree_gluing(data: CohftData) -> list[dict]:
     """Boundary pullback of (0,4) equals the dual-basis contraction of two
     (0,3) tables, in every channel supplied in the pullback data."""
-    casimir = dual_bases(data.basis)
+    casimir = data.basis.casimir
     out = []
     channels = {
         "tree_12_34": (0, 1, 2, 3),
@@ -316,13 +316,13 @@ def check_tree_gluing(data: CohftData) -> list[dict]:
 
 def check_loop_gluing(data: CohftData) -> list[dict]:
     """Boundary pullback of (1,1) equals the dual-basis trace of (0,3)."""
-    casimir = dual_bases(data.basis)
     out = []
     coeff = data.boundary_pullbacks["loop"]
     for key in sorted(data.omega11):
         v0, v2 = data.omega11[key]
         lhs = v0 * coeff[0] + v2 * coeff[1]
-        out.append(_entry("loop", key, lhs, _handle_trace(data, casimir, key[0])))
+        out.append(_entry("loop", key, lhs,
+                          _handle_trace(data, data.basis.casimir, key[0])))
     return out
 
 
@@ -398,9 +398,8 @@ def frobenius_toy(labels, degrees, trace, mult_table,
     # handle trace via the Casimir element
     data = CohftData(basis, list(e[unit_index]),
                      -2 * Fraction(central_charge), omega03, omega04, {})
-    casimir = dual_bases(basis)
     data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
-                    if (v := _handle_trace(data, casimir, g))}
+                    if (v := _handle_trace(data, basis.casimir, g))}
     return data
 
 
@@ -424,7 +423,7 @@ def axiom_seeded_data(basis: PairedBasis, unit_vector,
                 omega03[tup] = val
 
     data = CohftData(basis, list(unit_vector), shift_genus0, omega03, {}, {})
-    casimir = dual_bases(basis)
+    casimir = basis.casimir
     data.omega04 = {key: (v, Cyclo.zero()) for key in iproduct(range(n), repeat=4)
                     if (v := _contract(data, casimir, key[:2], key[2:]))}
     data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
@@ -461,6 +460,8 @@ def _parse_table(obj: dict, field: str, arity: int, n: int, pair: bool) -> dict:
                 and all(type(i) is int and 0 <= i < n for i in key)):
             raise ValueError(f"{field}: key {key!r} must be {arity} basis indices "
                              f"in 0..{n - 1}")
+        if tuple(key) in table:
+            raise ValueError(f"{field}: key {key!r} appears twice")
         if not pair:
             table[tuple(key)] = _parse_scalar(field, value)
         elif isinstance(value, list) and len(value) == 2:

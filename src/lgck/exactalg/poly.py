@@ -82,9 +82,6 @@ class MultiPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=None)
-
     def leading(self):
         """(exponent, coefficient) of the degrevlex-largest term."""
         if not self.terms:
@@ -203,22 +200,6 @@ class MultiPoly:
                 e = list(exp)
                 e[i] -= 1
                 out[tuple(e)] = c * exp[i]
-        return MultiPoly(self.variables, out)
-
-    def scale_variables(self, scalars) -> "MultiPoly":
-        """Substitute x_i -> s_i * x_i for scalars s_i."""
-        out: dict[tuple[int, ...], Cyclo] = {}
-        for exp, c in self.terms.items():
-            factor = Cyclo.one()
-            for s, a in zip(scalars, exp):
-                if a:
-                    sc = s if isinstance(s, Cyclo) else Cyclo.from_rational(s)
-                    factor = factor * sc ** a
-            s = out.get(exp, Cyclo.zero()) + c * factor
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
         return MultiPoly(self.variables, out)
 
     def substitute(self, mapping: dict) -> "MultiPoly":

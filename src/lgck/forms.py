@@ -175,11 +175,6 @@ class DiffForm:
                 out = out + contrib
         return out
 
-    def substitute_poly(self, mapping) -> "DiffForm":
-        """Apply a polynomial substitution to coefficients only (dx fixed)."""
-        return DiffForm(self.variables,
-                        {i: p.substitute(mapping) for i, p in self.terms.items()})
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -26,7 +26,6 @@ Conventions baked in here:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -110,11 +109,6 @@ class GlsmModel:
         )
         model._check_shapes()
         return model
-
-    @classmethod
-    def from_json(cls, path) -> "GlsmModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return {

@@ -15,7 +15,9 @@ Sign conventions (fixed once, pinned by golden tests):
 * the supertrace is trace(even block) - trace(odd block).
 
 With these choices the rank-one Koszul factorization {y, x} of W = xy
-has Chern character -dx^dy, i.e. class -1 in Jac(xy).
+has Chern character -dx^dy, i.e. class -1 in Jac(xy); in n = 2r variables
+a rank-r Koszul class is that of det d(tau_1, sigma_1, ..., tau_r, sigma_r)
+/ d(x_1 .. x_n), rows interleaved.
 
 The (i/2pi)-normalization of Todd-Chern classes is carried as an integer
 twist exponent, never as a numeric factor.
@@ -23,7 +25,7 @@ twist exponent, never as a numeric factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
@@ -238,9 +240,6 @@ class Cdga:
     @property
     def dimension(self) -> int:
         return len(self.degrees)
-
-    def zero_element(self):
-        return {}
 
     def basis_element(self, i, coeff=None):
         c = coeff if coeff is not None else MultiPoly.const(self.variables, 1)
@@ -515,10 +514,6 @@ class FormEndomorphism:
         return out
 
 
-def supertrace(endo: FormEndomorphism) -> DiffForm:
-    return endo.supertrace()
-
-
 def atiyah(fact: Factorization) -> FormEndomorphism:
     """The curvature part [nabla, delta] of the Atiyah class for the
     trivial connection: the entrywise exterior derivative of delta.
@@ -535,7 +530,7 @@ class TwistedClass:
     jac_class: MultiPoly
     twist: int
     potential: MultiPoly
-    form: DiffForm | None = None
+    form: DiffForm
 
     def is_zero(self) -> bool:
         return self.jac_class.is_zero()
@@ -571,40 +566,9 @@ def _jacobian_reduce(top: MultiPoly, potential: MultiPoly) -> MultiPoly:
     return ideal.normal_form(top)
 
 
-def chern_char(fact: Factorization) -> TwistedClass:
-    """Localized Chern character as a twisted class.
-
-    The output form is verified to be a cocycle for wedging with dW, and
-    its top component is reduced to a Jacobian normal form (for W = 0 the
-    top coefficient is kept as is)."""
-    form = chern_character_form(fact)
-    dw = d_of_poly(fact.potential)
-    if not dw.wedge(form).is_zero():
-        raise FactorizationError("Chern form is not a dW-cocycle")
-    for deg in form.form_degrees():
-        if deg % 2:
-            raise FactorizationError("Chern form has an odd-degree component")
-    top = form.top_coefficient()
-    jac = _jacobian_reduce(top, fact.potential)
-    return TwistedClass(jac, len(fact.variables) // 2, fact.potential, form)
-
-
-def todd_chern(fact: Factorization, rank: int | None = None) -> TwistedClass:
-    """Todd-Chern class for the trivial connection on an affine chart.
-
-    The underlying bundle of a Koszul datum is free, its curvature
-    vanishes, and td = 1; the only effect beyond the Chern character is
-    the (i/2pi)^rank normalization, carried as a twist shift."""
-    if rank is None:
-        rank = fact.koszul_rank
-    if rank is None:
-        raise ValueError("supply the bundle rank for non-Koszul factorizations")
-    ch = chern_char(fact)
-    return TwistedClass(ch.jac_class, ch.twist + rank, ch.potential, ch.form)
-
-
 def twisted_class(form: DiffForm, potential: MultiPoly) -> TwistedClass:
-    """Check the cocycle condition and reduce the top component."""
+    """Check the cocycle condition and reduce the top component (for W = 0
+    the top coefficient is kept as is)."""
     w = potential.with_variables(form.variables) \
         if potential.variables != form.variables else potential
     dw = d_of_poly(w)
@@ -615,13 +579,37 @@ def twisted_class(form: DiffForm, potential: MultiPoly) -> TwistedClass:
     return TwistedClass(jac, len(form.variables) // 2, w, form)
 
 
-def splitting_degree_check(fact: Factorization) -> bool:
-    """Every nonzero component of ch of a rank-r Koszul factorization has
-    form degree at least 2r."""
-    if fact.koszul_rank is None:
-        raise ValueError("splitting bound applies to Koszul factorizations")
+def chern_char(fact: Factorization) -> TwistedClass:
+    """Localized Chern character as a twisted class: the Chern form is
+    checked to be even and a cocycle for wedging with dW, and its top
+    component is reduced to a Jacobian normal form."""
     form = chern_character_form(fact)
-    return all(deg >= 2 * fact.koszul_rank for deg in form.form_degrees())
+    if any(deg % 2 for deg in form.form_degrees()):
+        raise FactorizationError("Chern form has an odd-degree component")
+    return twisted_class(form, fact.potential)
+
+
+def _bundle_rank(rank: int | None) -> int:
+    if rank is None:
+        raise ValueError("supply the bundle rank for non-Koszul factorizations")
+    return rank
+
+
+def todd_chern(ch: TwistedClass, rank: int | None) -> TwistedClass:
+    """Todd-Chern class, from the Chern character ``ch``, for the trivial
+    connection on an affine chart.
+
+    The underlying bundle of a Koszul datum is free, its curvature
+    vanishes, and td = 1; the only effect beyond the Chern character is
+    the (i/2pi)^rank normalization, carried as a twist shift."""
+    return replace(ch, twist=ch.twist + _bundle_rank(rank))
+
+
+def splitting_degree_check(ch: TwistedClass, rank: int | None) -> bool:
+    """Every nonzero component of the Chern form ``ch.form`` of a rank-r
+    Koszul factorization has form degree at least 2r."""
+    rank = _bundle_rank(rank)
+    return all(deg >= 2 * rank for deg in ch.form.form_degrees())
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +779,7 @@ def unit_class(model: GlsmModel, state=None) -> UnitClass:
                         [[e.with_variables(fixed_names) for e in row] for row in kos.block_b],
                         kos.potential.with_variables(fixed_names),
                         koszul_rank=kos.koszul_rank)
-    tdch = todd_chern(kos)
+    tdch = todd_chern(chern_char(kos), kos.koszul_rank)
     space = sector_space(model, j)
     coeffs = []
     for exp in space.basis:

@@ -35,9 +35,6 @@ class GroupElement:
     def __pow__(self, k: int) -> "GroupElement":
         return GroupElement(k * p for p in self.phases)
 
-    def is_identity(self) -> bool:
-        return all(p == 0 for p in self.phases)
-
     def order(self) -> int:
         return lcm(*[p.denominator for p in self.phases]) if self.phases else 1
 

@@ -3,13 +3,15 @@ resolutions over finite posets, all at desk scale with exact rationals.
 
 The algebra of polynomial forms on the n-simplex is presented in the
 reduced coordinates t_1 .. t_n (t_0 and dt_0 eliminated by the relations
-sum t_i = 1, sum dt_i = 0).  Cosimplicial modules are finite-dimensional
-with explicit coface/codegeneracy matrices; arbitrary monotone maps act
-through the epi-mono factorization.  Thom-Sullivan elements are stored
-as compatible families over levels 0..N, represented by Whitney-basis
-expansions of normalized cochains; compatibility is verified at
-construction against the generating maps (which suffices, both actions
-being functorial) with an exhaustive all-monotone-maps variant available.
+sum t_i = 1, sum dt_i = 0): a form on the n-simplex is a ``DiffForm``
+over ``simplex_variables(n)``, so its level is its number of variables.
+Cosimplicial modules are finite-dimensional with explicit
+coface/codegeneracy matrices; arbitrary monotone maps act through the
+epi-mono factorization.  Thom-Sullivan elements are stored as compatible
+families over levels 0..N, represented by Whitney-basis expansions of
+normalized cochains; compatibility is verified at construction against
+the generating maps (which suffices, both actions being functorial) with
+an exhaustive all-monotone-maps variant available.
 
 Finite posets carry the Alexandrov topology whose opens are the up-closed
 subsets; the points of the topos are the poset elements, which makes the
@@ -30,57 +32,6 @@ from .forms import DiffForm
 
 def simplex_variables(n: int) -> tuple[str, ...]:
     return tuple(f"t{i}" for i in range(1, n + 1))
-
-
-@dataclass
-class PolyForm:
-    """A polynomial differential form on the n-simplex (reduced coords)."""
-
-    level: int
-    form: DiffForm
-
-    @classmethod
-    def zero(cls, n: int) -> "PolyForm":
-        return cls(n, DiffForm.zero(simplex_variables(n)))
-
-    @classmethod
-    def constant(cls, n: int, c) -> "PolyForm":
-        return cls(n, DiffForm.const(simplex_variables(n), c))
-
-    def __add__(self, other: "PolyForm") -> "PolyForm":
-        if other.level != self.level:
-            raise ValueError("forms on different simplices")
-        return PolyForm(self.level, self.form + other.form)
-
-    def __sub__(self, other: "PolyForm") -> "PolyForm":
-        return PolyForm(self.level, self.form - other.form)
-
-    def scale(self, c) -> "PolyForm":
-        return PolyForm(self.level, self.form.scale(c))
-
-    def wedge(self, other: "PolyForm") -> "PolyForm":
-        if other.level != self.level:
-            raise ValueError("forms on different simplices")
-        return PolyForm(self.level, self.form.wedge(other.form))
-
-    def d(self) -> "PolyForm":
-        return PolyForm(self.level, self.form.exterior_derivative())
-
-    def is_zero(self) -> bool:
-        return self.form.is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, PolyForm) and self.level == other.level \
-            and self.form == other.form
-
-    def degrees(self) -> set[int]:
-        return self.form.form_degrees()
-
-    def component(self, degree: int) -> "PolyForm":
-        return PolyForm(self.level, self.form.component(degree))
-
-    def __str__(self):
-        return f"PolyForm[{self.level}]({self.form})"
 
 
 def _barycentric_poly(n: int, i: int) -> MultiPoly:
@@ -108,14 +59,14 @@ def _monotone(f) -> bool:
     return all(f[i] <= f[i + 1] for i in range(len(f) - 1))
 
 
-def omega_pullback(f, omega: PolyForm) -> PolyForm:
+def omega_pullback(f, omega: DiffForm) -> DiffForm:
     """Pullback along a monotone map f: [n] -> [m] of a form on the
     m-simplex, i.e. the algebra map t_j -> sum over the fiber of f."""
     f = tuple(f)
     if not _monotone(f):
         raise ValueError("map is not monotone")
     n = len(f) - 1
-    m = omega.level
+    m = len(omega.variables)
     if any(v < 0 or v > m for v in f):
         raise ValueError("map values outside the target simplex")
 
@@ -134,7 +85,7 @@ def omega_pullback(f, omega: PolyForm) -> PolyForm:
         subs_dt.append(df)
 
     out = DiffForm.zero(src_names)
-    for idx, coeff in omega.form.terms.items():
+    for idx, coeff in omega.terms.items():
         pulled_coeff = coeff.substitute(subs_poly) if subs_poly else \
             MultiPoly.const(src_names, coeff.constant_term())
         piece = DiffForm.from_poly(
@@ -143,19 +94,19 @@ def omega_pullback(f, omega: PolyForm) -> PolyForm:
         for j in idx:  # dt_{j+1} on the target pulls back to subs_dt[j+1]
             piece = piece.wedge(subs_dt[j + 1])
         out = out + piece
-    return PolyForm(n, out)
+    return out
 
 
-def integrate_simplex(omega: PolyForm) -> Fraction:
+def integrate_simplex(omega: DiffForm) -> Fraction:
     """Integral over the standard simplex with dt_1 ^ ... ^ dt_n positive,
     via int t^a dt = (prod a_i!) / (n + sum a_i)!."""
-    n = omega.level
+    n = len(omega.variables)
     if n == 0:
-        c = omega.form.coefficient(())
+        c = omega.coefficient(())
         return c.constant_term().as_fraction()
-    if omega.degrees() - {n}:
+    if omega.form_degrees() - {n}:
         raise ValueError("integrand must be a top-degree form")
-    top = omega.form.coefficient(tuple(range(n)))
+    top = omega.coefficient(tuple(range(n)))
     total = Fraction(0)
     for exp, c in top.terms.items():
         num = 1
@@ -165,7 +116,7 @@ def integrate_simplex(omega: PolyForm) -> Fraction:
     return total
 
 
-def whitney_form(indices, n: int) -> PolyForm:
+def whitney_form(indices, n: int) -> DiffForm:
     """The elementary form of a face, scaled to integrate to 1 over it."""
     idx = tuple(indices)
     if list(idx) != sorted(set(idx)):
@@ -181,7 +132,7 @@ def whitney_form(indices, n: int) -> PolyForm:
                 continue
             piece = piece.wedge(_barycentric_dt(n, idx[k]))
         out = out + (piece if j % 2 == 0 else -piece)
-    return PolyForm(n, out.scale(Fraction(factorial(p))))
+    return out.scale(Fraction(factorial(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +439,6 @@ class FinitePosetSheaf:
             return identity(total)
         return nullspace(constraints)
 
-    def global_sections_dim(self) -> int:
-        return len(self.sections(range(len(self.points))))
-
     def is_unit_stalked(self) -> bool:
         return all(d <= 1 for d in self.stalk_dims)
 
@@ -645,7 +593,7 @@ class ThElement:
     """A compatible family c_n in A[n] (x) Omega[n], n = 0..N."""
 
     def __init__(self, cs: CosimplicialModule, degree: int,
-                 levels: list[list[PolyForm]], check: bool = True):
+                 levels: list[list[DiffForm]], check: bool = True):
         self.cs = cs
         self.degree = degree
         self.levels = levels
@@ -656,7 +604,7 @@ class ThElement:
         n = len(f) - 1
         mat = self.cs.map_into(f, m)
         for r in range(self.cs.dims[m]):
-            acc = PolyForm.zero(n)
+            acc = DiffForm.zero(simplex_variables(n))
             for c in range(self.cs.dims[n]):
                 if mat[r][c]:
                     acc = acc + self.levels[n][c].scale(mat[r][c])
@@ -692,8 +640,8 @@ class ThElement:
 
     def d(self) -> "ThElement":
         return ThElement(self.cs, self.degree + 1,
-                         [[f.d() for f in level] for level in self.levels],
-                         check=False)
+                         [[f.exterior_derivative() for f in level]
+                          for level in self.levels], check=False)
 
     def add(self, other: "ThElement") -> "ThElement":
         return ThElement(self.cs, self.degree,
@@ -760,7 +708,7 @@ def whitney_extension(cs: CosimplicialModule, degree: int, vec) -> ThElement:
     N = cs.top_level
     levels = []
     for n in range(N + 1):
-        level = [PolyForm.zero(n) for _ in range(cs.dims[n])]
+        level = [DiffForm.zero(simplex_variables(n)) for _ in range(cs.dims[n])]
         if n >= degree:
             for image in combinations(range(n + 1), degree + 1):
                 mat = cs.map_into(image, n)
@@ -779,7 +727,7 @@ def unit_element(cs: CosimplicialModule) -> ThElement:
     levels = []
     for n in range(cs.top_level + 1):
         uv = cs.unit(n)
-        levels.append([PolyForm.constant(n, c) for c in uv])
+        levels.append([DiffForm.const(simplex_variables(n), c) for c in uv])
     return ThElement(cs, 0, levels)
 
 
@@ -925,7 +873,7 @@ def de_rham_triangle_check(resolution: GodementResolution,
         for n in range(N + 1):
             aug = resolution.augmentation(n)
             col = [aug[r][si] for r in range(len(aug))]
-            chains_family.append([PolyForm.constant(n, c) for c in col])
+            chains_family.append([DiffForm.const(simplex_variables(n), c) for c in col])
         el = ThElement(cs, 0, chains_family, check=True)
         got = el.integrate()
         expect = [aug0[r][si] for r in range(len(aug0))]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lgck.exactalg import MultiPoly
 from lgck.glsm import GlsmModel
 from lgck.statespace import StateSpace
 
@@ -12,6 +13,12 @@ SEED = int(os.environ.get("LGCK_SEED", "20260810"))
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(SEED)
+
+
+def scale_variables(p: MultiPoly, scalars) -> MultiPoly:
+    """p with x_i -> s_i * x_i, by polynomial substitution."""
+    return p.substitute({v: MultiPoly.var(p.variables, v) * s
+                         for v, s in zip(p.variables, scalars)})
 
 
 def make_quintic_lg() -> GlsmModel:

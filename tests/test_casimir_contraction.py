@@ -21,7 +21,6 @@ from lgck.cohft import (
     _handle_trace,
     axiom_seeded_data,
     casimir_check,
-    dual_bases,
     frobenius_toy,
     narrow_sector_data,
 )
@@ -101,7 +100,7 @@ def dense_seeded_tables(data):
 
 
 def assert_contractions_match(data):
-    n, pairs, casimir = data.basis.dimension, dense_pairs(data.basis), dual_bases(data.basis)
+    n, pairs, casimir = data.basis.dimension, dense_pairs(data.basis), data.basis.casimir
     for left in product(range(n), repeat=2):
         for right in product(range(n), repeat=2):
             got = _contract(data, casimir, left, right)
@@ -195,7 +194,7 @@ def test_absent_entries_keep_the_field():
                         [0, 0], {"1": gram})
     data = CohftData(basis, [Cyclo.zero()] * 2, Fraction(0),
                      {(0, 0, 0): Cyclo.one(), (1, 1, 1): z3}, {}, {})
-    casimir = dual_bases(basis)
+    casimir = basis.casimir
     assert casimir[0] == (0, {0: -z4, 1: Cyclo.one()})
     got = _contract(data, casimir, (0, 0), (1, 1))
     assert str(got) == str(dense_contract(data, dense_pairs(basis), (0, 0), (1, 1)))

@@ -109,6 +109,20 @@ def test_unit_and_virdim(quintic_config, tmp_path):
     assert json.loads(out2.read_text())["value"] == "3"
 
 
+@pytest.mark.parametrize("insertions", [[["1/5"]], 5, [["1/5"] * 5, 7], [["1/0"] * 5]],
+                         ids=["short_insertion", "not_a_list", "insertion_not_a_list",
+                              "divides_by_zero"])
+def test_malformed_virdim_insertions_exit_2(quintic_config, tmp_path, capsys, insertions):
+    """Each insertion is one rational phase per variable; anything else is
+    refused with the field named, not read as a shorter element."""
+    config = json.loads(quintic_config.read_text())
+    config["virdim"]["insertions"] = insertions
+    path = tmp_path / "virdim.json"
+    path.write_text(json.dumps(config))
+    assert _run(["virdim", path, "--output", tmp_path / "vd.json"]) == 2
+    assert "virdim.insertions:" in capsys.readouterr().err
+
+
 def test_chern_verb(tmp_path):
     cfg = tmp_path / "koszul.json"
     cfg.write_text(json.dumps({
@@ -166,6 +180,15 @@ def test_determinism_byte_for_byte(quintic_config, tmp_path):
 
 def test_bad_bounds_exit_2(quintic_config):
     assert _run(["state-space", quintic_config, "--group-order-bound", "0"]) == 2
+
+
+def test_level_bound_above_3_exits_2(tmp_path, capsys):
+    """A level bound the demo does not run is refused, not clamped to 3."""
+    cfg = tmp_path / "empty.json"
+    cfg.write_text("{}")
+    assert _run(["simplicial-demo", cfg, "--level-bound", "99",
+                 "--output", tmp_path / "simp.json"]) == 2
+    assert "--level-bound 99 exceeds the bound 3" in capsys.readouterr().err
 
 
 def test_state_space_rejects_zero_charges(tmp_path, capsys):
@@ -308,9 +331,11 @@ def _quintic_tables(**changes):
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "q"}]), "omega03"),
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1/0"}]), "omega03"),
     (_quintic_tables(boundary_pullbacks={"loop": "10"}), "boundary_pullbacks.loop"),
+    (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1"},
+                              {"key": [0, 1, 2], "value": "7"}]), "omega03"),
 ], ids=["index_too_large", "omega03_short_key", "omega04_short_key", "unit_not_list",
         "negative_index", "omega11_index_too_large", "value_not_constant",
-        "value_divides_by_zero", "pullback_not_pair"])
+        "value_divides_by_zero", "pullback_not_pair", "repeated_key"])
 def test_malformed_cohft_tables_exit_2(quintic_config, tmp_path, capsys, tables, field):
     """A malformed table field is refused with its name; it is neither a
     traceback nor a silently misread entry."""

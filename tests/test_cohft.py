@@ -1,6 +1,7 @@
 """CohFT axiom verification: toys, quintic narrow data, perturbations."""
 
 import copy
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from lgck.cohft import (
     check_selection_rules,
     check_sr_covariance,
     check_tree_gluing,
-    dual_bases,
     frobenius_toy,
     homogeneity_shift,
     narrow_sector_data,
@@ -23,7 +23,7 @@ from lgck.cohft import (
     run_all_checks,
     virdim,
 )
-from lgck.exactalg import Cyclo
+from lgck.exactalg import Cyclo, linalg
 from lgck.orbifold import GroupElement
 
 
@@ -55,7 +55,7 @@ def _failures(entries):
 
 def test_dual_bases_narrow_partner(quintic_cohft):
     basis = quintic_cohft.basis
-    casimir = dual_bases(basis)
+    casimir = basis.casimir
     assert sorted(i for i, _ in casimir) == list(range(basis.dimension))
     for i, dual in casimir:
         inv_key = basis.inverse[basis.sector_keys[i]]
@@ -68,7 +68,7 @@ def test_dual_bases_orthonormal_toy():
             for i in range(3)]
     basis = PairedBasis(["a", "b", "c"], ["1"] * 3, {"1": "1"},
                         [Fraction(0)] * 3, [0] * 3, {"1": gram})
-    casimir = dual_bases(basis)
+    casimir = basis.casimir
     assert [i for i, _ in casimir] == [0, 1, 2]
     for j, dual in casimir:
         assert list(dual) == [j] and dual[j] == 1
@@ -80,12 +80,46 @@ def test_casimir_toy_and_quintic(toy, quintic_state):
     assert _all_pass(casimir_check(full))  # includes the odd 204-dim sector
 
 
+def _count_inverse_calls(monkeypatch) -> list:
+    """Route linalg.inverse, under every name an lgck module binds it to,
+    through a counter; the returned list grows by one per call."""
+    calls, original = [], linalg.inverse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "lgck" or name.startswith("lgck."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_casimir_inverts_each_gram_block_once(quintic_lg, quintic_state, monkeypatch):
+    """The gluing checks and the Casimir check of one basis share one
+    inversion per Gram block: on the full quintic basis (the 204-dim odd
+    block included) and along the verify-cohft path."""
+    calls = _count_inverse_calls(monkeypatch)
+    full = paired_basis_from_state(quintic_state)
+    data = CohftData(full, [Cyclo.zero()] * full.dimension, Fraction(0), {}, {}, {})
+    check_tree_gluing(data)
+    check_loop_gluing(data)
+    assert _all_pass(casimir_check(full))
+    assert len(calls) == len(full.by_sector) == 5
+    calls.clear()
+    narrow = narrow_sector_data(quintic_lg, quintic_state)
+    assert run_all_checks(narrow)["all_pass"]
+    assert len(calls) == len(narrow.basis.by_sector) == 4
+
+
 def test_singular_gram_rejected():
     gram = [[Cyclo.zero()]]
     basis = PairedBasis(["a"], ["1"], {"1": "1"}, [Fraction(0)], [0],
                         {"1": gram})
     with pytest.raises(ValueError, match="singular"):
-        dual_bases(basis)
+        basis.casimir
 
 
 # -- the axioms on honest data ---------------------------------------------------
@@ -97,7 +131,7 @@ def test_toy_all_axioms(toy):
 
 def test_toy_handle_trace_of_unit(toy):
     # the (1,1) value on the unit is the dimension of the state space
-    assert toy.o11(0)[0] == 3
+    assert toy.omega11[(0,)][0] == 3
 
 
 def test_quintic_narrow_all_axioms(quintic_cohft):
@@ -186,7 +220,7 @@ def test_tree_detects_perturbation(toy):
 
 def test_loop_detects_perturbation(toy):
     data = copy.deepcopy(toy)
-    v0, v2 = data.o11(0)
+    v0, v2 = data.omega11[(0,)]
     data.omega11[(0,)] = (v0 + 1, v2)
     bad = _failures(check_loop_gluing(data))
     assert bad

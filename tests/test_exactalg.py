@@ -16,6 +16,8 @@ from lgck.exactalg import (
 )
 from lgck.exactalg.linalg import inverse, mat_mul, rank, solve
 
+from conftest import scale_variables
+
 
 # -- cyclotomic arithmetic ----------------------------------------------------
 
@@ -69,7 +71,7 @@ def test_parse_print_roundtrip():
 def test_derivative_and_substitution():
     w = MultiPoly.parse("x^3 + x*y^2")
     assert w.derivative("x") == MultiPoly.parse("3*x^2 + y^2", w.variables)
-    scaled = w.scale_variables([zeta(6), zeta(6) ** 2])
+    scaled = scale_variables(w, [zeta(6), zeta(6) ** 2])
     # x -> z6 x, y -> z6^2 y: x^3 -> z6^3 x^3 = -x^3, x y^2 -> z6^5 x y^2
     expect = MultiPoly.parse("x^3", w.variables) * (zeta(6) ** 3) \
         + MultiPoly.parse("x*y^2", w.variables) * (zeta(6) ** 5)

@@ -122,7 +122,7 @@ def min_selection_order(generators) -> list:
     """The pair loop Buchberger had before the heap: each step takes
     min(pairs.items(), key=...) over a dict of every pending pair."""
     basis = [groebner._monic(g) for g in generators if g]
-    sugars = [g.total_degree() for g in basis]
+    sugars = [max(map(sum, g.terms)) for g in basis]
 
     def pair_data(i, j):
         ei, ej = basis[i].leading()[0], basis[j].leading()[0]
@@ -147,7 +147,7 @@ def min_selection_order(generators) -> list:
         r = groebner.reduce_full(groebner._spoly(basis[i], basis[j]), basis)
         if r:
             basis.append(groebner._monic(r))
-            sugars.append(r.total_degree())
+            sugars.append(max(map(sum, r.terms)))
             new = len(basis) - 1
             pairs.update({(k, new): pair_data(k, new) for k in range(new)})
     return order

@@ -10,7 +10,6 @@ from lgck.forms import DiffForm
 from lgck.simplicial import (
     CosimplicialModule,
     FinitePosetSheaf,
-    PolyForm,
     constant_cosimplicial,
     de_rham_triangle_check,
     godement,
@@ -38,7 +37,7 @@ def random_polyform(rng, n, degree):
                                              Fraction(rng.randint(-3, 3)))
         if not poly.is_zero():
             terms[idx] = poly
-    return PolyForm(n, DiffForm(names, terms))
+    return DiffForm(names, terms)
 
 
 # -- the simplicial algebra Omega[n] -------------------------------------------
@@ -46,24 +45,35 @@ def random_polyform(rng, n, degree):
 def test_pullback_face_to_vertex():
     # [0] -> [1] hitting vertex 0: t0 -> 1, t1 -> 0
     names = simplex_variables(1)
-    omega = PolyForm(1, DiffForm(names, {(): MultiPoly.parse("t1", names)}))
+    omega = DiffForm(names, {(): MultiPoly.parse("t1", names)})
     pulled = omega_pullback((0,), omega)
-    assert pulled.form.is_zero()
-    omega0 = PolyForm(1, DiffForm(names, {(): MultiPoly.parse("1 - t1", names)}))
-    assert omega_pullback((0,), omega0).form == DiffForm.const((), 1)
+    assert pulled.is_zero()
+    omega0 = DiffForm(names, {(): MultiPoly.parse("1 - t1", names)})
+    assert omega_pullback((0,), omega0) == DiffForm.const((), 1)
 
 
 def test_pullback_degeneracy_sums_coordinates():
     # [1] -> [0]: t0 -> t0 + t1 = 1
-    omega = PolyForm(0, DiffForm.const((), 1))
+    omega = DiffForm.const((), 1)
     pulled = omega_pullback((0, 0), omega)
-    assert pulled.form == DiffForm.const(simplex_variables(1), 1)
+    assert pulled == DiffForm.const(simplex_variables(1), 1)
 
 
 def test_pullback_identity():
     names = simplex_variables(2)
-    omega = PolyForm(2, DiffForm(names, {(0,): MultiPoly.parse("t1*t2", names)}))
+    omega = DiffForm(names, {(0,): MultiPoly.parse("t1*t2", names)})
     assert omega_pullback((0, 1, 2), omega) == omega
+
+
+def test_forms_on_different_simplices_do_not_mix():
+    """A form's simplex is its variable tuple; sums and wedges across
+    simplices are refused rather than silently promoted."""
+    on_1 = DiffForm.const(simplex_variables(1), 1)
+    on_2 = DiffForm.const(simplex_variables(2), 1)
+    with pytest.raises(ValueError):
+        on_1 + on_2
+    with pytest.raises(ValueError):
+        on_1.wedge(on_2)
 
 
 def test_pullback_functorial(rng):
@@ -81,22 +91,21 @@ def test_pullback_functorial(rng):
 
 def test_integration_formulas():
     names = simplex_variables(1)
-    t1dt1 = PolyForm(1, DiffForm(names, {(0,): MultiPoly.parse("t1", names)}))
+    t1dt1 = DiffForm(names, {(0,): MultiPoly.parse("t1", names)})
     assert integrate_simplex(t1dt1) == Fraction(1, 2)
     for n in range(1, 5):
-        vol = PolyForm(n, DiffForm(
-            simplex_variables(n),
-            {tuple(range(n)): MultiPoly.const(simplex_variables(n), 1)}))
+        vol = DiffForm(simplex_variables(n),
+                       {tuple(range(n)): MultiPoly.const(simplex_variables(n), 1)})
         assert integrate_simplex(vol) == Fraction(1, __import__("math").factorial(n))
-    const = PolyForm(0, DiffForm.const((), Fraction(7, 2)))
+    const = DiffForm.const((), Fraction(7, 2))
     assert integrate_simplex(const) == Fraction(7, 2)
 
 
 def test_integration_orientation():
     names = simplex_variables(2)
     one = MultiPoly.const(names, 1)
-    straight = PolyForm(2, DiffForm(names, {(0, 1): one}))
-    flipped = PolyForm(2, DiffForm(names, {(0, 1): -one}))
+    straight = DiffForm(names, {(0, 1): one})
+    flipped = DiffForm(names, {(0, 1): -one})
     assert integrate_simplex(straight) == -integrate_simplex(flipped)
 
 
@@ -104,11 +113,11 @@ def test_whitney_form_normalization():
     w01 = whitney_form((0, 1), 1)
     assert integrate_simplex(w01) == 1
     w0 = whitney_form((0,), 1)
-    assert w0.form.coefficient(()) == MultiPoly.parse("1 - t1", simplex_variables(1))
+    assert w0.coefficient(()) == MultiPoly.parse("1 - t1", simplex_variables(1))
     # restriction to a face missing an index kills the form
     w12 = whitney_form((1, 2), 2)
     face0 = omega_pullback((0, 1), w12)  # image {0,1} misses 2
-    assert face0.form.is_zero()
+    assert face0.is_zero()
     # whitney forms integrate to 1 over their own face
     w = whitney_form((0, 2), 3)
     to_face = omega_pullback((0, 2), w)
@@ -124,7 +133,7 @@ def test_stokes_random_forms(rng):
         omega = random_polyform(rng, n, deg)
         if deg != n - 1:
             continue  # integrands must be top-degree on the faces
-        lhs = integrate_simplex(omega.d())
+        lhs = integrate_simplex(omega.exterior_derivative())
         rhs = Fraction(0)
         for i in range(n + 1):
             face = tuple(v for v in range(n + 1) if v != i)
@@ -218,7 +227,7 @@ def test_skyscraper_cohomology():
     res = godement(sky, 3)
     rep = de_rham_triangle_check(res, oracle_ranks=[1, 0, 0])
     assert rep.passed
-    assert sky.global_sections_dim() == 1
+    assert len(sky.sections(range(len(sky.points)))) == 1
 
 
 def test_triangle_on_poset_corpus():
