@@ -64,12 +64,21 @@ def _parse_character(config: dict, spec_text: str | None, model: GlsmModel):
     if spec_text is None:
         return model.nu
     named = config.get("characters", {})
+    if not isinstance(named, dict):
+        raise ConfigError("malformed characters: expected an object of named characters")
     if spec_text in named:
-        return [Fraction(str(x)) for x in named[spec_text]]
+        field, pieces = f"characters.{spec_text}", named[spec_text]
+    else:
+        field, pieces = "--character", spec_text.split(",")
     try:
-        return [Fraction(piece) for piece in spec_text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse character {spec_text!r}") from exc
+        if not isinstance(pieces, list):
+            raise ValueError("expected a list of rationals")
+        character = [Fraction(str(x)) for x in pieces]
+        if model.torus_rank and len(character) != model.torus_rank:
+            raise ValueError(f"expected {model.torus_rank} rationals, got {len(character)}")
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"malformed {field}: {exc}") from exc
+    return character
 
 
 def _emit(report: dict, summary: str, output: str | None) -> None:

@@ -1,7 +1,8 @@
 """Z/2-graded matrix factorizations and localized Chern characters.
 
-A factorization is a pair of polynomial blocks A (even to odd) and B
-(odd to even) with B.A = W.Id and A.B = W.Id.  The Koszul construction,
+A factorization is one odd polynomial matrix delta with delta^2 = W.Id on a
+free module whose basis lists the even part first; its off-diagonal blocks
+are A (even to odd) and B (odd to even).  The Koszul construction,
 tensor products with Koszul signs, the supertrace of form-valued
 endomorphisms, Atiyah classes for the trivial connection (entrywise
 exterior derivative), and the resulting twisted-de-Rham Chern classes
@@ -47,52 +48,45 @@ class FactorizationError(ValueError):
 
 
 class Factorization:
-    """Blocks A: even -> odd and B: odd -> even with B.A = A.B = W."""
+    """An odd differential delta with delta.delta = W.Id: a square polynomial
+    matrix on a basis whose ``parities`` list the even part (0) first."""
 
-    def __init__(self, variables, block_a, block_b, potential: MultiPoly,
+    def __init__(self, variables, parities, delta, potential: MultiPoly,
                  koszul_rank: int | None = None):
         self.variables = tuple(variables)
-        self.even_rank = len(block_a[0]) if block_a else (len(block_b) if block_b else 0)
-        self.odd_rank = len(block_a)
-        self.block_a = block_a
-        self.block_b = block_b
+        self.parities = tuple(parities)
+        self.delta = delta
         self.potential = potential
         self.koszul_rank = koszul_rank
+        self.even_rank = self.parities.count(0)
+        self.odd_rank = len(self.parities) - self.even_rank
         self._verify_square()
 
     def _verify_square(self):
-        w = self.potential
+        n, par = len(self.parities), self.parities
+        if len(self.delta) != n or any(len(row) != n for row in self.delta):
+            raise FactorizationError(f"delta is not a square matrix of size {n}")
         zero = MultiPoly.zero(self.variables)
-        for name, prod, size in (
-                ("B.A", mat_mul(self.block_b, self.block_a), self.even_rank),
-                ("A.B", mat_mul(self.block_a, self.block_b), self.odd_rank)):
-            for i in range(size):
-                for j in range(size):
-                    got = prod[i][j] if prod else zero  # [] when the inner rank is 0
-                    if got != (w if i == j else zero):
-                        raise FactorizationError(
-                            f"{name} != W.Id at ({i},{j}): got {got.canonical_str()}")
+        for i, row in enumerate(mat_mul(self.delta, self.delta)):
+            if par[i] not in (0, 1) or (i and par[i] < par[i - 1]):
+                raise FactorizationError(
+                    f"parity {par[i]} at basis position {i}: expected 0s, then 1s")
+            for j, got in enumerate(row):
+                if par[i] == par[j] and self.delta[i][j]:
+                    raise FactorizationError(f"delta does not flip parity at ({i},{j})")
+                if got != (self.potential if i == j else zero):
+                    raise FactorizationError(
+                        f"delta.delta != W.Id at ({i},{j}): got {got.canonical_str()}")
 
     @property
-    def total_rank(self) -> int:
-        return self.even_rank + self.odd_rank
+    def block_a(self) -> list[list[MultiPoly]]:
+        """A: even -> odd, the lower-left block of delta."""
+        return [row[:self.even_rank] for row in self.delta[self.even_rank:]]
 
-    def parities(self) -> tuple[int, ...]:
-        return (0,) * self.even_rank + (1,) * self.odd_rank
-
-    def delta_matrix(self) -> list[list[MultiPoly]]:
-        """Odd differential on even (+) odd, as one square polynomial matrix."""
-        n = self.total_rank
-        p = self.even_rank
-        zero = MultiPoly.zero(self.variables)
-        mat = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(p):           # B: odd -> even
-            for j in range(self.odd_rank):
-                mat[i][p + j] = self.block_b[i][j]
-        for i in range(self.odd_rank):  # A: even -> odd
-            for j in range(p):
-                mat[p + i][j] = self.block_a[i][j]
-        return mat
+    @property
+    def block_b(self) -> list[list[MultiPoly]]:
+        """B: odd -> even, the upper-right block of delta."""
+        return [row[self.even_rank:] for row in self.delta[:self.even_rank]]
 
     def to_jsonable(self) -> dict:
         return {
@@ -104,9 +98,33 @@ class Factorization:
         }
 
 
+def _assemble(variables, basis, parity, images, potential: MultiPoly,
+              koszul_rank: int | None = None) -> Factorization:
+    """The factorization whose differential sends each basis key to the
+    sum of its ``images(key)``, pairs (target key, coefficient); the basis
+    is sorted by ``parity`` (stable, so even keys first, in given order)."""
+    order = sorted(basis, key=parity)
+    index = {key: k for k, key in enumerate(order)}
+    zero = MultiPoly.zero(variables)
+    delta = [[zero] * len(order) for _ in order]
+    for col, key in enumerate(order):
+        for target, c in images(key):
+            if c:
+                row = index[target]
+                delta[row][col] = delta[row][col] + c
+    return Factorization(variables, [parity(key) for key in order], delta,
+                         potential, koszul_rank)
+
+
 def _subset_sign_insert(subset: tuple[int, ...], j: int) -> int:
     """Sign of e_j ^ e_subset when moving e_j to its sorted slot."""
     return -1 if sum(1 for i in subset if i < j) % 2 else 1
+
+
+def _contractions(source: tuple[int, ...], sigma):
+    """Contraction of e_source by sigma: pairs (target subset, +-sigma_j)."""
+    for pos, j in enumerate(source):
+        yield tuple(x for x in source if x != j), -sigma[j] if pos % 2 else sigma[j]
 
 
 def _subsets(r: int) -> list[tuple[int, ...]]:
@@ -130,42 +148,15 @@ def koszul(tau, sigma) -> Factorization:
     for t, s in zip(tau, sigma):
         w = w + t * s
 
-    subsets = _subsets(r)
-    even = [s for s in subsets if len(s) % 2 == 0]
-    odd = [s for s in subsets if len(s) % 2 == 1]
-    index = {s: ("even", k) for k, s in enumerate(even)}
-    index.update({s: ("odd", k) for k, s in enumerate(odd)})
+    def images(source: tuple[int, ...]):
+        yield from _contractions(source, sigma)
+        for j in range(r):  # wedging by tau
+            if j not in source:
+                sign = _subset_sign_insert(source, j)
+                yield tuple(sorted(source + (j,))), tau[j] if sign > 0 else -tau[j]
 
-    zero = MultiPoly.zero(variables)
-    block_a = [[zero for _ in even] for _ in odd]
-    block_b = [[zero for _ in odd] for _ in even]
-
-    def apply_delta(source: tuple[int, ...]):
-        out: dict[tuple[int, ...], MultiPoly] = {}
-        for pos, j in enumerate(source):  # contraction by sigma
-            target = tuple(x for x in source if x != j)
-            sign = -1 if pos % 2 else 1
-            contrib = sigma[j] if sign > 0 else -sigma[j]
-            out[target] = out.get(target, zero) + contrib
-        for j in range(r):               # wedging by tau
-            if j in source:
-                continue
-            target = tuple(sorted(source + (j,)))
-            sign = _subset_sign_insert(source, j)
-            contrib = tau[j] if sign > 0 else -tau[j]
-            out[target] = out.get(target, zero) + contrib
-        return out
-
-    for s in subsets:
-        side, col = index[s]
-        for target, coeff in apply_delta(s).items():
-            tside, row = index[target]
-            if side == "even":
-                block_a[row][col] = block_a[row][col] + coeff
-            else:
-                block_b[row][col] = block_b[row][col] + coeff
-
-    return Factorization(variables, block_a, block_b, w, koszul_rank=r)
+    return _assemble(variables, _subsets(r), lambda s: len(s) % 2, images, w,
+                     koszul_rank=r)
 
 
 def tensor(f1: Factorization, f2: Factorization, external: bool = False) -> Factorization:
@@ -173,53 +164,37 @@ def tensor(f1: Factorization, f2: Factorization, external: bool = False) -> Fact
     if external and set(f1.variables) & set(f2.variables):
         raise FactorizationError("variable clash in external tensor product")
     variables, _ = _align_ring([f1.potential, f2.potential])
+    d1, d2 = f1.delta, f2.delta
+    p1, p2 = f1.parities, f2.parities
 
-    def promote(mat, src):
-        return [[e.with_variables(variables) if e.variables != variables else e
-                 for e in row] for row in mat]
-
-    d1 = promote(f1.delta_matrix(), f1)
-    d2 = promote(f2.delta_matrix(), f2)
-    p1, p2 = f1.parities(), f2.parities()
-    n1, n2 = f1.total_rank, f2.total_rank
-    zero = MultiPoly.zero(variables)
-
-    pairs = [(i, j) for i in range(n1) for j in range(n2)]
-    even = [pr for pr in pairs if (p1[pr[0]] + p2[pr[1]]) % 2 == 0]
-    odd = [pr for pr in pairs if (p1[pr[0]] + p2[pr[1]]) % 2 == 1]
-    pos = {pr: ("even", k) for k, pr in enumerate(even)}
-    pos.update({pr: ("odd", k) for k, pr in enumerate(odd)})
-
-    block_a = [[zero for _ in even] for _ in odd]
-    block_b = [[zero for _ in odd] for _ in even]
-
-    def add_entry(target, source, coeff):
-        if coeff.is_zero():
-            return
-        tside, row = pos[target]
-        sside, col = pos[source]
-        if sside == "even":
-            block_a[row][col] = block_a[row][col] + coeff
-        else:
-            block_b[row][col] = block_b[row][col] + coeff
-
-    for (i, j) in pairs:
-        for k in range(n1):  # delta_1 (x) 1
-            add_entry((k, j), (i, j), d1[k][i])
-        sign = -1 if p1[i] % 2 else 1
-        for l in range(n2):  # (-1)^{|e|} 1 (x) delta_2
-            c = d2[l][j]
-            add_entry((i, l), (i, j), c if sign > 0 else -c)
+    def images(pair):  # entries of d1, d2 move to the union ring as they are added
+        i, j = pair
+        for k, row in enumerate(d1):  # delta_1 (x) 1
+            yield (k, j), row[i]
+        for l, row in enumerate(d2):  # (-1)^{|e|} 1 (x) delta_2
+            yield (i, l), -row[j] if p1[i] else row[j]
 
     w = f1.potential.with_variables(variables) + f2.potential.with_variables(variables)
     kr = None
     if f1.koszul_rank is not None and f2.koszul_rank is not None:
         kr = f1.koszul_rank + f2.koszul_rank
-    return Factorization(variables, block_a, block_b, w, koszul_rank=kr)
+    pairs = [(i, j) for i in range(len(p1)) for j in range(len(p2))]
+    return _assemble(variables, pairs, lambda pr: (p1[pr[0]] + p2[pr[1]]) % 2,
+                     images, w, koszul_rank=kr)
 
 
 # ---------------------------------------------------------------------------
 # cdga folding
+
+
+def _accumulate(out: dict, k, c) -> None:
+    """out[k] += c, dropping the entry when the sum is zero."""
+    s = out.get(k)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(k, None)
+    else:
+        out[k] = s
 
 
 class Cdga:
@@ -241,19 +216,13 @@ class Cdga:
     def dimension(self) -> int:
         return len(self.degrees)
 
-    def basis_element(self, i, coeff=None):
-        c = coeff if coeff is not None else MultiPoly.const(self.variables, 1)
-        return {i: c}
+    def basis_element(self, i):
+        return {i: MultiPoly.const(self.variables, 1)}
 
     def add(self, x, y):
         out = dict(x)
         for k, c in y.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            _accumulate(out, k, c)
         return out
 
     def scale(self, x, c):
@@ -264,56 +233,37 @@ class Cdga:
         for i, ci in x.items():
             for j, cj in y.items():
                 for k, s in self.mult.get((i, j), []):
-                    c = ci * cj * s
-                    prev = out.get(k)
-                    c = c if prev is None else prev + c
-                    if c.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = c
+                    _accumulate(out, k, ci * cj * s)
         return out
 
     def apply_diff(self, x):
         out = {}
         for i, ci in x.items():
             for k, s in self.diff.get(i, []):
-                c = ci * s
-                prev = out.get(k)
-                c = c if prev is None else prev + c
-                if c.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = c
+                _accumulate(out, k, ci * s)
         return out
 
     def _verify(self):
         n = self.dimension
+        e = [self.basis_element(i) for i in range(n)]
+        de = [self.apply_diff(x) for x in e]
         for i in range(n):
-            # d^2 = 0
-            dd = self.apply_diff(self.apply_diff(self.basis_element(i)))
-            if dd:
+            if self.apply_diff(de[i]):  # d^2 = 0
                 raise ValueError(f"d^2 != 0 on basis element {i}")
         for i in range(n):
+            sign_i = MultiPoly.const(self.variables, (-1) ** self.degrees[i])
             for j in range(n):
                 # graded commutativity
-                xy = self.multiply(self.basis_element(i), self.basis_element(j))
-                yx = self.multiply(self.basis_element(j), self.basis_element(i))
+                xy = self.multiply(e[i], e[j])
+                yx = self.multiply(e[j], e[i])
                 sign = (-1) ** (self.degrees[i] * self.degrees[j])
                 flipped = {k: (c if sign > 0 else -c) for k, c in yx.items()}
                 if xy != flipped:
                     raise ValueError(f"graded commutativity fails on ({i},{j})")
                 # graded Leibniz
-                lhs = self.apply_diff(xy)
-                rhs = self.add(
-                    self.multiply(self.apply_diff(self.basis_element(i)),
-                                  self.basis_element(j)),
-                    self.scale(
-                        self.multiply(self.basis_element(i),
-                                      self.apply_diff(self.basis_element(j))),
-                        MultiPoly.const(self.variables, (-1) ** self.degrees[i]),
-                    ),
-                )
-                if lhs != rhs:
+                rhs = self.add(self.multiply(de[i], e[j]),
+                               self.scale(self.multiply(e[i], de[j]), sign_i))
+                if self.apply_diff(xy) != rhs:
                     raise ValueError(f"Leibniz fails on ({i},{j})")
 
 
@@ -337,35 +287,24 @@ def koszul_cdga(sigma) -> Cdga:
             sign = -1 if inv % 2 else 1
             mult[(si, ti)] = [(index[merged], one if sign > 0 else -one)]
 
-    diff = {}
-    for si, s in enumerate(subsets):
-        images = []
-        for pos, j in enumerate(s):
-            target = tuple(x for x in s if x != j)
-            sign = -1 if pos % 2 else 1
-            images.append((index[target], sigma[j] if sign > 0 else -sigma[j]))
-        if images:
-            diff[si] = images
+    diff = {si: [(index[target], c) for target, c in _contractions(s, sigma)]
+            for si, s in enumerate(subsets) if s}
     return Cdga(variables, degrees, index[()], mult, diff)
 
 
 def cdga_element_from_covector(algebra: Cdga, tau) -> dict:
-    """The degree -1 element sum tau_j e_j of a Koszul cdga."""
+    """The degree -1 element sum tau_j e_j of a Koszul cdga, whose degree -1
+    basis elements are the singletons e_0, e_1, ... in generator order."""
+    singles = [i for i, d in enumerate(algebra.degrees) if d == -1]
+    if len(tau) > len(singles):
+        raise ValueError(
+            f"{len(tau)} coefficients for a cdga with {len(singles)} generators")
     out = {}
-    for j, t in enumerate(tau):
-        idx = next(i for i, d in enumerate(algebra.degrees)
-                   if d == -1 and _singleton_index(algebra, i) == j)
+    for idx, t in zip(singles, tau):
         tp = t.with_variables(algebra.variables) if t.variables != algebra.variables else t
         if not tp.is_zero():
             out[idx] = tp
     return out
-
-
-def _singleton_index(algebra: Cdga, basis_index: int):
-    # Koszul cdgas list subsets in (size, lexicographic) order; degree -1
-    # basis elements are the singletons, in increasing generator order.
-    singles = [i for i, d in enumerate(algebra.degrees) if d == -1]
-    return singles.index(basis_index)
 
 
 def cdga_factorization(algebra: Cdga, a) -> Factorization:
@@ -379,27 +318,12 @@ def cdga_factorization(algebra: Cdga, a) -> Factorization:
         if algebra.degrees[i] != -1:
             raise FactorizationError("a must be homogeneous of degree -1")
 
-    even = [i for i, d in enumerate(algebra.degrees) if d % 2 == 0]
-    odd = [i for i, d in enumerate(algebra.degrees) if d % 2 != 0]
-    pos = {i: ("even", k) for k, i in enumerate(even)}
-    pos.update({i: ("odd", k) for k, i in enumerate(odd)})
-    zero = MultiPoly.zero(algebra.variables)
-    block_a = [[zero for _ in even] for _ in odd]
-    block_b = [[zero for _ in odd] for _ in even]
+    def images(i):
+        e = algebra.basis_element(i)
+        return algebra.add(algebra.apply_diff(e), algebra.multiply(a, e)).items()
 
-    for i in range(algebra.dimension):
-        image = algebra.add(algebra.apply_diff(algebra.basis_element(i)),
-                            algebra.multiply(a, algebra.basis_element(i)))
-        sside, col = pos[i]
-        for k, c in image.items():
-            tside, row = pos[k]
-            if tside == sside:
-                raise FactorizationError("d + a. does not flip parity")
-            if sside == "even":
-                block_a[row][col] = block_a[row][col] + c
-            else:
-                block_b[row][col] = block_b[row][col] + c
-    return Factorization(algebra.variables, block_a, block_b, w)
+    return _assemble(algebra.variables, range(algebra.dimension),
+                     lambda i: algebra.degrees[i] % 2, images, w)
 
 
 def homotopy_iso(algebra: Cdga, a, a_prime, h):
@@ -431,11 +355,8 @@ def homotopy_iso(algebra: Cdga, a, a_prime, h):
     zerop = MultiPoly.zero(algebra.variables)
 
     def op_matrix(f):
-        cols = []
-        for i in range(n):
-            img = f(algebra.basis_element(i))
-            cols.append([img.get(k, zerop) for k in range(n)])
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        cols = [f(algebra.basis_element(j)) for j in range(n)]
+        return [[cols[j].get(i, zerop) for j in range(n)] for i in range(n)]
 
     mult_exp = op_matrix(lambda x: algebra.multiply(total, x))
     d_a = op_matrix(lambda x: algebra.add(algebra.apply_diff(x), algebra.multiply(a, x)))
@@ -474,17 +395,6 @@ class FormEndomorphism:
     def size(self) -> int:
         return len(self.parities)
 
-    def add(self, other: "FormEndomorphism") -> "FormEndomorphism":
-        return FormEndomorphism(
-            self.variables, self.parities,
-            [[a + b for a, b in zip(r1, r2)]
-             for r1, r2 in zip(self.entries, other.entries)])
-
-    def scale(self, c) -> "FormEndomorphism":
-        return FormEndomorphism(
-            self.variables, self.parities,
-            [[e.scale(c) for e in row] for row in self.entries])
-
     def compose(self, other: "FormEndomorphism") -> "FormEndomorphism":
         n = self.size
         zero = DiffForm.zero(self.variables)
@@ -518,9 +428,8 @@ def atiyah(fact: Factorization) -> FormEndomorphism:
     """The curvature part [nabla, delta] of the Atiyah class for the
     trivial connection: the entrywise exterior derivative of delta.
     The full Atiyah cocycle is the pair (identity, this)."""
-    delta = fact.delta_matrix()
-    entries = [[d_of_poly(e) for e in row] for row in delta]
-    return FormEndomorphism(fact.variables, fact.parities(), entries)
+    entries = [[d_of_poly(e) for e in row] for row in fact.delta]
+    return FormEndomorphism(fact.variables, fact.parities, entries)
 
 
 @dataclass
@@ -548,7 +457,7 @@ def chern_character_form(fact: Factorization) -> DiffForm:
     curv = atiyah(fact)
     total = DiffForm.const(fact.variables,
                            Fraction(fact.even_rank - fact.odd_rank))
-    power = FormEndomorphism.identity(fact.variables, fact.parities())
+    power = FormEndomorphism.identity(fact.variables, fact.parities)
     for k in range(1, n + 1):
         power = power.compose(curv)
         piece = power.supertrace().scale(Fraction(1, factorial(k)))
@@ -727,7 +636,7 @@ class UnitClass:
         }
 
 
-def unit_class(model: GlsmModel, state=None) -> UnitClass:
+def unit_class(model: GlsmModel) -> UnitClass:
     """The distinguished element of the J-sector: the Todd-Chern class of
     the Koszul resolution built from the Euler splitting of the
     J-restricted potential.
@@ -774,16 +683,13 @@ def unit_class(model: GlsmModel, state=None) -> UnitClass:
             "space; outside the affine computational regime")
 
     kos = koszul(tau, sigma)
-    kos = Factorization(fixed_names,
-                        [[e.with_variables(fixed_names) for e in row] for row in kos.block_a],
-                        [[e.with_variables(fixed_names) for e in row] for row in kos.block_b],
+    kos = Factorization(fixed_names, kos.parities,
+                        [[e.with_variables(fixed_names) for e in row] for row in kos.delta],
                         kos.potential.with_variables(fixed_names),
                         koszul_rank=kos.koszul_rank)
     tdch = todd_chern(chern_char(kos), kos.koszul_rank)
     space = sector_space(model, j)
-    coeffs = []
-    for exp in space.basis:
-        coeffs.append(tdch.jac_class.coefficient(exp))
+    coeffs = [tdch.jac_class.coefficient(exp) for exp in space.basis]
     residual = tdch.jac_class
     for exp, c in zip(space.basis, coeffs):
         residual = residual - MultiPoly.monomial(space.fixed_variables, exp, c)

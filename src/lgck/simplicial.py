@@ -889,15 +889,6 @@ def de_rham_triangle_check(resolution: GodementResolution,
                           ranks, oracle_ranks, matches)
 
 
-def _two_periodic_ranks(block_a, block_b, even_dim, odd_dim):
-    """Cohomology ranks (even, odd) of a two-periodic complex given by
-    scalar matrices A: even -> odd and B: odd -> even with A.B = B.A = 0."""
-    rank_a, rank_b = rank(block_a), rank(block_b)
-    h_even = even_dim - rank_a - rank_b
-    h_odd = odd_dim - rank_b - rank_a
-    return h_even, h_odd
-
-
 def tk_point_check(tau, sigma, levels: int = 2) -> dict:
     """One-point-site comparison: the Koszul factorization specialized at
     the origin versus its tensor with the truncated Thom-Sullivan-Godement
@@ -905,10 +896,8 @@ def tk_point_check(tau, sigma, levels: int = 2) -> dict:
     from .matfact import koszul  # local import to avoid a cycle
 
     kos = koszul(list(tau), list(sigma))
-    a0 = [[e.constant_term().as_fraction() if e.constant_term().is_rational()
-           else (_ for _ in ()).throw(ValueError("non-rational specialization"))
-           for e in row] for row in kos.block_a]
-    b0 = [[e.constant_term().as_fraction() for e in row] for row in kos.block_b]
+    # as_fraction raises ValueError on a non-rational specialization
+    delta0 = [[e.constant_term().as_fraction() for e in row] for row in kos.delta]
     w0 = kos.potential.constant_term()
     if w0:
         raise ValueError("potential does not vanish at the one-point site")
@@ -922,7 +911,10 @@ def tk_point_check(tau, sigma, levels: int = 2) -> dict:
     t_even = sum(r for d, r in enumerate(th_ranks) if d % 2 == 0)
     t_odd = sum(r for d, r in enumerate(th_ranks) if d % 2 == 1)
 
-    h_even, h_odd = _two_periodic_ranks(a0, b0, kos.even_rank, kos.odd_rank)
+    # delta0 is odd, so rank delta0 = rank A0 + rank B0, and both
+    # H_even = ker A0 / im B0 and H_odd = ker B0 / im A0 lose that rank
+    rank0 = rank(delta0)
+    h_even, h_odd = kos.even_rank - rank0, kos.odd_rank - rank0
     # tensor with the folded resolution: Kunneth over a point
     tensored_even = h_even * t_even + h_odd * t_odd
     tensored_odd = h_even * t_odd + h_odd * t_even

@@ -23,7 +23,7 @@ from math import lcm
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
 from .exactalg.linalg import sparse_rank
 from .glsm import GlsmModel
-from .orbifold import GroupElement, Sector, inertia_sectors, sector_group
+from .orbifold import GroupElement, Sector, inertia_sectors
 
 CONVENTIONS = {
     "residue_normalization": "res(hessian) = milnor number",
@@ -251,9 +251,9 @@ class StateSpace:
 
     def __init__(self, model: GlsmModel, bound: int = 10 ** 6):
         self.model = model
-        self.group = sector_group(model, bound)
-        self.group_order = len(self.group)
         self.sectors = inertia_sectors(model, bound)
+        self.group = [sec.element for sec in self.sectors]
+        self.group_order = len(self.group)
         self.spaces: dict[tuple, SectorSpace] = {}
         for sec in self.sectors:
             self.spaces[sec.element.phases] = sector_space(model, sec.element)

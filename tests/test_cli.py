@@ -88,6 +88,27 @@ def test_phases_with_named_characters(glsm_config, tmp_path, capsys):
     assert minus["phase"]["description"] == "V^ss = complement of {x6 = 0}"
 
 
+@pytest.mark.parametrize("characters, spec, field", [
+    (None, "1/0,1", "--character"),
+    (None, "1", "--character"),
+    ({"bad": ["1/0", 1]}, "bad", "characters.bad"),
+    ({"bad": ["x", 1]}, "bad", "characters.bad"),
+    ({"bad": [1]}, "bad", "characters.bad"),
+    (5, "nu_plus", "characters"),
+], ids=["divides_by_zero", "wrong_length", "named_divides_by_zero", "named_not_rational",
+        "named_wrong_length", "table_not_object"])
+def test_malformed_character_exits_2(glsm_config, tmp_path, capsys, characters, spec, field):
+    """A character that is not one rational per torus factor is refused
+    with its source named; it is neither a traceback nor exit 1."""
+    config = json.loads(glsm_config.read_text())
+    if characters is not None:
+        config["characters"] = characters
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(config))
+    assert _run(["phases", path, "--character", spec]) == 2
+    assert f"malformed {field}:" in capsys.readouterr().err
+
+
 def test_sectors_and_pairing(quintic_config, tmp_path):
     out = tmp_path / "sec.json"
     assert _run(["sectors", quintic_config, "--output", out]) == 0

@@ -62,13 +62,38 @@ def test_rank_two_koszul_squares():
 
 def test_inconsistent_blocks_rejected():
     names = ("x", "y")
-    one = MultiPoly.const(names, 1)
+    zero = MultiPoly.zero(names)
+    delta = [[zero, poly("y", names)], [poly("x", names), zero]]
     with pytest.raises(FactorizationError):
-        Factorization(names, [[poly("x", names)]], [[poly("y", names)]],
-                      poly("x^2", names))
+        Factorization(names, (0, 1), delta, poly("x^2", names))
     # sanity: the honest data passes
-    Factorization(names, [[poly("x", names)]], [[poly("y", names)]],
-                  poly("x*y", names))
+    Factorization(names, (0, 1), delta, poly("x*y", names))
+
+
+def test_delta_must_flip_parity():
+    names = ("x", "y")
+    zero = MultiPoly.zero(names)
+    # an even -> even entry, although delta.delta = x^2 . Id would hold
+    delta = [[poly("x", names), zero], [zero, poly("x", names)]]
+    with pytest.raises(FactorizationError, match=r"does not flip parity at \(0,0\)"):
+        Factorization(names, (0, 1), delta, poly("x^2", names))
+
+
+def test_parities_list_even_part_first():
+    names = ("x", "y")
+    zero = MultiPoly.zero(names)
+    delta = [[zero, poly("x", names)], [poly("y", names), zero]]
+    with pytest.raises(FactorizationError, match="parity 0 at basis position 1"):
+        Factorization(names, (1, 0), delta, poly("x*y", names))
+
+
+def test_delta_must_be_square():
+    names = ("x", "y")
+    zero = MultiPoly.zero(names)
+    with pytest.raises(FactorizationError, match="not a square matrix of size 2"):
+        Factorization(names, (0, 1), [[zero, poly("y", names)]], poly("x*y", names))
+    with pytest.raises(FactorizationError, match="not a square matrix of size 2"):
+        Factorization(names, (0, 1), [[zero], [poly("x", names)]], poly("x*y", names))
 
 
 def test_random_koszul_and_tensor_square(rng):
@@ -91,8 +116,7 @@ def test_random_koszul_and_tensor_square(rng):
 
 def test_tensor_unit_factor():
     f = koszul([poly("y")], [poly("x")])
-    unit = Factorization(f.variables,
-                         [], [[] for _ in range(1)],
+    unit = Factorization(f.variables, (0,), [[MultiPoly.zero(f.variables)]],
                          MultiPoly.zero(f.variables))
     t = tensor(f, unit)
     assert (t.even_rank, t.odd_rank) == (f.even_rank, f.odd_rank)
@@ -119,8 +143,8 @@ def test_tensor_associative_classes(rng):
 def _tensor_basis_order(fa, fb):
     """Global basis of tensor(fa, fb) as (i, j) pairs, in the order the
     constructor uses: evens first, odds second, each sorted by (i, j)."""
-    pa, pb = fa.parities(), fb.parities()
-    pairs = [(i, j) for i in range(fa.total_rank) for j in range(fb.total_rank)]
+    pa, pb = fa.parities, fb.parities
+    pairs = [(i, j) for i in range(len(pa)) for j in range(len(pb))]
     even = [p for p in pairs if (pa[p[0]] + pb[p[1]]) % 2 == 0]
     odd = [p for p in pairs if (pa[p[0]] + pb[p[1]]) % 2 == 1]
     return even + odd
@@ -149,8 +173,8 @@ def test_tensor_associativity_matrix_identity(rng):
         flat_right = [(i,) + order23[jk] for (i, jk) in order_right]
         perm = [flat_left.index(triple) for triple in flat_right]
 
-        dl = left.delta_matrix()
-        dr = right.delta_matrix()
+        dl = left.delta
+        dr = right.delta
         n = len(perm)
         for r in range(n):
             for c in range(n):
@@ -216,8 +240,8 @@ def test_atiyah_entrywise_derivative():
 def test_atiyah_constant_differential():
     names = ("x",)
     one = MultiPoly.const(names, 1)
-    f = Factorization(names, [[one]], [[MultiPoly.zero(names)]],
-                      MultiPoly.zero(names))
+    zero = MultiPoly.zero(names)
+    f = Factorization(names, (0, 1), [[zero, zero], [one, zero]], zero)
     at = atiyah(f)
     assert all(e.is_zero() for row in at.entries for e in row)
 
@@ -293,7 +317,7 @@ def test_rank1_golden_value_pinned_by_oracle():
 
 def test_chern_of_trivial_rank_1_0():
     names = ("x",)
-    f = Factorization(names, [], [[]], MultiPoly.zero(names))
+    f = Factorization(names, (0,), [[MultiPoly.zero(names)]], MultiPoly.zero(names))
     ch = chern_char(f)
     assert ch.form == DiffForm.const(names, 1)
 
@@ -409,7 +433,7 @@ def test_todd_chern_trivial_bundle():
 
 def test_todd_chern_rank_required():
     names = ("x",)
-    f = Factorization(names, [], [[]], MultiPoly.zero(names))
+    f = Factorization(names, (0,), [[MultiPoly.zero(names)]], MultiPoly.zero(names))
     ch = chern_char(f)
     with pytest.raises(ValueError):
         todd_chern(ch, f.koszul_rank)
@@ -505,6 +529,12 @@ def test_cdga_rejects_bad_twist():
     bad = {h_idx: MultiPoly.const(names, 1)}
     with pytest.raises(FactorizationError):
         cdga_factorization(alg, bad)
+
+
+def test_covector_longer_than_generators_rejected():
+    alg = koszul_cdga([poly("x")])
+    with pytest.raises(ValueError, match="2 coefficients for a cdga with 1 generators"):
+        cdga_element_from_covector(alg, [poly("x"), poly("x")])
 
 
 def test_homotopy_iso_identity():

@@ -373,3 +373,12 @@ def test_tk_point_rejects_nonvanishing_potential():
     one = MultiPoly.const(("x",), 1)
     with pytest.raises(ValueError):
         tk_point_check([one], [one])
+
+
+@pytest.mark.parametrize("tau, sigma", [("z3", "x"), ("x", "z3")],
+                         ids=["in_block_a", "in_block_b"])
+def test_tk_point_rejects_non_rational_specialization(tau, sigma):
+    """A cube root of unity at the origin, in either block of the
+    differential, has no rational specialization."""
+    with pytest.raises(ValueError, match="rational"):
+        tk_point_check([MultiPoly.parse(tau, ("x",))], [MultiPoly.parse(sigma, ("x",))])

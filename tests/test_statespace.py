@@ -309,6 +309,23 @@ def test_broad_non_identity_sector_partial_fixed_support():
     assert state.gram_nonsingular(g)
 
 
+def test_state_space_enumerates_its_group_once(quintic_lg, monkeypatch):
+    """The group and the sectors come from one enumeration, in one order."""
+    import lgck.orbifold as orbifold
+    calls = []
+    enumerate_group = orbifold.enumerate_group
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_group(*args, **kwargs)
+
+    monkeypatch.setattr(orbifold, "enumerate_group", counted)
+    state = StateSpace(quintic_lg)
+    assert len(calls) == 1
+    assert state.group == [sec.element for sec in state.sectors]
+    assert state.group_order == 5
+
+
 def test_corpus_models_validate():
     from lgck.glsm import validate
     for name, model in corpus():
