@@ -167,15 +167,25 @@ def _cmd_unit(args, config):
 
 def _cmd_chern(args, config):
     data = config.get("koszul")
-    if not data:
-        raise ConfigError("chern needs a 'koszul': {variables, tau, sigma} block")
-    try:
-        variables = tuple(data["variables"])
-        tau = [MultiPoly.parse(t, variables) for t in data["tau"]]
-        sigma = [MultiPoly.parse(s, variables) for s in data["sigma"]]
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed koszul block: {exc}") from exc
-    fact = koszul(tau, sigma)
+    if not isinstance(data, dict):
+        raise ConfigError("malformed koszul: chern needs a {variables, tau, sigma} object")
+    variables = data.get("variables")
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
+            and len(set(variables)) == len(variables)):
+        raise ConfigError("malformed koszul.variables: expected a list of unique names")
+    polys = {}
+    for key in ("tau", "sigma"):
+        try:
+            texts = data.get(key)
+            if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
+                raise ValueError("expected a list of polynomial strings")
+            polys[key] = [MultiPoly.parse(t, variables) for t in texts]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"malformed koszul.{key}: {exc}") from exc
+    if len(polys["sigma"]) != len(polys["tau"]):
+        raise ConfigError(f"malformed koszul.sigma: expected {len(polys['tau'])} "
+                          "entries, one per tau entry")
+    fact = koszul(polys["tau"], polys["sigma"])
     ch = chern_char(fact)
     report = {
         "command": "chern",
@@ -268,6 +278,8 @@ def _builtin_posets():
 
 def _cmd_simplicial_demo(args, config):
     block = config.get("simplicial", {})
+    if not isinstance(block, dict):
+        raise ConfigError("malformed simplicial: expected an object")
     if "poset" in block:
         try:
             sheaf = FinitePosetSheaf.from_dict(block["poset"])

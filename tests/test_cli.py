@@ -158,6 +158,28 @@ def test_chern_verb(tmp_path):
     assert rep["splitting_degree_ok"]
 
 
+def _koszul_block(**changes):
+    block = {"variables": ["x", "y"], "tau": ["y"], "sigma": ["x"]}
+    block.update(changes)
+    return block
+
+
+@pytest.mark.parametrize("block, field", [
+    ([1, 2], "koszul"),
+    (_koszul_block(tau=[5]), "koszul.tau"),
+    (_koszul_block(variables="xy"), "koszul.variables"),
+    (_koszul_block(tau=["y", "x"]), "koszul.sigma"),
+    (_koszul_block(variables=["x", "x"], tau=["x"]), "koszul.variables"),
+], ids=["not_object", "tau_not_string", "variables_not_list", "sigma_length",
+        "repeated_variable"])
+def test_malformed_koszul_exits_2(tmp_path, capsys, block, field):
+    """Each malformed field of the chern config exits 2 naming it."""
+    path = tmp_path / "koszul.json"
+    path.write_text(json.dumps({"koszul": block}))
+    assert _run(["chern", path]) == 2
+    assert f"malformed {field}:" in capsys.readouterr().err
+
+
 def test_verify_cohft_verb(quintic_config, tmp_path):
     out = tmp_path / "cohft.json"
     assert _run(["verify-cohft", quintic_config, "--output", out]) == 0
@@ -254,24 +276,36 @@ def _two_point_poset(**changes):
     return poset
 
 
-@pytest.mark.parametrize("poset, field", [
-    (_two_point_poset(restriction_matrices=[
-        {"from": "a", "to": "b", "matrix": [[None]]}]), "restriction_matrices"),
-    (_two_point_poset(order_pairs=[["a", "c"]]), "order_pairs"),
-    (_two_point_poset(stalk_dims=[-1, 1]), "stalk_dims"),
-    (_two_point_poset(stalk_dims=[1, 2]), "restriction_matrices"),
-    (_two_point_poset(stalk_dims=[2, 1]), "restriction_matrices"),
-    ({"points": [f"p{i}" for i in range(MAX_POSET_POINTS + 1)], "order_pairs": [],
-      "stalk_dims": [1] * (MAX_POSET_POINTS + 1)}, "points"),
+def _restrictions(*items):
+    return _two_point_poset(restriction_matrices=[
+        {"from": a, "to": b, "matrix": m} for a, b, m in items])
+
+
+@pytest.mark.parametrize("block, field", [
+    ({"poset": _restrictions(("a", "b", [[None]]))}, "simplicial.poset.restriction_matrices"),
+    ({"poset": _two_point_poset(order_pairs=[["a", "c"]])}, "simplicial.poset.order_pairs"),
+    ({"poset": _two_point_poset(stalk_dims=[-1, 1])}, "simplicial.poset.stalk_dims"),
+    ({"poset": _two_point_poset(stalk_dims=[1, 2])}, "simplicial.poset.restriction_matrices"),
+    ({"poset": _two_point_poset(stalk_dims=[2, 1])}, "simplicial.poset.restriction_matrices"),
+    ({"poset": {"points": [f"p{i}" for i in range(MAX_POSET_POINTS + 1)], "order_pairs": [],
+                "stalk_dims": [1] * (MAX_POSET_POINTS + 1)}}, "simplicial.poset.points"),
+    ({"poset": _restrictions(("a", "b", [[1]]), ("b", "a", [[1]]))},
+     "simplicial.poset.restriction_matrices"),
+    ({"poset": _restrictions(("a", "b", [[1]]), ("a", "a", [[0]]))},
+     "simplicial.poset.restriction_matrices"),
+    ({"poset": _restrictions(("a", "b", [[1]]), ("a", "b", [[2]]))},
+     "simplicial.poset.restriction_matrices"),
+    ("poset", "simplicial"),
 ], ids=["null_entry", "unknown_point", "negative_dim", "wrong_shape", "wrong_width",
-        "too_many_points"])
-def test_malformed_poset_exits_2(tmp_path, capsys, poset, field):
-    """A malformed custom poset is refused before any sheaf is built, with
-    the field named; it is neither a traceback nor a failed check."""
+        "too_many_points", "unrelated_pair", "self_pair", "repeated_pair",
+        "simplicial_not_object"])
+def test_malformed_poset_exits_2(tmp_path, capsys, block, field):
+    """A malformed simplicial block or custom poset is refused with the
+    field named; it is neither a traceback nor a failed check."""
     path = tmp_path / "poset.json"
-    path.write_text(json.dumps({"simplicial": {"poset": poset}}))
+    path.write_text(json.dumps({"simplicial": block}))
     assert _run(["simplicial-demo", path, "--level-bound", "2"]) == 2
-    assert f"simplicial.poset.{field}" in capsys.readouterr().err
+    assert f"malformed {field}:" in capsys.readouterr().err
 
 
 def test_custom_poset_still_checked(tmp_path, capsys):

@@ -1,15 +1,20 @@
 """Polynomial simplex forms, Stokes, Thom-Sullivan, Godement."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from lgck.cli import _builtin_posets
 from lgck.exactalg import MultiPoly
+from lgck.exactalg.linalg import sparse_rank
 from lgck.forms import DiffForm
 from lgck.simplicial import (
+    MAX_POSET_POINTS,
     CosimplicialModule,
     FinitePosetSheaf,
+    ThElement,
     constant_cosimplicial,
     de_rham_triangle_check,
     godement,
@@ -24,6 +29,8 @@ from lgck.simplicial import (
     whitney_extension,
     whitney_form,
 )
+
+from conftest import SEED
 
 
 def random_polyform(rng, n, degree):
@@ -259,6 +266,91 @@ def test_higher_rank_stalks_with_projection():
         assert res.flasque(n)
     rep = de_rham_triangle_check(res, oracle_ranks=[2, 0, 0])
     assert rep.passed
+
+
+def _rank_flasque(sheaf, n):
+    """Flasqueness as a rank condition, a reference for the chain test:
+    for every pair of up-sets V < U, the 0/1 projection from the germs
+    along chains starting in U onto those starting in V has full row rank."""
+    def chains(starts):
+        out = [(i,) for i in sorted(starts)]
+        for _ in range(n):
+            out = [c + (j,) for c in out for j in range(len(sheaf.points))
+                   if sheaf.leq[c[-1]][j]]
+        return out
+
+    opens = sheaf.up_sets()
+    for u in opens:
+        for v in opens:
+            if v < u:
+                big, small = chains(u), chains(v)
+                at, start = {}, 0  # where each chain's germs start in U
+                for c in big:
+                    at[c], start = start, start + sheaf.stalk_dims[c[-1]]
+                rows = [{at[c] + r: 1}  # sparse rows {column: entry}
+                        for c in small for r in range(sheaf.stalk_dims[c[-1]])]
+                if sparse_rank(rows) != len(rows):
+                    return False
+    return True
+
+
+def _random_poset_sheaf(rng):
+    """Up to 6 points, a random order, random stalk dimensions 0-2 and zero
+    restriction maps (which always compose)."""
+    points = [f"p{i}" for i in range(rng.randint(1, 6))]
+    dims = [rng.randint(0, 2) for _ in points]
+    pairs = [(points[i], points[j]) for i, j in combinations(range(len(points)), 2)
+             if rng.random() < 0.4]
+    mats = {(a, b): [[0] * dims[points.index(a)] for _ in range(dims[points.index(b)])]
+            for a, b in pairs}
+    return FinitePosetSheaf(points, pairs, dims, mats)
+
+
+def _cli_custom_sheaves():
+    """The custom posets the CLI tests run through simplicial-demo."""
+    chain = [f"p{i}" for i in range(MAX_POSET_POINTS)]
+    return [
+        FinitePosetSheaf(["a", "b"], [("a", "b")], [1, 1], {("a", "b"): [[1]]}),
+        FinitePosetSheaf(["a", "b"], [("a", "b")], [0, 1], {("a", "b"): [[]]}),
+        FinitePosetSheaf(["a", "b"], [("a", "b")], [1, 0], {("a", "b"): []}),
+        FinitePosetSheaf(["a", "k", "j"], [("a", "k"), ("k", "j")], [1, 0, 1],
+                         {("a", "k"): [], ("k", "j"): [[]]}),
+        FinitePosetSheaf(chain, list(zip(chain, chain[1:])), [1] * len(chain),
+                         {p: [[1]] for p in zip(chain, chain[1:])}),
+    ]
+
+
+def test_flasque_matches_rank_reference():
+    """Chain containment agrees with the rank condition on the built-in
+    posets, the CLI's custom posets and random posets, at levels 0-3."""
+    rng = random.Random(f"{SEED}-posets")  # leaves the shared rng's draws alone
+    sheaves = list(_builtin_posets().values()) + _cli_custom_sheaves()
+    sheaves += [_random_poset_sheaf(rng) for _ in range(12)]
+    for sheaf in sheaves:
+        res = godement(sheaf, 1)
+        for n in range(4):
+            assert res.flasque(n) == _rank_flasque(sheaf, n), (sheaf.points, n)
+
+
+def test_triangle_checks_each_family_once(monkeypatch):
+    """de_rham_triangle_check checks compatibility once per Whitney
+    extension and once per augmentation family, each when it is built."""
+    calls, checked = [], ThElement.compatible
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return checked(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThElement, "compatible", counted)
+    for sheaf in _builtin_posets().values():
+        res = godement(sheaf, 2)
+        calls.clear()
+        rep = de_rham_triangle_check(res)
+        assert rep.passed and rep.whitney_compatible
+        extensions = sum(normalized_complex(res.module).dims)
+        sections = len(sheaf.sections(range(len(sheaf.points))))
+        assert len(calls) == extensions + sections
+        assert len({id(el) for el in calls}) == len(calls)
 
 
 def test_missing_restriction_rejected():
