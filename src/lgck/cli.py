@@ -316,10 +316,13 @@ def _cmd_simplicial_demo(args, config):
 
 def _cmd_kunneth(args, config):
     block = config.get("kunneth")
-    if not block or "other_model" not in block:
-        raise ConfigError("kunneth needs a 'kunneth': {other_model: path} block")
+    if not isinstance(block, dict) or "other_model" not in block:
+        raise ConfigError("malformed kunneth: expected a {other_model: path} object")
+    path = block["other_model"]
+    if not isinstance(path, str):
+        raise ConfigError("malformed kunneth.other_model: expected a path string")
     model1 = _model_from_config(config)
-    model2 = _model_from_config(_load_config(block["other_model"]))
+    model2 = _model_from_config(_load_config(path))
     combined, state, witness = kunneth_sum(model1, model2)
     report = {
         "command": "kunneth",

@@ -19,9 +19,6 @@ class ConeResult:
     coefficients: tuple[Fraction, ...] | None  # on success, one per generator
     certificate: tuple[Fraction, ...] | None   # on failure, separating functional
 
-    def __bool__(self):
-        return self.inside
-
 
 def exact_lp_cone_membership(vectors, target) -> ConeResult:
     vectors = [[Fraction(x) for x in v] for v in vectors]

@@ -34,8 +34,21 @@ from .exactalg.linalg import rank as mat_rank
 from .exactalg.linalg import solve as lin_solve
 
 
-def _frac(x) -> Fraction:
-    return Fraction(str(x)) if isinstance(x, str) else Fraction(x)
+def _rationals(value, field: str) -> tuple[Fraction, ...]:
+    """A list of rationals, each an integer or a string such as "2/5"."""
+    if not isinstance(value, (list, tuple)) or any(
+            isinstance(x, bool) or not isinstance(x, (int, str, Fraction)) for x in value):
+        raise TypeError(f"{field} must be a list of integers or rational strings")
+    try:
+        return tuple(Fraction(x) for x in value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field}: {exc}") from exc
+
+
+def _rows(value, field: str) -> tuple[tuple[Fraction, ...], ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{field} must be a list of lists, got {type(value).__name__}")
+    return tuple(_rationals(row, field) for row in value)
 
 
 @dataclass(frozen=True)
@@ -77,10 +90,6 @@ class GlsmModel:
         """Phase vector of J = exp(2 pi i / d_w) acting through the R-charges."""
         return tuple((c / self.d_w) % 1 for c in self.r_charges)
 
-    @property
-    def zeta_order(self) -> int:
-        return 2 * self.d_w
-
     def weight_column(self, i: int) -> list[Fraction]:
         return [row[i] for row in self.torus_weights]
 
@@ -88,23 +97,25 @@ class GlsmModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GlsmModel":
-        variables = tuple(data["variables"])
+        variables = data["variables"]
+        if not (isinstance(variables, (list, tuple))
+                and all(isinstance(v, str) for v in variables)):
+            raise TypeError("variables must be a list of names")
         if not isinstance(data["potential"], str):
             raise TypeError(f"potential must be a string, got {type(data['potential']).__name__}")
-        potential = MultiPoly.parse(data["potential"], variables)
-        torus = tuple(tuple(_frac(x) for x in row) for row in data.get("torus_weights", []))
-        gens = tuple(tuple(_frac(x) % 1 for x in g) for g in data.get("finite_generators", []))
-        chi = tuple(_frac(x) for x in data.get("chi", []))
-        nu = tuple(_frac(x) for x in data.get("nu", []))
-        charges = tuple(_frac(x) for x in data["r_charges"])
+        potential = MultiPoly.parse(data["potential"], tuple(variables))
+        d_w = data["d_w"]
+        if isinstance(d_w, bool) or not isinstance(d_w, int):
+            raise TypeError(f"d_w must be an integer, got {type(d_w).__name__}")
         model = cls(
-            variables=variables,
-            torus_weights=torus,
-            finite_generators=gens,
-            chi=chi,
-            nu=nu,
-            r_charges=charges,
-            d_w=int(data["d_w"]),
+            variables=tuple(variables),
+            torus_weights=_rows(data.get("torus_weights", []), "torus_weights"),
+            finite_generators=tuple(tuple(x % 1 for x in g) for g in _rows(
+                data.get("finite_generators", []), "finite_generators")),
+            chi=_rationals(data.get("chi", []), "chi"),
+            nu=_rationals(data.get("nu", []), "nu"),
+            r_charges=_rationals(data["r_charges"], "r_charges"),
+            d_w=d_w,
             potential=potential,
         )
         model._check_shapes()

@@ -4,7 +4,7 @@ A factorization is one odd polynomial matrix delta with delta^2 = W.Id on a
 free module whose basis lists the even part first; its off-diagonal blocks
 are A (even to odd) and B (odd to even).  The Koszul construction,
 tensor products with Koszul signs, the supertrace of form-valued
-endomorphisms, Atiyah classes for the trivial connection (entrywise
+matrices, Atiyah classes for the trivial connection (entrywise
 exterior derivative), and the resulting twisted-de-Rham Chern classes
 are all implemented over exact cyclotomic coefficients.
 
@@ -13,6 +13,10 @@ Sign conventions (fixed once, pinned by golden tests):
 * the Koszul differential is contraction by sigma plus wedging by tau;
 * products of form-valued endomorphisms carry the Koszul sign
   (w (x) e)(k (x) f) = (-1)^{|e| deg k} (w ^ k) (x) (e f);
+* the twist T negates the odd-degree part of every entry in an odd row;
+  negating odd form degrees is an algebra automorphism of forms, so
+  T(A * B) = T(A) . T(B) turns the Koszul-signed product * into the plain
+  matrix product of ``linalg.mat_mul``, and T is its own inverse;
 * the supertrace is trace(even block) - trace(odd block).
 
 With these choices the rank-one Koszul factorization {y, x} of W = xy
@@ -29,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
 from .exactalg.linalg import identity, mat_mul
-from .forms import DiffForm, d_of_poly
+from .forms import DiffForm, _merge_sign, d_of_poly
 from .glsm import GlsmModel, check_dagger
 
 
@@ -116,11 +120,6 @@ def _assemble(variables, basis, parity, images, potential: MultiPoly,
                          potential, koszul_rank)
 
 
-def _subset_sign_insert(subset: tuple[int, ...], j: int) -> int:
-    """Sign of e_j ^ e_subset when moving e_j to its sorted slot."""
-    return -1 if sum(1 for i in subset if i < j) % 2 else 1
-
-
 def _contractions(source: tuple[int, ...], sigma):
     """Contraction of e_source by sigma: pairs (target subset, +-sigma_j)."""
     for pos, j in enumerate(source):
@@ -151,9 +150,9 @@ def koszul(tau, sigma) -> Factorization:
     def images(source: tuple[int, ...]):
         yield from _contractions(source, sigma)
         for j in range(r):  # wedging by tau
-            if j not in source:
-                sign = _subset_sign_insert(source, j)
-                yield tuple(sorted(source + (j,))), tau[j] if sign > 0 else -tau[j]
+            if j not in source:  # e_j ^ e_source, e_j moved to its sorted slot
+                target, sign = _merge_sign((j,), source)
+                yield target, tau[j] if sign > 0 else -tau[j]
 
     return _assemble(variables, _subsets(r), lambda s: len(s) % 2, images, w,
                      koszul_rank=r)
@@ -282,9 +281,7 @@ def koszul_cdga(sigma) -> Cdga:
         for ti, t in enumerate(subsets):
             if set(s) & set(t):
                 continue
-            merged = tuple(sorted(s + t))
-            inv = sum(1 for a in s for b in t if a > b)
-            sign = -1 if inv % 2 else 1
+            merged, sign = _merge_sign(s, t)
             mult[(si, ti)] = [(index[merged], one if sign > 0 else -one)]
 
     diff = {si: [(index[target], c) for target, c in _contractions(s, sigma)]
@@ -370,66 +367,26 @@ def homotopy_iso(algebra: Cdga, a, a_prime, h):
 
 
 # ---------------------------------------------------------------------------
-# form-valued endomorphisms, supertrace, Atiyah class, Chern character
+# form-valued matrices, supertrace, Atiyah class, Chern character
 
 
-class FormEndomorphism:
-    """Matrix of differential forms acting on a Z/2-graded free module.
-
-    The product carries the Koszul sign: an entry at position (i, j) has
-    endomorphism parity par(i)+par(j), and commuting it past a form of
-    degree f costs (-1)^{parity * f}.
-    """
-
-    def __init__(self, variables, parities, entries):
-        self.variables = tuple(variables)
-        self.parities = tuple(parities)
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, variables, parities) -> "FormEndomorphism":
-        return cls(variables, parities,
-                   identity(len(parities), DiffForm.const(variables, 1)))
-
-    @property
-    def size(self) -> int:
-        return len(self.parities)
-
-    def compose(self, other: "FormEndomorphism") -> "FormEndomorphism":
-        n = self.size
-        zero = DiffForm.zero(self.variables)
-        out = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                a = self.entries[i][j]
-                if a.is_zero():
-                    continue
-                endo_par = (self.parities[i] + self.parities[j]) % 2
-                for k in range(n):
-                    b = other.entries[j][k]
-                    if b.is_zero():
-                        continue
-                    if endo_par:
-                        b = DiffForm(b.variables,
-                                     {idx: (-p if len(idx) % 2 else p)
-                                      for idx, p in b.terms.items()})
-                    out[i][k] = out[i][k] + a.wedge(b)
-        return FormEndomorphism(self.variables, self.parities, out)
-
-    def supertrace(self) -> DiffForm:
-        out = DiffForm.zero(self.variables)
-        for i in range(self.size):
-            entry = self.entries[i][i]
-            out = out + (entry if self.parities[i] == 0 else -entry)
-        return out
+def _twist(parities, entries):
+    """T: the odd-degree part of every entry in an odd row negated."""
+    return [[DiffForm(e.variables, {idx: -p if len(idx) % 2 else p
+                                    for idx, p in e.terms.items()}) if par else e
+             for e in row] for par, row in zip(parities, entries)]
 
 
-def atiyah(fact: Factorization) -> FormEndomorphism:
+def supertrace(parities, entries) -> DiffForm:
+    """trace(even block) - trace(odd block) of a square form-valued matrix."""
+    return sum(-row[i] if parities[i] else row[i] for i, row in enumerate(entries))
+
+
+def atiyah(fact: Factorization) -> list[list[DiffForm]]:
     """The curvature part [nabla, delta] of the Atiyah class for the
     trivial connection: the entrywise exterior derivative of delta.
     The full Atiyah cocycle is the pair (identity, this)."""
-    entries = [[d_of_poly(e) for e in row] for row in fact.delta]
-    return FormEndomorphism(fact.variables, fact.parities, entries)
+    return [[d_of_poly(e) for e in row] for row in fact.delta]
 
 
 @dataclass
@@ -441,9 +398,6 @@ class TwistedClass:
     potential: MultiPoly
     form: DiffForm
 
-    def is_zero(self) -> bool:
-        return self.jac_class.is_zero()
-
     def __str__(self):
         return f"class (twist {self.twist}): {self.jac_class.canonical_str()}"
 
@@ -452,16 +406,20 @@ class TwistedClass:
 
 
 def chern_character_form(fact: Factorization) -> DiffForm:
-    """str(exp of the Atiyah curvature), truncated exactly at n = dim."""
-    n = len(fact.variables)
-    curv = atiyah(fact)
-    total = DiffForm.const(fact.variables,
-                           Fraction(fact.even_rank - fact.odd_rank))
-    power = FormEndomorphism.identity(fact.variables, fact.parities)
-    for k in range(1, n + 1):
-        power = power.compose(curv)
-        piece = power.supertrace().scale(Fraction(1, factorial(k)))
-        total = total + piece
+    """str(exp of the Atiyah curvature), truncated exactly at n = dim.
+
+    The k-th Koszul-signed power of the curvature is T((T curv)^k), so the
+    powers are plain ``mat_mul`` products of the twisted curvature.  The
+    curvature is odd with 1-form entries, so the diagonal of its k-th power
+    is zero for odd k and of even form degree k otherwise, where T is the
+    identity: the supertrace reads (T curv)^k as it is."""
+    par = fact.parities
+    curv = _twist(par, atiyah(fact))
+    total = DiffForm.const(fact.variables, Fraction(fact.even_rank - fact.odd_rank))
+    power = identity(len(par), DiffForm.const(fact.variables, 1))
+    for k in range(1, len(fact.variables) + 1):
+        power = mat_mul(power, curv)
+        total = total + supertrace(par, power) * Fraction(1, factorial(k))
     return total
 
 
@@ -525,42 +483,13 @@ def splitting_degree_check(ch: TwistedClass, rank: int | None) -> bool:
 # Borel-Serre identity in formal Chern roots
 
 
-def _ser_trim(s: dict, bound: int) -> dict:
-    return {e: c for e, c in s.items() if sum(e) <= bound and c}
-
-
-def _ser_mul(a: dict, b: dict, bound: int, nvars: int) -> dict:
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if sum(e) > bound:
-                continue
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _ser_inverse(a: dict, bound: int, nvars: int) -> dict:
-    """Multiplicative inverse of a series with constant term 1."""
-    zero_exp = (0,) * nvars
-    assert a.get(zero_exp) == 1
-    inv = {zero_exp: Fraction(1)}
-    rest = {e: c for e, c in a.items() if e != zero_exp}
-    # Newton-free iterative: inv_k determined degree by degree
-    for _ in range(bound):
-        err = _ser_mul(a, inv, bound, nvars)
-        err.pop(zero_exp, None)
-        if not err:
-            break
-        inv = {**inv}
-        for e, c in err.items():
-            inv[e] = inv.get(e, Fraction(0)) - c
-    return _ser_trim(inv, bound)
+def _truncate(p: MultiPoly, bound: int) -> MultiPoly:
+    """The terms of p of total degree at most ``bound``."""
+    return MultiPoly(p.variables, {e: c for e, c in p.terms.items() if sum(e) <= bound})
 
 
 def _bernoulli_plus(n: int) -> Fraction:
     """Bernoulli numbers with B_1 = +1/2 (the Todd convention)."""
-    from math import comb
     b = [Fraction(0)] * (n + 1)
     b[0] = Fraction(1)
     for m in range(1, n + 1):
@@ -579,41 +508,29 @@ def borel_serre_check(rank: int, degree_bound: int) -> bool:
     """
     if rank < 0 or degree_bound < 0:
         raise ValueError("rank and degree bound must be nonnegative")
-    n = rank
-    zero_exp = (0,) * n
-    if n == 0:
+    if rank == 0:
         return True
+    roots = tuple(f"a{i}" for i in range(rank))
+    one = MultiPoly.const(roots, 1)
 
-    def mono(i, k, c):
-        e = [0] * n
-        e[i] = k
-        return tuple(e), Fraction(c)
+    def series(i, coefficient):  # sum over k <= degree_bound of coefficient(k) a_i^k
+        return MultiPoly(roots, {tuple(k if j == i else 0 for j in range(rank)): coefficient(k)
+                                 for k in range(degree_bound + 1)})
 
-    # LHS: product over roots of (1 - e^{-a_i})
-    lhs = {zero_exp: Fraction(1)}
-    for i in range(n):
-        factor: dict = {}
-        for k in range(1, degree_bound + 1):
-            e, c = mono(i, k, Fraction((-1) ** (k + 1), factorial(k)))
-            factor[e] = c
-        lhs = _ser_mul(lhs, factor, degree_bound, n)
-
-    # RHS: prod a_i * prod td(a_i)^{-1} with td from Bernoulli numbers
-    rhs = {zero_exp: Fraction(1)}
-    for i in range(n):
-        td: dict = {zero_exp: Fraction(1)}
-        for k in range(1, degree_bound + 1):
-            e, _ = mono(i, k, 0)
-            td[e] = _bernoulli_plus(k) / factorial(k)
-        td_inv = _ser_inverse(td, degree_bound, n)
-        rhs = _ser_mul(rhs, td_inv, degree_bound, n)
-    c_r = {zero_exp: Fraction(1)}
-    for i in range(n):
-        e, c = mono(i, 1, 1)
-        c_r = _ser_mul(c_r, {e: c}, degree_bound, n)
-    rhs = _ser_mul(rhs, c_r, degree_bound, n)
-
-    return _ser_trim(lhs, degree_bound) == _ser_trim(rhs, degree_bound)
+    lhs = rhs = one
+    for i, a in enumerate(roots):
+        # LHS: product over roots of (1 - e^{-a_i})
+        lhs = _truncate(lhs * series(i, lambda k: Fraction((-1) ** (k + 1), factorial(k))
+                                     if k else 0), degree_bound)
+        # RHS: product over roots of a_i / td(a_i), td from Bernoulli numbers,
+        # inverted as the geometric series of 1 - td (no constant term)
+        rest = one - series(i, lambda k: _bernoulli_plus(k) / factorial(k))
+        td_inv = term = one
+        for _ in range(degree_bound):
+            term = _truncate(term * rest, degree_bound)
+            td_inv = td_inv + term
+        rhs = _truncate(rhs * MultiPoly.var(roots, a) * td_inv, degree_bound)
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

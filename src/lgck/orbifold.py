@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .glsm import GlsmModel, semistable_locus
 
@@ -31,12 +30,6 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         return GroupElement(-p for p in self.phases)
-
-    def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(k * p for p in self.phases)
-
-    def order(self) -> int:
-        return lcm(*[p.denominator for p in self.phases]) if self.phases else 1
 
     def fixed_support(self) -> frozenset[int]:
         return frozenset(i for i, p in enumerate(self.phases) if p == 0)

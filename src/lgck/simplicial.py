@@ -346,6 +346,7 @@ class FinitePosetSheaf:
         check(isinstance(items, list) and all(
             isinstance(m, dict) and m.get("from") in points and m.get("to") in points
             for m in items), "restriction_matrices: expected 'from' and 'to' points")
+        check(isinstance(get("name", ""), str), "name: expected a string")
         dim, mats = dict(zip(points, dims)), {}
         for item in items:
             a, b, mat = item["from"], item["to"], item.get("matrix")

@@ -214,6 +214,47 @@ def test_kunneth_verb(tmp_path):
         assert entry["dim_sum"] == entry["dim_1"] * entry["dim_2"]
 
 
+@pytest.mark.parametrize("block, field", [
+    ("other_model", "kunneth"),
+    ({"other_model": ["a"]}, "kunneth.other_model"),
+    ({"other_model": 0}, "kunneth.other_model"),
+    ({"other_model": 7}, "kunneth.other_model"),
+    ({"other_model": True}, "kunneth.other_model"),
+], ids=["block_not_object", "path_list", "path_zero", "path_seven", "path_true"])
+def test_malformed_kunneth_exits_2(tmp_path, capsys, block, field):
+    """A kunneth block that is not an object, or a path that is not a
+    string, is refused with the field named; an integer is never opened as
+    a file descriptor."""
+    from corpus import fermat_model
+    config = fermat_model([3], prefix="x").to_dict()
+    config["kunneth"] = block
+    path = tmp_path / "main.json"
+    path.write_text(json.dumps(config))
+    assert _run(["kunneth", path]) == 2
+    assert f"malformed {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d_w", 5.5),
+    ("r_charges", "11111"),
+    ("chi", "5"),
+    ("variables", "x1x2x3x4x5"),
+    ("r_charges", [1, 1, 1, 1, 0.5]),
+    ("torus_weights", [[1, 1, 1, 1, True]]),
+    ("nu", ["1/0"]),
+], ids=["d_w_float", "r_charges_string", "chi_string", "variables_string",
+        "r_charge_float", "torus_weight_bool", "nu_divides_by_zero"])
+def test_mistyped_model_field_exits_2(tmp_path, capsys, field, value):
+    """A model field of the wrong type is refused with its name, not read
+    as an integer part, a character string or a binary fraction."""
+    config = make_quintic_lg().to_dict()
+    config[field] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(config))
+    assert _run(["state-space", path]) == 2
+    assert f"malformed model config: {field}" in capsys.readouterr().err
+
+
 def test_determinism_byte_for_byte(quintic_config, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert _run(["state-space", quintic_config, "--output", out1]) == 0
@@ -296,9 +337,10 @@ def _restrictions(*items):
     ({"poset": _restrictions(("a", "b", [[1]]), ("a", "b", [[2]]))},
      "simplicial.poset.restriction_matrices"),
     ("poset", "simplicial"),
+    ({"poset": _two_point_poset(name=["a"])}, "simplicial.poset.name"),
 ], ids=["null_entry", "unknown_point", "negative_dim", "wrong_shape", "wrong_width",
         "too_many_points", "unrelated_pair", "self_pair", "repeated_pair",
-        "simplicial_not_object"])
+        "simplicial_not_object", "name_not_string"])
 def test_malformed_poset_exits_2(tmp_path, capsys, block, field):
     """A malformed simplicial block or custom poset is refused with the
     field named; it is neither a traceback nor a failed check."""

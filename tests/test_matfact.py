@@ -1,18 +1,22 @@
 """Matrix factorizations: Koszul data, tensor products, supertraces,
 Chern characters, Borel-Serre, the splitting bound, and the unit."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from lgck import matfact
 from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal
+from lgck.exactalg.linalg import identity, mat_mul
 from lgck.forms import DiffForm, d_of_poly
 from lgck.matfact import (
     FactorizationError,
     Factorization,
-    FormEndomorphism,
     TwistedClass,
+    _twist,
     atiyah,
     borel_serre_check,
     cdga_element_from_covector,
@@ -23,6 +27,7 @@ from lgck.matfact import (
     koszul,
     koszul_cdga,
     splitting_degree_check,
+    supertrace,
     tensor,
     todd_chern,
     twisted_class,
@@ -185,14 +190,12 @@ def test_tensor_associativity_matrix_identity(rng):
 
 def test_supertrace_identities():
     names = ("x", "y")
-    ident_11 = FormEndomorphism.identity(names, (0, 1))
-    assert ident_11.supertrace().is_zero()
-    ident_21 = FormEndomorphism.identity(names, (0, 0, 1))
-    assert ident_21.supertrace() == DiffForm.const(names, 1)
+    one = DiffForm.const(names, 1)
+    assert supertrace((0, 1), identity(2, one)).is_zero()
+    assert supertrace((0, 0, 1), identity(3, one)) == one
     # odd endomorphisms have zero supertrace
     f = koszul([poly("y", names)], [poly("x", names)])
-    at = atiyah(f)
-    assert at.supertrace().is_zero()
+    assert supertrace(f.parities, atiyah(f)).is_zero()
 
 
 def test_supertrace_supercommutation(rng):
@@ -210,15 +213,15 @@ def test_supertrace_supercommutation(rng):
                 for idx in _index_tuples(len(names), form_degree):
                     coeff = MultiPoly.const(names, Fraction(rng.randint(-2, 2)))
                     entries[i][j] = entries[i][j] + DiffForm(names, {idx: coeff})
-        return FormEndomorphism(names, parities, entries)
+        return entries
 
     for _ in range(20):
         p1, d1 = rng.randint(0, 1), rng.randint(0, 2)
         p2, d2 = rng.randint(0, 1), rng.randint(0, 2)
         e1 = random_homogeneous(p1, d1)
         e2 = random_homogeneous(p2, d2)
-        lhs = e1.compose(e2).supertrace()
-        rhs = e2.compose(e1).supertrace()
+        lhs = supertrace(parities, koszul_product(parities, e1, e2))
+        rhs = supertrace(parities, koszul_product(parities, e2, e1))
         sign = (-1) ** ((p1 + d1) * (p2 + d2))
         assert lhs == (rhs if sign > 0 else DiffForm.zero(names) - rhs)
 
@@ -228,13 +231,86 @@ def _index_tuples(n, degree):
     return list(combinations(range(n), degree))
 
 
+def koszul_product(parities, a, b):
+    """The Koszul-signed product of form-valued matrices, T(T(a) . T(b))."""
+    return _twist(parities, mat_mul(_twist(parities, a), _twist(parities, b)))
+
+
+def reference_compose(parities, a, b):
+    """The Koszul-signed product written out entry by entry: commuting the
+    entry b[j][k] past the endomorphism part of a[i][j], of parity
+    par(i) + par(j), negates its odd-degree forms."""
+    n = len(parities)
+    out = [[DiffForm.zero(a[0][0].variables) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j].is_zero():
+                continue
+            endo_par = (parities[i] + parities[j]) % 2
+            for k in range(n):
+                y = b[j][k]
+                if endo_par:
+                    y = DiffForm(y.variables, {idx: (-p if len(idx) % 2 else p)
+                                               for idx, p in y.terms.items()})
+                out[i][k] = out[i][k] + a[i][j].wedge(y)
+    return out
+
+
+def random_form_matrix(rng, names, n):
+    """Entries of mixed form degree 0..2, some zero, small random polynomials."""
+    def entry():
+        form = DiffForm.zero(names)
+        for degree in rng.sample(range(3), rng.randint(0, 2)):
+            idx = rng.choice(_index_tuples(len(names), degree))
+            form = form + DiffForm(names, {idx: random_poly(rng, names, 1, 2)})
+        return form
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("parities", [(0, 1), (0, 0, 1), (0, 1, 1), (0, 0, 1, 1)])
+def test_twisted_mat_mul_is_koszul_signed_product(parities):
+    """T(T(a) . T(b)) equals the entrywise Koszul-signed product; the plain
+    product and a product with only one factor twisted do not.  Its own
+    generator leaves the draws of the shared ``rng`` fixture as they were."""
+    rng = random.Random(str(parities))
+    names = ("x", "y", "z")
+    n = len(parities)
+    one_sided = plain = 0
+    for _ in range(8):
+        a, b = random_form_matrix(rng, names, n), random_form_matrix(rng, names, n)
+        want = reference_compose(parities, a, b)
+        assert koszul_product(parities, a, b) == want
+        one_sided += _twist(parities, mat_mul(_twist(parities, a), b)) != want
+        plain += mat_mul(a, b) != want
+    assert one_sided and plain
+
+
+def test_chern_form_matches_reference_powers():
+    """The Chern form equals exp of the curvature with its powers taken by
+    the entrywise Koszul-signed product."""
+    names = ("x", "y", "z", "w")
+    kos = koszul([poly("x + y", names), poly("z^2", names)],
+                 [poly("x", names), poly("w", names)])
+    pair = tensor(koszul([poly("x + y^2")], [poly("y")]),
+                  koszul([poly("z")], [poly("w^2 + z")]), external=True)
+    for f in (kos, pair):
+        curv = atiyah(f)
+        power = identity(len(f.parities), DiffForm.const(f.variables, 1))
+        want = DiffForm.const(f.variables, Fraction(f.even_rank - f.odd_rank))
+        for k in range(1, len(f.variables) + 1):
+            power = reference_compose(f.parities, power, curv)
+            want = want + supertrace(f.parities, power) * Fraction(1, factorial(k))
+        assert chern_character_form(f) == want
+        assert not want.component(len(f.variables)).is_zero()
+
+
 # -- Atiyah class and Chern character -----------------------------------------------
 
 def test_atiyah_entrywise_derivative():
     f = koszul([poly("y")], [poly("x")])
     at = atiyah(f)
-    assert at.entries[0][1] == d_of_poly(poly("x", f.variables))
-    assert at.entries[1][0] == d_of_poly(poly("y", f.variables))
+    assert at[0][1] == d_of_poly(poly("x", f.variables))
+    assert at[1][0] == d_of_poly(poly("y", f.variables))
 
 
 def test_atiyah_constant_differential():
@@ -243,7 +319,7 @@ def test_atiyah_constant_differential():
     zero = MultiPoly.zero(names)
     f = Factorization(names, (0, 1), [[zero, zero], [one, zero]], zero)
     at = atiyah(f)
-    assert all(e.is_zero() for row in at.entries for e in row)
+    assert all(e.is_zero() for row in at for e in row)
 
 
 def test_atiyah_translation_invariance():
@@ -254,10 +330,10 @@ def test_atiyah_translation_invariance():
         {"y": poly("y") + MultiPoly.const(("x", "y"), 1)})], [poly("x")])
     at2 = atiyah(shifted)
     sub = {"y": poly("y", f.variables) + MultiPoly.const(f.variables, 1)}
-    moved = at.entries[1][0]
+    moved = at[1][0]
     moved = DiffForm(moved.variables,
                      {i: p.substitute(sub) for i, p in moved.terms.items()})
-    assert at2.entries[1][0] == moved
+    assert at2[1][0] == moved
 
 
 GOLDEN_RANK1_CLASS = -1  # pinned by the brute-force oracle below
@@ -445,6 +521,15 @@ def test_borel_serre():
     assert borel_serre_check(2, 6)
     assert borel_serre_check(3, 6)
     assert borel_serre_check(0, 4)  # degree-0: 0 = 0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_borel_serre_fails_with_wrong_todd_convention(monkeypatch, rank):
+    """With B_1 = -1/2 the Todd series is the wrong one and the check fails."""
+    bernoulli = matfact._bernoulli_plus
+    monkeypatch.setattr(matfact, "_bernoulli_plus",
+                        lambda n: Fraction(-1, 2) if n == 1 else bernoulli(n))
+    assert not borel_serre_check(rank, 6)
 
 
 def test_splitting_degree_bound(rng):
