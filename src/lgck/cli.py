@@ -28,8 +28,8 @@ from .simplicial import (
 from .statespace import CONVENTIONS, StateSpace, kunneth_sum
 from .cohft import narrow_sector_data, run_all_checks, virdim
 
-# simplicial-demo is sized for Godement levels up to 3, where a poset of
-# MAX_POSET_POINTS points already takes seconds; a deeper level is refused.
+# simplicial-demo is sized for Godement levels up to 3, where a discrete poset
+# of MAX_POSET_POINTS points takes about a second; a deeper level is refused.
 MAX_LEVEL_BOUND = 3
 
 VERBS = (
@@ -212,11 +212,14 @@ def _cmd_virdim(args, config):
         insertions = [GroupElement([Fraction(str(p)) for p in ins]) for ins in insertions]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed virdim.insertions: {exc}") from exc
+    g, r = block.get("g"), block.get("r", len(insertions))
+    for key, value in (("g", g), ("r", r)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigError(f"malformed virdim.{key}: expected a non-negative integer, "
+                              f"got {value!r}")
     try:
-        g = int(block["g"])
-        r = int(block.get("r", len(insertions)))
         d_pairing = Fraction(str(block.get("d_pairing", 0)))
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"malformed virdim block: {exc}") from exc
     value = virdim(model, g, r, d_pairing, insertions)
     report = {"command": "virdim", "g": g, "r": r,

@@ -1,8 +1,19 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-A value is stored as a polynomial in zeta_N of degree < phi(N), i.e. as a
-residue modulo the N-th cyclotomic polynomial.  All coefficients are
-``fractions.Fraction``; there is no floating point anywhere.
+A value is stored as ``(order, nums, den)``: the integer polynomial
+``nums`` in zeta_N (ascending, of degree < phi(N)) over one common
+denominator ``den > 0``, with gcd(den, *nums) = 1.  This is the layout of
+FLINT's ``fmpq_poly``, so each value has exactly one representation and
+arithmetic runs on Python integers; there is no floating point anywhere.
+
+The N-th cyclotomic polynomial Phi_N is monic with integer coefficients,
+so reducing an integer polynomial modulo Phi_N is long division that never
+divides: each step subtracts an integer multiple of Phi_N.
+
+The inverse needs no Euclid.  The Galois automorphisms sigma_k: zeta_N ->
+zeta_N^k, k a unit mod N, give the norm N(a) = a * prod_{k != 1} sigma_k(a),
+a nonzero rational for a != 0 because Phi_N is irreducible, and then
+1/a = prod_{k != 1} sigma_k(a) / N(a).
 
 Values of different orders interoperate: binary operations promote both
 sides to Q(zeta_lcm) via zeta_M = zeta_N^(N/M).
@@ -18,133 +29,79 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-Rat = Fraction
+from math import gcd, lcm
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of a by b; b must be nonzero."""
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    while len(a) >= len(b) and _poly_trim(a):
-        if not a or len(a) < len(b):
-            break
-        coef = a[-1] / lead
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] -= coef * bi
-        _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
+def _divmod_monic(a, m) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the integer polynomial a by the monic m
+    (both ascending); the remainder is padded to length deg m."""
+    d = len(m) - 1
+    a = list(a) + [0] * (d - len(a))
+    q = [0] * (len(a) - d)
+    low = [(i, c) for i, c in enumerate(m[:d]) if c]
+    for s in range(len(a) - d - 1, -1, -1):
+        c = q[s] = a[s + d]
+        if c:
+            for i, mi in low:
+                a[s + i] -= c * mi
+    return q, a[:d]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (Fraction(-1), Fraction(1))
-    num = [Fraction(0)] * (n + 1)
-    num[0], num[n] = Fraction(-1), Fraction(1)
-    den = [Fraction(1)]
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients (ascending) of the n-th cyclotomic polynomial:
+    x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d)))
-    q, r = _poly_divmod(num, den)
-    assert not r, f"cyclotomic division left a remainder for n={n}"
-    return tuple(q)
+            poly, r = _divmod_monic(poly, cyclotomic_polynomial(d))
+            assert not any(r), f"cyclotomic division left a remainder for n={n}"
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_basis(n: int, e: int) -> tuple[Fraction, ...]:
+def _power_basis(n: int, e: int) -> tuple[int, ...]:
     """zeta_n^e reduced modulo the n-th cyclotomic polynomial."""
-    e %= n
-    phi = euler_phi(n)
-    if e < phi:
-        v = [Fraction(0)] * phi
-        v[e] = Fraction(1)
-        return tuple(v)
-    mono = [Fraction(0)] * e + [Fraction(1)]
-    _, r = _poly_divmod(mono, list(cyclotomic_polynomial(n)))
-    r = r + [Fraction(0)] * (phi - len(r))
-    return tuple(r)
+    return tuple(_divmod_monic([0] * (e % n) + [1], cyclotomic_polynomial(n))[1])
 
 
-def _poly_ext_gcd(a: list[Fraction], b: list[Fraction]):
-    """Return (g, s, t) with s*a + t*b = g over Q[x]."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while _poly_trim(list(r1)):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-    return r0, s0, t0
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly_trim(out)
+def _make(order: int, nums, den: int) -> "Cyclo":
+    """The value nums/den in Q(zeta_order), with the common gcd divided out;
+    den must be positive."""
+    g = gcd(den, *nums)
+    if g != 1:
+        nums, den = [x // g for x in nums], den // g
+    out = object.__new__(Cyclo)
+    out.order, out.nums, out.den = order, tuple(nums), den
+    return out
 
 
 class Cyclo:
     """An element of Q(zeta_N), exact."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
     __hash__ = None  # mutable-free but not meant for dict keys
 
     def __init__(self, order: int, coeffs):
         phi = euler_phi(order)
-        c = list(coeffs) + [Fraction(0)] * phi
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in list(coeffs)[:phi]]
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(x.denominator for x in c))
         self.order = order
-        self.coeffs = tuple(x if type(x) is Fraction else Fraction(x) for x in c[:phi])
+        self.nums = tuple([x.numerator * (den // x.denominator) for x in c] + [0] * (phi - len(c)))
+        self.den = den
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def from_rational(cls, q, order: int = 1) -> "Cyclo":
-        v = [Fraction(q)] + [Fraction(0)] * (euler_phi(order) - 1)
-        return cls(order, v)
+        q = Fraction(q)
+        return _make(order, [q.numerator] + [0] * (euler_phi(order) - 1), q.denominator)
 
     @classmethod
     def zero(cls, order: int = 1) -> "Cyclo":
@@ -156,28 +113,30 @@ class Cyclo:
 
     @classmethod
     def root_of_unity(cls, order: int, power: int = 1) -> "Cyclo":
-        return cls(order, _power_basis(order, power))
+        return _make(order, _power_basis(order, power), 1)
 
     # -- promotion and coercion ---------------------------------------
+
+    def _substitute(self, order: int, step: int) -> "Cyclo":
+        """self with zeta_{self.order} -> zeta_order^step."""
+        out = [0] * euler_phi(order)
+        for k, c in enumerate(self.nums):
+            if c:
+                for i, b in enumerate(_power_basis(order, k * step % order)):
+                    if b:
+                        out[i] += c * b
+        return _make(order, out, self.den)
 
     def promote(self, order: int) -> "Cyclo":
         if order == self.order:
             return self
         if order % self.order != 0:
             raise ValueError(f"cannot embed Q(z{self.order}) into Q(z{order})")
-        step = order // self.order
-        phi = euler_phi(order)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
-            if c:
-                basis = _power_basis(order, k * step)
-                for i, b in enumerate(basis):
-                    out[i] += c * b
-        return Cyclo(order, out)
+        return self._substitute(order, order // self.order)
 
     def _pair(self, other):
         if isinstance(other, Cyclo):
-            n = self.order * other.order // gcd(self.order, other.order)
+            n = lcm(self.order, other.order)
             return self.promote(n), other.promote(n)
         if isinstance(other, (int, Fraction)):
             return self, Cyclo.from_rational(other, self.order)
@@ -186,30 +145,30 @@ class Cyclo:
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def items(self):
         """Nonzero (power, rational) pairs in ascending power order."""
-        return [(k, c) for k, c in enumerate(self.coeffs) if c]
+        return [(k, Fraction(c, self.den)) for k, c in enumerate(self.nums) if c]
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return self.nums[0] == other * self.den and self.is_rational()
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     # -- arithmetic -----------------------------------------------------
 
@@ -217,18 +176,20 @@ class Cyclo:
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        return Cyclo(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return _make(a.order, [x * b.den + y * a.den for x, y in zip(a.nums, b.nums)],
+                     a.den * b.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, [-x for x in self.coeffs])
+        return _make(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        return Cyclo(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        return _make(a.order, [x * b.den - y * a.den for x, y in zip(a.nums, b.nums)],
+                     a.den * b.den)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -237,27 +198,38 @@ class Cyclo:
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
-        prod = _poly_mul(list(a.coeffs), list(b.coeffs))
-        _, r = _poly_divmod(prod, list(cyclotomic_polynomial(a.order)))
-        return Cyclo(a.order, r)
+        prod = [0] * (2 * len(a.nums) - 1)
+        for i, x in enumerate(a.nums):
+            if x:
+                for j, y in enumerate(b.nums):
+                    if y:
+                        prod[i + j] += x * y
+        _, r = _divmod_monic(prod, cyclotomic_polynomial(a.order))
+        return _make(a.order, r, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if self.is_zero():
             raise ZeroDivisionError("cyclotomic division by zero")
-        g, s, _ = _poly_ext_gcd(list(self.coeffs), list(cyclotomic_polynomial(self.order)))
-        # g is a nonzero constant since the modulus is irreducible over Q
-        assert len(g) == 1
-        inv = [c / g[0] for c in s]
-        _, r = _poly_divmod(inv, list(cyclotomic_polynomial(self.order)))
-        return Cyclo(self.order, r)
+        n = self.order
+        conj = Cyclo.one(n)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = conj * self._substitute(n, k)
+        norm = self * conj
+        # the norm is Galois-invariant, hence rational, and nonzero
+        assert norm.is_rational() and norm.nums[0], f"norm of {self} is {norm}"
+        sign = 1 if norm.nums[0] > 0 else -1
+        return _make(n, [sign * norm.den * x for x in conj.nums], conj.den * abs(norm.nums[0]))
 
     def __truediv__(self, other):
-        a, b = self._pair(other)
-        if b is None:
+        # invert in the divisor's own field: it has the fewest conjugates
+        if isinstance(other, (int, Fraction)):
+            other = Cyclo.from_rational(other)
+        if not isinstance(other, Cyclo):
             return NotImplemented
-        return a * b.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         if not isinstance(other, (int, Fraction)):

@@ -144,6 +144,21 @@ def test_malformed_virdim_insertions_exit_2(quintic_config, tmp_path, capsys, in
     assert "virdim.insertions:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("g", 0.9), ("g", True), ("g", -1),
+                                         ("r", 2.7), ("r", -3)],
+                         ids=["g_float", "g_bool", "g_negative", "r_float", "r_negative"])
+def test_malformed_virdim_genus_or_points_exit_2(quintic_config, tmp_path, capsys,
+                                                 field, value):
+    """The genus and the number of marked points are non-negative integers;
+    a float is not truncated and a bool is not read as 0 or 1."""
+    config = json.loads(quintic_config.read_text())
+    config["virdim"][field] = value
+    path = tmp_path / "virdim.json"
+    path.write_text(json.dumps(config))
+    assert _run(["virdim", path, "--output", tmp_path / "vd.json"]) == 2
+    assert f"virdim.{field}:" in capsys.readouterr().err
+
+
 def test_chern_verb(tmp_path):
     cfg = tmp_path / "koszul.json"
     cfg.write_text(json.dumps({

@@ -1,0 +1,84 @@
+"""The integer ``Cyclo`` against the Fraction-based reference copy in
+``reference_cyclo``, and the cyclotomic polynomials against sympy."""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from lgck.exactalg.cyclo import Cyclo, cyclotomic_polynomial, euler_phi
+
+import reference_cyclo as ref
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def coefficient_list(draw, order):
+    """Coefficients of a value of the given order: zero, rational or dense."""
+    kind = draw(st.sampled_from(["zero", "rational", "dense", "dense"]))
+    if kind == "zero":
+        return order, []
+    if kind == "rational":
+        return order, [draw(rationals)]
+    return order, draw(st.lists(rationals, min_size=1, max_size=euler_phi(order)))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two values of orders in 1..24 whose joint field Q(zeta_lcm) has
+    degree at most 24: the reference's extended Euclid slows fast with the
+    degree (about a second per division at degree 176)."""
+    m = draw(st.integers(1, 24))
+    n = draw(st.sampled_from([k for k in range(1, 25) if euler_phi(lcm(m, k)) <= 24]))
+    return coefficient_list(draw, m), coefficient_list(draw, n)
+
+
+def results(a, b, q):
+    """a, b and every operation under test on them and the rational q."""
+    out = [a, b, a + b, a - b, a * b, -a, (a + b) - b,
+           a + q, q + a, a - q, q - a, a * q, q * a]
+    if q:
+        out.append(a / q)
+    if b:
+        out += [b.inverse(), a / b, q / b, a * b / b]
+    return out
+
+
+def observe(rs, q):
+    """What a reader of a value sees: its text, order, truth, and equality
+    to the rational q and to the operands (``(a + b) - b`` and ``a * b / b``
+    equal a only if every result is stored in lowest terms)."""
+    return [(str(r), r.order, bool(r), r == q, r == rs[0], r == rs[1]) for r in rs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(operand_pairs(), rationals, st.booleans())
+def test_matches_fraction_reference(pair, q, integral):
+    (a, b), q = pair, round(q) if integral else q
+    new = results(Cyclo(*a), Cyclo(*b), q)
+    old = results(ref.Cyclo(*a), ref.Cyclo(*b), q)
+    assert observe(new, q) == observe(old, q)
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 241):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        got = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in got)
+        assert got == tuple(int(c) for c in want), n
+
+
+@pytest.mark.parametrize("order", [60, 77])
+def test_field_inverse_dense(order):
+    # phi(60) = 16 and phi(77) = 60 coefficients, all drawn nonzero-able
+    rnd = random.Random(order)
+    x = Cyclo(order, [Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+                      for _ in range(euler_phi(order))])
+    assert x * x.inverse() == 1
+    assert (1 / x) * x == 1
