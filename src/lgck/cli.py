@@ -12,72 +12,51 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from .exactalg import MultiPoly
+from .config import (
+    CHARACTERS, COHFT, KOSZUL, KUNNETH, SIMPLICIAL, VIRDIM, ConfigError, boolean,
+    rationals, read_field,
+)
 from .glsm import GlsmModel, check_dagger, semistable_locus, validate
 from .matfact import chern_char, koszul, splitting_degree_check, todd_chern, unit_class
-from .orbifold import GroupElement, inertia_sectors
+from .orbifold import inertia_sectors
 from .simplicial import (
     FinitePosetSheaf,
-    PosetConfigError,
     de_rham_triangle_check,
     godement,
     order_complex_cohomology,
 )
 from .statespace import CONVENTIONS, StateSpace, kunneth_sum
-from .cohft import narrow_sector_data, run_all_checks, virdim
+from .cohft import (cohft_data_from_jsonable, narrow_sector_data, paired_basis_from_state,
+                    run_all_checks, virdim)
 
 # simplicial-demo is sized for Godement levels up to 3, where a discrete poset
 # of MAX_POSET_POINTS points takes about a second; a deeper level is refused.
 MAX_LEVEL_BOUND = 3
 
-VERBS = (
-    "validate", "phases", "sectors", "state-space", "pairing", "unit",
-    "chern", "virdim", "verify-cohft", "simplicial-demo", "kunneth",
-)
 
-
-class ConfigError(Exception):
-    pass
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str, field: str = "config"):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
-    return config
-
-
-def _model_from_config(config: dict) -> GlsmModel:
-    try:
-        return GlsmModel.from_dict(config)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"malformed model config: {exc}") from exc
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(field, f"cannot read {path}: {exc}") from exc
 
 
 def _parse_character(config: dict, spec_text: str | None, model: GlsmModel):
     if spec_text is None:
         return model.nu
-    named = config.get("characters", {})
-    if not isinstance(named, dict):
-        raise ConfigError("malformed characters: expected an object of named characters")
+    named = read_field(config, "characters", CHARACTERS, {})
     if spec_text in named:
-        field, pieces = f"characters.{spec_text}", named[spec_text]
+        field, character = f"characters.{spec_text}", named[spec_text]
+    elif spec_text.isidentifier():
+        raise ConfigError("characters", f"has no character named {spec_text!r}")
     else:
-        field, pieces = "--character", spec_text.split(",")
-    try:
-        if not isinstance(pieces, list):
-            raise ValueError("expected a list of rationals")
-        character = [Fraction(str(x)) for x in pieces]
-        if model.torus_rank and len(character) != model.torus_rank:
-            raise ValueError(f"expected {model.torus_rank} rationals, got {len(character)}")
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed {field}: {exc}") from exc
+        field = "--character"
+        character = read_field({field: spec_text.split(",")}, field, rationals)
+    if model.torus_rank and len(character) != model.torus_rank:
+        raise ConfigError(field, f"expected {model.torus_rank} rationals, one per torus "
+                                 f"factor, got {len(character)}")
     return character
 
 
@@ -93,8 +72,8 @@ def _emit(report: dict, summary: str, output: str | None) -> None:
 
 
 def _cmd_validate(args, config):
-    model = _model_from_config(config)
-    rep = validate(model, require_tail_regime=bool(config.get("tail_regime")))
+    model = GlsmModel.from_dict(config)
+    rep = validate(model, require_tail_regime=read_field(config, "tail_regime", boolean, False))
     report = {"command": "validate", "checks": rep.to_jsonable(),
               "passed": rep.passed}
     _emit(report, f"validate: {'ok' if rep.passed else 'FAILED'}", args.output)
@@ -102,7 +81,7 @@ def _cmd_validate(args, config):
 
 
 def _cmd_phases(args, config):
-    model = _model_from_config(config)
+    model = GlsmModel.from_dict(config)
     character = _parse_character(config, args.character, model)
     phase = semistable_locus(model, character)
     dagger = check_dagger(model)
@@ -116,7 +95,7 @@ def _cmd_phases(args, config):
 
 
 def _cmd_sectors(args, config):
-    model = _model_from_config(config)
+    model = GlsmModel.from_dict(config)
     sectors = inertia_sectors(model, args.group_order_bound)
     report = {
         "command": "sectors",
@@ -128,7 +107,7 @@ def _cmd_sectors(args, config):
 
 
 def _cmd_state_space(args, config):
-    model = _model_from_config(config)
+    model = GlsmModel.from_dict(config)
     state = StateSpace(model, args.group_order_bound)
     body = state.to_jsonable()
     body["command"] = "state-space"
@@ -139,7 +118,7 @@ def _cmd_state_space(args, config):
 
 
 def _cmd_pairing(args, config):
-    model = _model_from_config(config)
+    model = GlsmModel.from_dict(config)
     state = StateSpace(model, args.group_order_bound)
     sectors = []
     for sec in state.sectors:
@@ -156,7 +135,7 @@ def _cmd_pairing(args, config):
 
 
 def _cmd_unit(args, config):
-    model = _model_from_config(config)
+    model = GlsmModel.from_dict(config)
     u = unit_class(model)
     report = {"command": "unit", "conventions": CONVENTIONS,
               "unit": u.to_jsonable()}
@@ -166,26 +145,11 @@ def _cmd_unit(args, config):
 
 
 def _cmd_chern(args, config):
-    data = config.get("koszul")
-    if not isinstance(data, dict):
-        raise ConfigError("malformed koszul: chern needs a {variables, tau, sigma} object")
-    variables = data.get("variables")
-    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
-            and len(set(variables)) == len(variables)):
-        raise ConfigError("malformed koszul.variables: expected a list of unique names")
-    polys = {}
-    for key in ("tau", "sigma"):
-        try:
-            texts = data.get(key)
-            if not (isinstance(texts, list) and all(isinstance(t, str) for t in texts)):
-                raise ValueError("expected a list of polynomial strings")
-            polys[key] = [MultiPoly.parse(t, variables) for t in texts]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"malformed koszul.{key}: {exc}") from exc
-    if len(polys["sigma"]) != len(polys["tau"]):
-        raise ConfigError(f"malformed koszul.sigma: expected {len(polys['tau'])} "
-                          "entries, one per tau entry")
-    fact = koszul(polys["tau"], polys["sigma"])
+    block = read_field(config, "koszul", KOSZUL)
+    if len(block["sigma"]) != len(block["tau"]):
+        raise ConfigError("koszul.sigma", f"expected {len(block['tau'])} entries, "
+                                          "one per tau entry")
+    fact = koszul(block["tau"], block["sigma"])
     ch = chern_char(fact)
     report = {
         "command": "chern",
@@ -200,50 +164,29 @@ def _cmd_chern(args, config):
 
 
 def _cmd_virdim(args, config):
-    model = _model_from_config(config)
-    block = config.get("virdim")
-    if not block or not isinstance(block, dict):
-        raise ConfigError("virdim needs a 'virdim': {g, r, d_pairing, insertions} block")
-    n, insertions = len(model.variables), block.get("insertions")
-    try:
-        if not (isinstance(insertions, list) and all(
-                isinstance(ins, list) and len(ins) == n for ins in insertions)):
-            raise ValueError(f"expected a list of insertions of {n} rationals each")
-        insertions = [GroupElement([Fraction(str(p)) for p in ins]) for ins in insertions]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed virdim.insertions: {exc}") from exc
-    g, r = block.get("g"), block.get("r", len(insertions))
-    for key, value in (("g", g), ("r", r)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-            raise ConfigError(f"malformed virdim.{key}: expected a non-negative integer, "
-                              f"got {value!r}")
-    try:
-        d_pairing = Fraction(str(block.get("d_pairing", 0)))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"malformed virdim block: {exc}") from exc
-    value = virdim(model, g, r, d_pairing, insertions)
+    model = GlsmModel.from_dict(config)
+    block = read_field(config, "virdim", VIRDIM)
+    insertions, n = block["insertions"], model.n_vars
+    if any(len(ins) != n for ins in insertions):
+        raise ConfigError("virdim.insertions", f"expected insertions of {n} rationals each, "
+                                               "one per name in variables")
+    g, r = block["g"], len(insertions) if block["r"] is None else block["r"]
+    value = virdim(model, g, r, block["d_pairing"], insertions)
     report = {"command": "virdim", "g": g, "r": r,
-              "d_pairing": str(d_pairing), "value": str(value)}
+              "d_pairing": str(block["d_pairing"]), "value": str(value)}
     _emit(report, f"virdim = {value}", args.output)
     return 0
 
 
 def _cmd_verify_cohft(args, config):
-    model = _model_from_config(config)
+    model = GlsmModel.from_dict(config)
+    block = read_field(config, "cohft", COHFT, {"tables": None})
     state = StateSpace(model, args.group_order_bound)
-    block = config.get("cohft", {})
-    if not isinstance(block, dict) or not isinstance(block.get("tables", {}), dict):
-        raise ConfigError("malformed cohft: expected an object with a 'tables' object")
-    if "tables" in block:
-        from .cohft import cohft_data_from_jsonable, paired_basis_from_state
-        basis = paired_basis_from_state(
-            state, narrow_only=block.get("basis", "narrow") == "narrow")
-        try:
-            data = cohft_data_from_jsonable(basis, block["tables"])
-        except ValueError as exc:
-            raise ConfigError(f"malformed cohft.tables.{exc}") from exc
-    else:
+    if block["tables"] is None:
         data = narrow_sector_data(model, state)
+    else:
+        basis = paired_basis_from_state(state, narrow_only=block["basis"] == "narrow")
+        data = cohft_data_from_jsonable(basis, block["tables"])
     results = run_all_checks(data)
     counts = {name: [len(entries), sum(1 for e in entries if not e["pass"])]
               for name, entries in results.items() if isinstance(entries, list)}
@@ -280,17 +223,11 @@ def _builtin_posets():
 
 
 def _cmd_simplicial_demo(args, config):
-    block = config.get("simplicial", {})
-    if not isinstance(block, dict):
-        raise ConfigError("malformed simplicial: expected an object")
-    if "poset" in block:
-        try:
-            sheaf = FinitePosetSheaf.from_dict(block["poset"])
-        except PosetConfigError as exc:
-            raise ConfigError(f"malformed simplicial.poset.{exc}") from exc
-        sheaves = {block["poset"].get("name", "custom"): sheaf}
-    else:
+    poset = read_field(config, "simplicial", SIMPLICIAL, {"poset": None})["poset"]
+    if poset is None:
         sheaves = _builtin_posets()
+    else:
+        sheaves = {poset.get("name", "custom"): FinitePosetSheaf.from_dict(poset)}
     levels = args.level_bound
     degree_bound = max(args.degree_bound, levels)
     out = {}
@@ -318,14 +255,9 @@ def _cmd_simplicial_demo(args, config):
 
 
 def _cmd_kunneth(args, config):
-    block = config.get("kunneth")
-    if not isinstance(block, dict) or "other_model" not in block:
-        raise ConfigError("malformed kunneth: expected a {other_model: path} object")
-    path = block["other_model"]
-    if not isinstance(path, str):
-        raise ConfigError("malformed kunneth.other_model: expected a path string")
-    model1 = _model_from_config(config)
-    model2 = _model_from_config(_load_config(path))
+    path = read_field(config, "kunneth", KUNNETH)["other_model"]
+    model1 = GlsmModel.from_dict(config)
+    model2 = GlsmModel.from_dict(_load_config(path, "kunneth.other_model"))
     combined, state, witness = kunneth_sum(model1, model2)
     report = {
         "command": "kunneth",
@@ -359,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact Landau-Ginzburg state spaces, factorization "
                     "Chern characters, and CohFT axiom checks",
     )
-    parser.add_argument("verb", choices=VERBS)
+    parser.add_argument("verb", choices=_HANDLERS)
     parser.add_argument("config", help="model/config JSON path")
     parser.add_argument("--output", help="write the JSON report here")
     parser.add_argument("--character",
@@ -390,7 +322,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

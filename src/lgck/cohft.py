@@ -25,7 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
 
-from .exactalg import Cyclo, MultiPoly
+from .config import COHFT_TABLES, ConfigError, read
+from .exactalg import Cyclo
 from .exactalg.linalg import inverse as mat_inverse, mat_mul
 from .glsm import GlsmModel
 from .orbifold import GroupElement
@@ -168,13 +169,9 @@ class CohftData:
     omega03: dict              # (i, j, k) -> Cyclo
     omega04: dict              # (i, j, k, l) -> (Cyclo, Cyclo)
     omega11: dict              # (i,) -> (Cyclo, Cyclo)
-    boundary_pullbacks: dict = field(default_factory=lambda: {
-        "tree_12_34": (Fraction(1), Fraction(0)),
-        "tree_13_24": (Fraction(1), Fraction(0)),
-        "tree_14_23": (Fraction(1), Fraction(0)),
-        "loop": (Fraction(1), Fraction(0)),
-        "forget": (Fraction(1), Fraction(0)),
-    })
+    boundary_pullbacks: dict = field(default_factory=lambda: dict.fromkeys(
+        ("tree_12_34", "tree_13_24", "tree_14_23", "loop", "forget"),
+        (Fraction(1), Fraction(0))))
 
     def o3(self, i, j, k) -> Cyclo:
         return self.omega03.get((i, j, k), _ZERO)
@@ -431,79 +428,24 @@ def axiom_seeded_data(basis: PairedBasis, unit_vector,
     return data
 
 
-def _parse_scalar(field: str, text) -> Cyclo:
-    """A constant (string or integer) in the cyclotomic coefficient grammar."""
-    if type(text) not in (str, int):
-        raise ValueError(f"{field}: expected a constant, got {text!r}")
-    try:
-        return MultiPoly.parse(str(text), ()).constant_term()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{field}: {text!r} is not a constant: {exc}") from exc
-
-
-def _parse_rational(field: str, text) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{field}: {exc}") from exc
-
-
-def _parse_table(obj: dict, field: str, arity: int, n: int, pair: bool) -> dict:
-    """Entries {"key": [arity basis indices], "value": scalar or [c0, c2]}."""
-    entries = obj.get(field, [])
-    if not isinstance(entries, list):
-        raise ValueError(f"{field}: expected a list of entries")
-    table = {}
-    for e in entries:
-        key, value = (e.get("key"), e.get("value")) if isinstance(e, dict) else (None, None)
-        if not (isinstance(key, list) and len(key) == arity
-                and all(type(i) is int and 0 <= i < n for i in key)):
-            raise ValueError(f"{field}: key {key!r} must be {arity} basis indices "
-                             f"in 0..{n - 1}")
-        if tuple(key) in table:
-            raise ValueError(f"{field}: key {key!r} appears twice")
-        if not pair:
-            table[tuple(key)] = _parse_scalar(field, value)
-        elif isinstance(value, list) and len(value) == 2:
-            table[tuple(key)] = (_parse_scalar(field, value[0]),
-                                 _parse_scalar(field, value[1]))
-        else:
-            raise ValueError(f"{field}: value {value!r} must be [c0, c2]")
-    return table
-
-
 def cohft_data_from_jsonable(basis: PairedBasis, obj: dict) -> CohftData:
-    """Load user-supplied correlator tables keyed by basis-index tuples.
-
-    Schema: {"unit": [...], "shift_genus0": "-6",
-             "omega03": [{"key": [i,j,k], "value": "c"}],
-             "omega04": [{"key": [...], "value": ["c0", "c2"]}],
-             "omega11": [{"key": [i], "value": ["c0", "c2"]}],
-             "boundary_pullbacks": {"tree_12_34": ["1", "0"], ...}}
-    Scalars are constants (strings or integers) in the cyclotomic
-    coefficient grammar, e.g. "(3/2)*z5^2"; keys are lists of 3, 4 or 1
-    integers in 0..dim-1.  A malformed field raises ValueError naming it.
-    """
-    n = basis.dimension
-    unit = obj.get("unit")
-    if not (isinstance(unit, list) and len(unit) == n):
-        raise ValueError(f"unit: expected a list of {n} constants")
-    unit = [_parse_scalar("unit", c) for c in unit]
-    shift = _parse_rational("shift_genus0", obj.get("shift_genus0", 0))
-    data = CohftData(basis, unit, shift, _parse_table(obj, "omega03", 3, n, False),
-                     _parse_table(obj, "omega04", 4, n, True),
-                     _parse_table(obj, "omega11", 1, n, True))
-    pullbacks = obj.get("boundary_pullbacks", {})
-    if not isinstance(pullbacks, dict):
-        raise ValueError("boundary_pullbacks: expected an object")
-    for name, pair in pullbacks.items():
-        field_name = f"boundary_pullbacks.{name}"
+    """Load user-supplied correlator tables keyed by basis-index tuples: the
+    ``cohft.tables`` block, read by ``config.COHFT_TABLES``.  A malformed
+    field raises ConfigError naming its path."""
+    path, n = "cohft.tables", basis.dimension
+    t = read(COHFT_TABLES, obj, path)
+    if len(t["unit"]) != n:
+        raise ConfigError(f"{path}.unit", f"expected {n} constants, one per basis element")
+    for name in ("omega03", "omega04", "omega11"):
+        for key in t[name]:
+            if max(key) >= n:
+                raise ConfigError(f"{path}.{name}", f"key {list(key)}: indices must be below {n}")
+    data = CohftData(basis, t["unit"], t["shift_genus0"], t["omega03"], t["omega04"],
+                     t["omega11"])
+    for name, pullback in t["boundary_pullbacks"].items():
         if name not in data.boundary_pullbacks:
-            raise ValueError(f"{field_name}: unknown boundary pullback")
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{field_name}: expected [c0, c2]")
-        data.boundary_pullbacks[name] = (_parse_rational(field_name, pair[0]),
-                                         _parse_rational(field_name, pair[1]))
+            raise ConfigError(f"{path}.boundary_pullbacks.{name}", "unknown boundary pullback")
+        data.boundary_pullbacks[name] = pullback
     return data
 
 

@@ -88,13 +88,12 @@ class Cyclo:
     __hash__ = None  # mutable-free but not meant for dict keys
 
     def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in list(coeffs)[:phi]]
-        # the lcm of reduced denominators leaves the numerators coprime to it
+        """sum_k coeffs[k] zeta_order^k, reduced modulo Phi_order."""
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
         den = lcm(*(x.denominator for x in c))
-        self.order = order
-        self.nums = tuple([x.numerator * (den // x.denominator) for x in c] + [0] * (phi - len(c)))
-        self.den = den
+        nums = [x.numerator * (den // x.denominator) for x in c]
+        value = _make(order, _divmod_monic(nums, cyclotomic_polynomial(order))[1], den)
+        self.order, self.nums, self.den = value.order, value.nums, value.den
 
     # -- constructors ------------------------------------------------
 

@@ -304,7 +304,7 @@ class MultiPoly:
                 _check_varname(v)
             for v in seen_vars:
                 if v not in variables:
-                    raise ValueError(f"unexpected variable {v!r}")
+                    raise ValueError(f"variable {v!r} is not in variables {list(variables)}")
         out: dict[tuple[int, ...], Cyclo] = {}
         for powers, coef in raw_terms:
             exp = tuple(powers.get(v, 0) for v in variables)

@@ -29,26 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .config import MODEL, ConfigError, read
 from .exactalg import MultiPoly, exact_lp_cone_membership
 from .exactalg.linalg import rank as mat_rank
 from .exactalg.linalg import solve as lin_solve
-
-
-def _rationals(value, field: str) -> tuple[Fraction, ...]:
-    """A list of rationals, each an integer or a string such as "2/5"."""
-    if not isinstance(value, (list, tuple)) or any(
-            isinstance(x, bool) or not isinstance(x, (int, str, Fraction)) for x in value):
-        raise TypeError(f"{field} must be a list of integers or rational strings")
-    try:
-        return tuple(Fraction(x) for x in value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{field}: {exc}") from exc
-
-
-def _rows(value, field: str) -> tuple[tuple[Fraction, ...], ...]:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{field} must be a list of lists, got {type(value).__name__}")
-    return tuple(_rationals(row, field) for row in value)
 
 
 @dataclass(frozen=True)
@@ -97,29 +81,20 @@ class GlsmModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GlsmModel":
-        variables = data["variables"]
-        if not (isinstance(variables, (list, tuple))
-                and all(isinstance(v, str) for v in variables)):
-            raise TypeError("variables must be a list of names")
-        if not isinstance(data["potential"], str):
-            raise TypeError(f"potential must be a string, got {type(data['potential']).__name__}")
-        potential = MultiPoly.parse(data["potential"], tuple(variables))
-        d_w = data["d_w"]
-        if isinstance(d_w, bool) or not isinstance(d_w, int):
-            raise TypeError(f"d_w must be an integer, got {type(d_w).__name__}")
-        model = cls(
-            variables=tuple(variables),
-            torus_weights=_rows(data.get("torus_weights", []), "torus_weights"),
-            finite_generators=tuple(tuple(x % 1 for x in g) for g in _rows(
-                data.get("finite_generators", []), "finite_generators")),
-            chi=_rationals(data.get("chi", []), "chi"),
-            nu=_rationals(data.get("nu", []), "nu"),
-            r_charges=_rationals(data["r_charges"], "r_charges"),
-            d_w=d_w,
-            potential=potential,
-        )
-        model._check_shapes()
-        return model
+        """Read a model config by ``config.MODEL``; a malformed field raises
+        ConfigError naming it."""
+        f = read(MODEL, data)
+        n, k = len(f["variables"]), len(f["torus_weights"])
+        for key, vectors, want, per in (
+                ("r_charges", [f["r_charges"]], n, "name in variables"),
+                ("chi", [f["chi"]], k, "row of torus_weights"),
+                ("nu", [f["nu"]], k, "row of torus_weights"),
+                ("torus_weights", f["torus_weights"], n, "name in variables"),
+                ("finite_generators", f["finite_generators"], n, "name in variables")):
+            if any(len(v) != want for v in vectors):
+                raise ConfigError(key, f"expected {want} entries, one per {per}")
+        f["finite_generators"] = tuple(tuple(x % 1 for x in g) for g in f["finite_generators"])
+        return cls(**f)
 
     def to_dict(self) -> dict:
         return {
@@ -132,21 +107,6 @@ class GlsmModel:
             "d_w": self.d_w,
             "potential": self.potential.canonical_str(),
         }
-
-    def _check_shapes(self):
-        n = self.n_vars
-        for row in self.torus_weights:
-            if len(row) != n:
-                raise ValueError("torus weight row length != number of variables")
-        for g in self.finite_generators:
-            if len(g) != n:
-                raise ValueError("finite generator length != number of variables")
-        if len(self.chi) != self.torus_rank or len(self.nu) != self.torus_rank:
-            raise ValueError("chi/nu must live in the torus character lattice")
-        if len(self.r_charges) != n:
-            raise ValueError("r_charges length != number of variables")
-        if self.d_w <= 0:
-            raise ValueError("d_w must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +236,7 @@ class _ConeTester:
         self.character = [Fraction(x) for x in character]
         self.extra: list[list[Fraction]] = []
         if include_chi_line and model.torus_rank:
-            chi = [Fraction(x) for x in model.chi]
-            self.extra = [chi, [-x for x in chi]]
+            self.extra = [list(model.chi), [-x for x in model.chi]]
         self.memo: dict[frozenset, bool] = {}
 
     def semistable(self, support: frozenset) -> bool:

@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 
+from .config import POSET, ConfigError, read
 from .exactalg import MultiPoly
 from .exactalg.linalg import identity, mat_mul, nullspace, rank, solve
 from .forms import DiffForm
@@ -283,10 +284,10 @@ def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
 # chains out over each: at level 3, 10/11/12 discrete points take 0.8/1.2/1.9 s
 # end to end, of which flasqueness takes 0.14/0.26/0.64 s.
 MAX_POSET_POINTS = 10
-
-
-class PosetConfigError(ValueError):
-    """A malformed poset-sheaf config; the message names the field."""
+# A stalk of dimension d makes d x d identity and restriction matrices at
+# every chain: at level 3 one point of dimension 8/10/12/16 takes
+# 0.7/1.0/1.3/2.2 s end to end (Python 3.11, one core of a 2-core x86-64 host).
+MAX_STALK_DIM = 10
 
 
 class FinitePosetSheaf:
@@ -317,48 +318,31 @@ class FinitePosetSheaf:
         for (a, b), mat in restriction_matrices.items():
             ia, ib = self.index[a], self.index[b]
             if ia == ib or not self.leq[ia][ib]:
-                raise PosetConfigError(
-                    f"restriction_matrices: {a} -> {b} needs {a} < {b} in the order")
+                raise ConfigError("simplicial.poset.restriction_matrices",
+                                  f"{a} -> {b} needs {a} < {b} in the order")
             self.maps[(ia, ib)] = [[Fraction(x) for x in row] for row in mat]
         self._close_maps()
         self._check_functoriality()
 
     @classmethod
     def from_dict(cls, data: dict) -> "FinitePosetSheaf":
-        """Build from a config block; a malformed field raises PosetConfigError."""
-        def check(ok, message):
-            if not ok:
-                raise PosetConfigError(message)
-
-        get = data.get if isinstance(data, dict) else (lambda key, default=None: None)
-        points, pairs, dims = get("points"), get("order_pairs"), get("stalk_dims")
-        items = get("restriction_matrices", [])
-        check(isinstance(points, list) and all(isinstance(p, str) for p in points)
-              and len(set(points)) == len(points), "points: expected a list of unique names")
-        check(len(points) <= MAX_POSET_POINTS,
-              f"points: {len(points)} points exceed the bound {MAX_POSET_POINTS}")
-        check(isinstance(pairs, list) and all(
-            isinstance(p, list) and len(p) == 2 and p[0] in points and p[1] in points
-            for p in pairs), "order_pairs: expected pairs of known points")
-        check(isinstance(dims, list) and len(dims) == len(points) and all(
-            type(d) is int and d >= 0 for d in dims),
-            "stalk_dims: expected one integer >= 0 per point")
-        check(isinstance(items, list) and all(
-            isinstance(m, dict) and m.get("from") in points and m.get("to") in points
-            for m in items), "restriction_matrices: expected 'from' and 'to' points")
-        check(isinstance(get("name", ""), str), "name: expected a string")
-        dim, mats = dict(zip(points, dims)), {}
-        for item in items:
-            a, b, mat = item["from"], item["to"], item.get("matrix")
-            check((a, b) not in mats, f"restriction_matrices: {a} -> {b} given twice")
-            check(isinstance(mat, list) and len(mat) == dim[b] and all(
-                isinstance(row, list) and len(row) == dim[a] for row in mat),
-                f"restriction_matrices: {a} -> {b} must be {dim[b]} x {dim[a]}")
-            try:
-                mats[(a, b)] = [[Fraction(x) for x in row] for row in mat]
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise PosetConfigError(f"restriction_matrices: {a} -> {b}: {exc}") from exc
-        return cls(points, [tuple(p) for p in pairs], dims, mats)
+        """Build from a ``simplicial.poset`` config block, read by
+        ``config.POSET``; a malformed field raises ConfigError naming it."""
+        path = "simplicial.poset"
+        f = read(POSET, data, path)
+        points, dims = f["points"], f["stalk_dims"]
+        if len(points) > MAX_POSET_POINTS:
+            raise ConfigError(f"{path}.points", f"more than {MAX_POSET_POINTS} points")
+        if len(dims) != len(points) or max(dims, default=0) > MAX_STALK_DIM:
+            raise ConfigError(f"{path}.stalk_dims", f"one per point, each at most {MAX_STALK_DIM}")
+        at, dim, mats = f"{path}.restriction_matrices", dict(zip(points, dims)), {}
+        for a, b, mat in f["restriction_matrices"]:
+            if (a, b) in mats:
+                raise ConfigError(at, f"{a} -> {b} given twice")
+            if len(mat) != dim[b] or any(len(row) != dim[a] for row in mat):
+                raise ConfigError(at, f"{a} -> {b} must be {dim[b]} x {dim[a]}")
+            mats[(a, b)] = mat
+        return cls(points, f["order_pairs"], dims, mats)
 
     def _close_maps(self):
         n = len(self.points)

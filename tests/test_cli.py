@@ -5,7 +5,7 @@ import json
 import pytest
 
 from lgck.cli import main
-from lgck.simplicial import MAX_POSET_POINTS
+from lgck.simplicial import MAX_POSET_POINTS, MAX_STALK_DIM
 
 from conftest import make_quintic_glsm, make_quintic_lg
 
@@ -402,6 +402,15 @@ def test_zero_dimensional_stalks(tmp_path, points, dims, matrices, ranks):
     assert triangle["passed"] and triangle["cohomology_ranks"] == ranks
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    """JSON nested past the decoder's recursion limit is an unreadable
+    config, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert _run(["validate", path]) == 2
+    assert "malformed config: cannot read" in capsys.readouterr().err
+
+
 def test_non_object_config_exits_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1]")
@@ -466,3 +475,54 @@ def test_cohft_block_not_object_exits_2(quintic_config, tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert _run(["verify-cohft", path]) == 2
     assert "malformed cohft" in capsys.readouterr().err
+
+
+def _set(config, path, value):
+    *parents, last = path.split(".")
+    for key in parents:
+        config = config[key]
+    config[last] = value
+
+
+@pytest.mark.parametrize("verb, path, value", [
+    *[(verb, "potential", "1/0") for verb in ("validate", "sectors", "phases", "unit", "virdim")],
+    ("validate", "variables", ["x", "x"]),
+    ("sectors", "variables", ["x", "x"]),
+    ("phases", "characters.plus", [1.5]),
+    ("virdim", "virdim.insertions", [[0.2] * 5]),
+    ("virdim", "virdim.d_pairing", 0.5),
+    ("simplicial-demo", "simplicial.poset.restriction_matrices",
+     [{"from": "a", "to": "b", "matrix": [[0.1]]}]),
+    ("validate", "r_charges", ["1e400"] * 5),
+    ("validate", "tail_regime", "false"),
+    ("verify-cohft", "cohft.basis", 5),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_one_reader_refuses(tmp_path, capsys, verb, path, value):
+    """Each field is read by one typed reader: a zero denominator, a repeated
+    variable, a float or a decimal string where a rational belongs, a string
+    where a boolean belongs and an unknown basis name each exit 2 naming the
+    field."""
+    config = make_quintic_lg().to_dict()
+    config.update(characters={"plus": [1]}, tail_regime=False, cohft={"basis": "narrow"},
+                  virdim={"g": 0, "d_pairing": 0, "insertions": [["1/5"] * 5]},
+                  simplicial={"poset": _two_point_poset()})
+    _set(config, path, value)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    args = ["--character", "plus"] if verb == "phases" else []
+    assert _run([verb, cfg, "--output", tmp_path / "out.json", *args]) == 2
+    where = f"model config: {path}" if path in ("potential", "variables", "r_charges") else path
+    assert f"malformed {where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 2)], ids=["at_bound", "above_bound"])
+def test_stalk_dim_budget(tmp_path, capsys, extra, code):
+    """A stalk of MAX_STALK_DIM dimensions runs; one more is refused before
+    any d x d matrix is built."""
+    poset = {"points": ["p"], "order_pairs": [], "stalk_dims": [MAX_STALK_DIM + extra]}
+    cfg = tmp_path / "poset.json"
+    cfg.write_text(json.dumps({"simplicial": {"poset": poset}}))
+    assert _run(["simplicial-demo", cfg, "--level-bound", "1",
+                 "--output", tmp_path / "out.json"]) == code
+    if code:
+        assert "malformed simplicial.poset.stalk_dims:" in capsys.readouterr().err

@@ -82,3 +82,20 @@ def test_field_inverse_dense(order):
                       for _ in range(euler_phi(order))])
     assert x * x.inverse() == 1
     assert (1 / x) * x == 1
+
+
+def test_coefficients_past_phi_are_reduced():
+    """zeta_4^2 = -1 and zeta_1 = 1: a coefficient past phi(N) is reduced
+    modulo Phi_N, not dropped."""
+    assert Cyclo(4, [0, 0, 1]) == -1
+    assert Cyclo(1, [1, 2, 3]) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.lists(rationals, max_size=30))
+def test_long_coefficient_lists_match_reference(order, coeffs):
+    """Cyclo(N, c) is sum_k c_k zeta_N^k, summed in the reference."""
+    want = sum((c * ref.Cyclo.root_of_unity(order, k) for k, c in enumerate(coeffs)),
+               ref.Cyclo.zero(order))
+    got = Cyclo(order, coeffs)
+    assert (str(got), got.order) == (str(want), want.order)
