@@ -18,8 +18,9 @@ from .config import (
     rationals, read_field,
 )
 from .glsm import GlsmModel, check_dagger, semistable_locus, validate
-from .matfact import chern_char, koszul, splitting_degree_check, todd_chern, unit_class
-from .orbifold import inertia_sectors
+from .matfact import (MAX_KOSZUL_RANK, chern_char, koszul, splitting_degree_check,
+                      todd_chern, unit_class)
+from .orbifold import DEFAULT_GROUP_BOUND, inertia_sectors
 from .simplicial import (
     FinitePosetSheaf,
     de_rham_triangle_check,
@@ -60,6 +61,23 @@ def _parse_character(config: dict, spec_text: str | None, model: GlsmModel):
     return character
 
 
+def _validation(config):
+    """The config's model and its ``validate`` report, honouring ``tail_regime``."""
+    model = GlsmModel.from_dict(config)
+    return model, validate(model, read_field(config, "tail_regime", boolean, False))
+
+
+def _valid_model(config) -> GlsmModel:
+    """The config's model; a model that fails ``validate`` is refused before
+    anything is computed on it, naming the first failed check."""
+    model, rep = _validation(config)
+    for c in rep.checks:
+        if not c.passed:
+            raise ValueError(f"model fails validate check {c.name}"
+                             + (f": {c.detail}" if c.detail else ""))
+    return model
+
+
 def _emit(report: dict, summary: str, output: str | None) -> None:
     report.setdefault("conventions", CONVENTIONS)  # reports are self-describing
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -72,8 +90,7 @@ def _emit(report: dict, summary: str, output: str | None) -> None:
 
 
 def _cmd_validate(args, config):
-    model = GlsmModel.from_dict(config)
-    rep = validate(model, require_tail_regime=read_field(config, "tail_regime", boolean, False))
+    _, rep = _validation(config)
     report = {"command": "validate", "checks": rep.to_jsonable(),
               "passed": rep.passed}
     _emit(report, f"validate: {'ok' if rep.passed else 'FAILED'}", args.output)
@@ -81,7 +98,7 @@ def _cmd_validate(args, config):
 
 
 def _cmd_phases(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     character = _parse_character(config, args.character, model)
     phase = semistable_locus(model, character)
     dagger = check_dagger(model)
@@ -95,7 +112,7 @@ def _cmd_phases(args, config):
 
 
 def _cmd_sectors(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     sectors = inertia_sectors(model, args.group_order_bound)
     report = {
         "command": "sectors",
@@ -107,7 +124,7 @@ def _cmd_sectors(args, config):
 
 
 def _cmd_state_space(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     state = StateSpace(model, args.group_order_bound)
     body = state.to_jsonable()
     body["command"] = "state-space"
@@ -118,7 +135,7 @@ def _cmd_state_space(args, config):
 
 
 def _cmd_pairing(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     state = StateSpace(model, args.group_order_bound)
     sectors = []
     for sec in state.sectors:
@@ -135,7 +152,7 @@ def _cmd_pairing(args, config):
 
 
 def _cmd_unit(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     u = unit_class(model)
     report = {"command": "unit", "conventions": CONVENTIONS,
               "unit": u.to_jsonable()}
@@ -146,6 +163,9 @@ def _cmd_unit(args, config):
 
 def _cmd_chern(args, config):
     block = read_field(config, "koszul", KOSZUL)
+    if len(block["tau"]) > MAX_KOSZUL_RANK:
+        raise ConfigError("koszul.tau", f"more than {MAX_KOSZUL_RANK} entries, the Koszul "
+                                        "rank budget")
     if len(block["sigma"]) != len(block["tau"]):
         raise ConfigError("koszul.sigma", f"expected {len(block['tau'])} entries, "
                                           "one per tau entry")
@@ -164,7 +184,7 @@ def _cmd_chern(args, config):
 
 
 def _cmd_virdim(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     block = read_field(config, "virdim", VIRDIM)
     insertions, n = block["insertions"], model.n_vars
     if any(len(ins) != n for ins in insertions):
@@ -179,7 +199,7 @@ def _cmd_virdim(args, config):
 
 
 def _cmd_verify_cohft(args, config):
-    model = GlsmModel.from_dict(config)
+    model = _valid_model(config)
     block = read_field(config, "cohft", COHFT, {"tables": None})
     state = StateSpace(model, args.group_order_bound)
     if block["tables"] is None:
@@ -256,8 +276,8 @@ def _cmd_simplicial_demo(args, config):
 
 def _cmd_kunneth(args, config):
     path = read_field(config, "kunneth", KUNNETH)["other_model"]
-    model1 = GlsmModel.from_dict(config)
-    model2 = GlsmModel.from_dict(_load_config(path, "kunneth.other_model"))
+    model1 = _valid_model(config)
+    model2 = _valid_model(_load_config(path, "kunneth.other_model"))
     combined, state, witness = kunneth_sum(model1, model2)
     report = {
         "command": "kunneth",
@@ -299,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "'characters' table or comma-separated rationals")
     parser.add_argument("--level-bound", type=int, default=MAX_LEVEL_BOUND)
     parser.add_argument("--degree-bound", type=int, default=6)
-    parser.add_argument("--group-order-bound", type=int, default=10 ** 6)
+    parser.add_argument("--group-order-bound", type=int, default=DEFAULT_GROUP_BOUND)
     return parser
 
 

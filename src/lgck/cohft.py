@@ -355,12 +355,11 @@ def run_all_checks(data: CohftData) -> dict:
 # generators: Frobenius toys and axiom-forced tables
 
 
-def frobenius_toy(labels, degrees, trace, mult_table,
-                  unit_index: int = 0, central_charge=None) -> CohftData:
+def frobenius_toy(labels, degrees, trace, mult_table, central_charge=None) -> CohftData:
     """A cohomological field theory from a finite commutative Frobenius
     algebra: three/four-point tables are traces of products, the (1,1)
     table is the handle trace.  All elements live in one self-inverse
-    sector with even parity."""
+    sector with even parity; the first basis element is the unit."""
     n = len(labels)
     key = "1"
     trace = [c if isinstance(c, Cyclo) else Cyclo.from_rational(c) for c in trace]
@@ -393,7 +392,7 @@ def frobenius_toy(labels, degrees, trace, mult_table,
     omega04 = {(i, j, k, l): (v, zero) for i, j, k, l in iproduct(range(n), repeat=4)
                if (v := eps(mul(mul(e[i], e[j]), mul(e[k], e[l]))))}
     # handle trace via the Casimir element
-    data = CohftData(basis, list(e[unit_index]),
+    data = CohftData(basis, list(e[0]),
                      -2 * Fraction(central_charge), omega03, omega04, {})
     data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
                     if (v := _handle_trace(data, basis.casimir, g))}

@@ -5,7 +5,8 @@ A block is read by walking its field table: key -> (spec, default), with
 "*" for an object of named entries) or a reader taking the JSON value and
 the fields of its block read so far.  ``read`` names the dotted path of
 the first bad field in one ``ConfigError``; checks that need computed data
-raise it where that data lives.
+raise it where that data lives.  A key that a block's table does not list
+is refused; the top level stays open, because the verbs share it.
 
 A rational is an integer or a string "p" or "p/q" such as "-2/5"; a float,
 a boolean or a decimal string is refused.
@@ -116,6 +117,9 @@ def read(table: dict, data, path: str = "") -> dict:
         raise ConfigError(path, f"{type(data).__name__} is not a JSON object")
     if "*" in table:
         table = dict.fromkeys(data, table["*"])
+    unknown = [key for key in data if key not in table]
+    if path and unknown:  # the top level stays open: the verbs share it
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
     got = {}
     for key, (spec, default) in table.items():
         at = f"{path}.{key}" if path else key

@@ -24,7 +24,7 @@ import heapq
 from operator import le
 
 from .cyclo import Cyclo
-from .poly import MultiPoly, drl_key
+from .poly import MultiPoly, accumulate, drl_key
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -220,8 +220,8 @@ class PolyIdeal:
             out: dict[tuple[int, ...], Cyclo] = {}
             for t, c in up:
                 for s, d in memo[t].items():
-                    out[s] = out[s] + c * d if s in out else c * d
-            memo[e] = {s: c for s, c in out.items() if c}
+                    accumulate(out, s, c * d)
+            memo[e] = out
         return memo[tuple(exp)]
 
     def leading_exponents(self) -> list[tuple[int, ...]]:

@@ -1,6 +1,9 @@
 """Sparse multivariate polynomials over cyclotomic fields.
 
-A polynomial maps exponent tuples to nonzero ``Cyclo`` coefficients.  The
+A polynomial maps exponent tuples to ``Cyclo`` coefficients, and no stored
+coefficient is zero.  Every sum of terms, here and in the forms and cdga
+elements built on top, goes through ``accumulate``, which keeps that
+invariant by dropping an entry whose sum cancels.  The
 text grammar is: terms ``c*x1^a1*...*xn^an`` joined by ``+``/``-``, with
 cyclotomic coefficients written as products of a rational and a root of
 unity, e.g. ``(3/2)*z5^2*x^2*y``.  Printing expands each cyclotomic
@@ -28,6 +31,16 @@ MAX_CYCLO_ORDER = 1024  # largest N of a parsed root of unity zN
 def drl_key(exp: tuple[int, ...]):
     """Sort key realizing degree-reverse-lexicographic order (larger = bigger)."""
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def accumulate(out: dict, key, c) -> None:
+    """out[key] += c, dropping the entry when the sum is zero."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if s.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = s
 
 
 def _check_varname(name: str):
@@ -134,11 +147,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(a.terms)
         for exp, c in b.terms.items():
-            s = out.get(exp, Cyclo.zero()) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            accumulate(out, exp, c)
         return MultiPoly(a.variables, out)
 
     __radd__ = __add__
@@ -162,12 +171,7 @@ class MultiPoly:
         out: dict[tuple[int, ...], Cyclo] = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Cyclo.zero()) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return MultiPoly(a.variables, out)
 
     __rmul__ = __mul__
@@ -307,12 +311,7 @@ class MultiPoly:
                     raise ValueError(f"variable {v!r} is not in variables {list(variables)}")
         out: dict[tuple[int, ...], Cyclo] = {}
         for powers, coef in raw_terms:
-            exp = tuple(powers.get(v, 0) for v in variables)
-            s = out.get(exp, Cyclo.zero()) + coef
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
+            accumulate(out, tuple(powers.get(v, 0) for v in variables), coef)
         return cls(variables, out)
 
     def canonical_str(self) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactalg import Cyclo, MultiPoly
+from .exactalg.poly import accumulate
 
 
 def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]):
@@ -108,12 +109,7 @@ class DiffForm:
             return NotImplemented
         out = dict(self.terms)
         for idx, p in o.terms.items():
-            s = out.get(idx)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+            accumulate(out, idx, p)
         return DiffForm(self.variables, out)
 
     __radd__ = __add__
@@ -141,14 +137,7 @@ class DiffForm:
                     continue
                 idx, sign = _merge_sign(i1, i2)
                 contrib = p1 * p2
-                if sign < 0:
-                    contrib = -contrib
-                s = out.get(idx)
-                s = contrib if s is None else s + contrib
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
+                accumulate(out, idx, contrib if sign > 0 else -contrib)
         return DiffForm(self.variables, out)
 
     def __mul__(self, other):
@@ -162,18 +151,16 @@ class DiffForm:
         return self._coerce(other).wedge(self)
 
     def exterior_derivative(self) -> "DiffForm":
-        out = DiffForm.zero(self.variables)
+        out: dict[tuple[int, ...], MultiPoly] = {}
         for idx, p in self.terms.items():
             for v_pos, v_name in enumerate(self.variables):
                 if v_pos in idx:
                     continue
                 dp = p.derivative(v_name)
-                if dp.is_zero():
-                    continue
-                merged, sign = _merge_sign((v_pos,), idx)
-                contrib = DiffForm(self.variables, {merged: dp if sign > 0 else -dp})
-                out = out + contrib
-        return out
+                if dp:
+                    merged, sign = _merge_sign((v_pos,), idx)
+                    accumulate(out, merged, dp if sign > 0 else -dp)
+        return DiffForm(self.variables, out)
 
     def __str__(self):
         if not self.terms:

@@ -37,6 +37,7 @@ from math import comb, factorial
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
 from .exactalg.linalg import identity, mat_mul
+from .exactalg.poly import accumulate
 from .forms import DiffForm, _merge_sign, d_of_poly
 from .glsm import GlsmModel, check_dagger
 
@@ -131,6 +132,12 @@ def _subsets(r: int) -> list[tuple[int, ...]]:
     return [s for k in range(r + 1) for s in combinations(range(r), k)]
 
 
+# The Chern character of a rank-r Koszul factorization multiplies 2^r x 2^r
+# form-valued matrices: with tau_i = x_i, sigma_i = x_i + y_i^2, `lgck chern`
+# took 0.4 / 2.7 / 18.9 s end to end at r = 4 / 5 / 6 (Python 3.11, 2 cores).
+MAX_KOSZUL_RANK = 5
+
+
 def koszul(tau, sigma) -> Factorization:
     """Koszul factorization on the exterior algebra of a rank-r free module.
 
@@ -186,30 +193,19 @@ def tensor(f1: Factorization, f2: Factorization, external: bool = False) -> Fact
 # cdga folding
 
 
-def _accumulate(out: dict, k, c) -> None:
-    """out[k] += c, dropping the entry when the sum is zero."""
-    s = out.get(k)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(k, None)
-    else:
-        out[k] = s
-
-
 class Cdga:
     """A finite presentation of a graded-commutative dg algebra over the
     polynomial ring: basis with integer degrees, structure constants,
     and a degree +1 differential.  Consistency (d^2 = 0, graded Leibniz
     and commutativity on basis pairs) is checked at construction."""
 
-    def __init__(self, variables, degrees, unit_index, mult, diff, check: bool = True):
+    def __init__(self, variables, degrees, unit_index, mult, diff):
         self.variables = tuple(variables)
         self.degrees = tuple(degrees)
         self.unit_index = unit_index
         self.mult = mult  # dict[(i, j)] -> list[(k, MultiPoly)]
         self.diff = diff  # dict[i] -> list[(k, MultiPoly)]
-        if check:
-            self._verify()
+        self._verify()
 
     @property
     def dimension(self) -> int:
@@ -221,7 +217,7 @@ class Cdga:
     def add(self, x, y):
         out = dict(x)
         for k, c in y.items():
-            _accumulate(out, k, c)
+            accumulate(out, k, c)
         return out
 
     def scale(self, x, c):
@@ -232,14 +228,14 @@ class Cdga:
         for i, ci in x.items():
             for j, cj in y.items():
                 for k, s in self.mult.get((i, j), []):
-                    _accumulate(out, k, ci * cj * s)
+                    accumulate(out, k, ci * cj * s)
         return out
 
     def apply_diff(self, x):
         out = {}
         for i, ci in x.items():
             for k, s in self.diff.get(i, []):
-                _accumulate(out, k, ci * s)
+                accumulate(out, k, ci * s)
         return out
 
     def _verify(self):

@@ -143,16 +143,14 @@ def whitney_form(indices, n: int) -> DiffForm:
 class CosimplicialModule:
     """Finite-dimensional cosimplicial vector space, levels 0..N."""
 
-    def __init__(self, dims, cofaces, codegens, check: bool = True,
-                 algebra: bool = False):
+    def __init__(self, dims, cofaces, codegens, algebra: bool = False):
         self.dims = list(dims)
         self.top_level = len(self.dims) - 1
         self.cofaces = cofaces      # (n, i): matrix A[n-1] -> A[n], 0 <= i <= n
         self.codegens = codegens    # (n, i): matrix A[n+1] -> A[n], 0 <= i <= n
         # componentwise products with unit (1, ..., 1) at every level
         self.algebra = algebra
-        if check:
-            self._verify_identities()
+        self._verify_identities()
 
     def _verify_identities(self):
         N = self.top_level
@@ -723,7 +721,6 @@ class TriangleReport:
 
 def de_rham_triangle_check(resolution: GodementResolution,
                            oracle_ranks: list[int] | None = None,
-                           compare_top: int | None = None,
                            degree_bound: int | None = None) -> TriangleReport:
     """Verify the triangle relating the Thom-Sullivan inclusion, the
     normalized-cochain inclusion, and integration, on the Whitney span.
@@ -767,8 +764,7 @@ def de_rham_triangle_check(resolution: GodementResolution,
     ranks = norm.cohomology_ranks()
     matches = None
     if oracle_ranks is not None:
-        top = compare_top if compare_top is not None else N - 1
-        matches = ranks[:top + 1] == list(oracle_ranks)[:top + 1]
+        matches = ranks[:N] == list(oracle_ranks)[:N]
     return TriangleReport(True, chain_map, left_inverse, triangle,
                           ranks, oracle_ranks, matches)
 

@@ -23,7 +23,7 @@ from math import lcm
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
 from .exactalg.linalg import sparse_rank
 from .glsm import GlsmModel
-from .orbifold import GroupElement, Sector, inertia_sectors
+from .orbifold import DEFAULT_GROUP_BOUND, GroupElement, Sector, inertia_sectors
 
 CONVENTIONS = {
     "residue_normalization": "res(hessian) = milnor number",
@@ -186,14 +186,6 @@ class SectorSpace:
         }
 
 
-@dataclass
-class SectorElement:
-    """A vector in one sector, in the sector's monomial basis."""
-
-    phases: tuple[Fraction, ...]
-    coefficients: tuple[Cyclo, ...]
-
-
 def sector_space(model: GlsmModel, h: GroupElement,
                  group=None) -> SectorSpace:
     """Invariant Jacobian-ring classes of the restricted potential.
@@ -249,7 +241,7 @@ class StateSpace:
     Groebner basis that is the single monomial socle - e1.
     """
 
-    def __init__(self, model: GlsmModel, bound: int = 10 ** 6):
+    def __init__(self, model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND):
         self.model = model
         self.sectors = inertia_sectors(model, bound)
         self.group = [sec.element for sec in self.sectors]
@@ -275,12 +267,6 @@ class StateSpace:
                 hist[s.degree] = hist.get(s.degree, 0) + s.dimension
         return dict(sorted(hist.items()))
 
-    def basis_element(self, phases, index: int) -> SectorElement:
-        space = self.space(phases)
-        coeffs = [Cyclo.zero()] * space.dimension
-        coeffs[index] = Cyclo.one()
-        return SectorElement(tuple(phases), tuple(coeffs))
-
     # -- the inversion pullback and pairing --------------------------------
 
     def _inversion_scalars(self, space: SectorSpace) -> list[Cyclo]:
@@ -289,29 +275,6 @@ class StateSpace:
         charges = [self.model.r_charges[i] for i in fixed]
         return [_phase_scalar(self.model, sum(c * (a + 1) for c, a in zip(charges, exp)))
                 for exp in space.basis]
-
-    def inv_pullback(self, el: SectorElement) -> SectorElement:
-        """Substitute x -> zeta.x and move the class to the inverse sector."""
-        space = self.space(el.phases)
-        inv_phases = GroupElement(el.phases).inverse().phases
-        if space.narrow:
-            return SectorElement(inv_phases, el.coefficients)
-        scalars = self._inversion_scalars(space)
-        return SectorElement(inv_phases, tuple(
-            c * s for c, s in zip(el.coefficients, scalars)))
-
-    def pairing(self, el1: SectorElement, el2: SectorElement) -> Cyclo:
-        if el1.phases not in self.spaces or el2.phases not in self.spaces:
-            raise ValueError("sector element does not belong to this model")
-        total = Cyclo.zero()
-        if el2.phases != GroupElement(el1.phases).inverse().phases:
-            return total
-        for c1, row in zip(el1.coefficients, self.gram_rows(el1.phases)):
-            if c1:
-                for j, g in row.items():
-                    if el2.coefficients[j]:
-                        total = total + c1 * el2.coefficients[j] * g
-        return total
 
     def gram_rows(self, phases) -> list[dict[int, Cyclo]]:
         """The sector's Gram block as sparse rows over the inverse sector's basis."""

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from lgck.cli import main
+from lgck.glsm import GlsmModel
+from lgck.statespace import StateSpace
 from lgck.simplicial import MAX_POSET_POINTS, MAX_STALK_DIM
 
 from conftest import make_quintic_glsm, make_quintic_lg
@@ -292,15 +294,19 @@ def test_level_bound_above_3_exits_2(tmp_path, capsys):
 
 def test_state_space_rejects_zero_charges(tmp_path, capsys):
     """With every R-charge 0 the potential is not quasi-homogeneous, so the
-    selection rule has no footing: exit 1 with the sector and the reason."""
+    selection rule has no footing: the CLI refuses at validate (exit 1, the
+    check named), and the library names the sector and the reason."""
     bad = make_quintic_lg().to_dict()
     bad["r_charges"] = [0] * 5
     path = tmp_path / "zero_charges.json"
     path.write_text(json.dumps(bad))
     assert _run(["validate", path]) == 1
     assert _run(["state-space", path]) == 1
-    err = capsys.readouterr().err
-    assert "sector (0,0,0,0,0)" in err and "not quasi-homogeneous" in err
+    assert "quasi_homogeneous" in capsys.readouterr().err
+    with pytest.raises(ValueError) as exc:
+        StateSpace(GlsmModel.from_dict(bad))
+    assert "sector (0,0,0,0,0)" in str(exc.value)
+    assert "not quasi-homogeneous" in str(exc.value)
 
 
 def test_non_string_potential_exits_2(tmp_path, capsys):
@@ -526,3 +532,72 @@ def test_stalk_dim_budget(tmp_path, capsys, extra, code):
                  "--output", tmp_path / "out.json"]) == code
     if code:
         assert "malformed simplicial.poset.stalk_dims:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, verbs, check", [
+    ({"finite_generators": [["1/1009", "0", "0", "0", "0"]]}, ["sectors", "state-space"],
+     "finite_generator_0_invariance"),
+    ({"d_w": 7}, ["sectors"], "quasi_homogeneous"),
+], ids=["generator_not_a_symmetry", "wrong_d_w"])
+def test_model_verbs_validate_first(tmp_path, capsys, change, verbs, check):
+    """A model that validate rejects gets no report from a compute verb: exit 1
+    naming the first failed check, before the group is enumerated."""
+    config = make_quintic_lg().to_dict()
+    config.update(change)
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(config))
+    for verb in verbs:
+        assert _run([verb, path, "--output", tmp_path / "out.json"]) == 1
+        assert check in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("verb, path", [
+    ("virdim", "virdim.d_pairing"),
+    ("chern", "koszul.sigma"),
+    ("verify-cohft", "cohft.basis"),
+    ("verify-cohft", "cohft.tables.omega03"),
+    ("simplicial-demo", "simplicial.poset"),
+    ("simplicial-demo", "simplicial.poset.stalk_dims"),
+    ("kunneth", "kunneth.other_model"),
+], ids=lambda v: v.replace("-", "_"))
+def test_unknown_key_in_block_exits_2(tmp_path, capsys, verb, path):
+    """A key that a block does not list is a misspelling, not a default: the
+    config that runs without it exits 2 with it, naming the block and the key.
+    The top level stays open."""
+    from test_cohft import _tables_jsonable
+    from test_config_fuzz import base_config
+    from lgck.cohft import narrow_sector_data
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**base_config(""), "variables": ["u", "v"],
+                                 "potential": "u^3 + v^3"}))
+    config = base_config(str(other))
+    model = GlsmModel.from_dict(config)
+    config["cohft"]["tables"] = _tables_jsonable(narrow_sector_data(model, StateSpace(model)))
+    config["comment"] = "a top-level key that no verb reads"
+    block, key = path.rsplit(".", 1)
+    node = config
+    for part in block.split("."):
+        node = node[part]
+    node[key + "x"] = node[key]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    args = ["--level-bound", "1"] if verb == "simplicial-demo" else []
+    assert _run([verb, cfg, "--output", tmp_path / "out.json", *args]) == 2
+    assert f"malformed {block}.{key}x: unknown field" in capsys.readouterr().err
+
+
+def _koszul_rank(r):
+    xs, ys = [f"x{i}" for i in range(r)], [f"y{i}" for i in range(r)]
+    return {"variables": xs + ys, "tau": xs, "sigma": [f"{x}+{y}^2" for x, y in zip(xs, ys)]}
+
+
+def test_koszul_rank_budget(tmp_path, capsys):
+    """A Koszul factorization of rank MAX_KOSZUL_RANK runs; one of rank one
+    more is refused before anything is computed."""
+    from lgck.matfact import MAX_KOSZUL_RANK
+    cfg = tmp_path / "koszul.json"
+    for extra, code in ((0, 0), (1, 2)):
+        cfg.write_text(json.dumps({"koszul": _koszul_rank(MAX_KOSZUL_RANK + extra)}))
+        assert _run(["chern", cfg, "--output", tmp_path / "out.json"]) == code
+    assert "malformed koszul.tau:" in capsys.readouterr().err

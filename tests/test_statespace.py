@@ -121,37 +121,43 @@ def test_nonisolated_sector_names_culprit():
 
 # -- inversion pullback and pairing ----------------------------------------------
 
+def _eta(state, phases, i, j) -> Cyclo:
+    """eta(e_i, f_j) for the i-th basis class e_i of the sector ``phases`` and
+    the j-th basis class f_j of its inverse sector, off the sparse Gram rows."""
+    return state.gram_rows(phases)[i].get(j, Cyclo.zero())
+
+
 def test_inv_pullback_narrow(quintic_state):
-    el = quintic_state.basis_element((Fraction(1, 5),) * 5, 0)
-    moved = quintic_state.inv_pullback(el)
-    assert moved.phases == (Fraction(4, 5),) * 5
-    assert moved.coefficients[0] == 1
+    """The pullback moves a narrow class to the inverse sector unscaled."""
+    phases = (Fraction(1, 5),) * 5
+    assert GroupElement(phases).inverse().phases == (Fraction(4, 5),) * 5
+    assert quintic_state._inversion_scalars(quintic_state.space(phases)) == [1]
 
 
 def test_inv_pullback_broad_socle(quintic_state):
     space = quintic_state.space((Fraction(0),) * 5)
-    idx = space.basis.index((3, 3, 3, 3, 3))
-    el = quintic_state.basis_element((Fraction(0),) * 5, idx)
-    moved = quintic_state.inv_pullback(el)
+    scalars = quintic_state._inversion_scalars(space)
     # scalar zeta^{15 + 5} with zeta = exp(pi i / 5): zeta^20 = 1
-    assert moved.coefficients[idx] == 1
-    # a degree-5 monomial picks up zeta^{10} = exp(2 pi i) = 1? no: zeta^10 = e^{2 pi i} = 1
+    assert scalars[space.basis.index((3, 3, 3, 3, 3))] == 1
+    # a degree-5 monomial picks up zeta^{5 + 5} = zeta^10 = e^{2 pi i} = 1
     i5 = next(i for i, e in enumerate(space.basis) if sum(e) == 5)
-    el5 = quintic_state.basis_element((Fraction(0),) * 5, i5)
-    moved5 = quintic_state.inv_pullback(el5)
-    assert moved5.coefficients[i5] == zeta(10, 10)  # = 1
+    assert scalars[i5] == zeta(10, 10)  # = 1
 
 
 def test_pairing_narrow_duals(quintic_state):
     for k in range(1, 5):
-        a = quintic_state.basis_element((Fraction(k, 5),) * 5, 0)
-        b = quintic_state.basis_element((Fraction(5 - k, 5),) * 5, 0)
-        assert quintic_state.pairing(a, b) == 1
+        phases = (Fraction(k, 5),) * 5
+        assert GroupElement(phases).inverse().phases == (Fraction(5 - k, 5),) * 5
+        assert _eta(quintic_state, phases, 0, 0) == 1
 
 
 def test_pairing_sector_selection(quintic_state):
-    a = quintic_state.basis_element((Fraction(1, 5),) * 5, 0)
-    assert quintic_state.pairing(a, a) == 0
+    """A sector pairs only with its inverse: the Gram block of the narrow
+    sector 1/5 is indexed by the basis of the sector 4/5, not its own."""
+    phases = (Fraction(1, 5),) * 5
+    inv = GroupElement(phases).inverse().phases
+    assert inv != phases
+    assert quintic_state._gram_width(phases) == quintic_state.space(inv).dimension
 
 
 def test_pairing_degree_selection_all_corpus():
@@ -193,13 +199,11 @@ def test_pairing_supersymmetry(quintic_state):
     i5 = next(i for i, e in enumerate(space.basis) if sum(e) == 5)
     partner = tuple(3 - a for a in space.basis[i5])
     i10 = space.basis.index(partner)
-    a = quintic_state.basis_element((Fraction(0),) * 5, i5)
-    b = quintic_state.basis_element((Fraction(0),) * 5, i10)
-    assert quintic_state.pairing(a, b) == -1 * quintic_state.pairing(b, a)
+    broad = (Fraction(0),) * 5
+    assert _eta(quintic_state, broad, i5, i10) == -1 * _eta(quintic_state, broad, i10, i5)
     # narrow sectors are even
-    n1 = quintic_state.basis_element((Fraction(1, 5),) * 5, 0)
-    n4 = quintic_state.basis_element((Fraction(4, 5),) * 5, 0)
-    assert quintic_state.pairing(n1, n4) == quintic_state.pairing(n4, n1)
+    n1, n4 = (Fraction(1, 5),) * 5, (Fraction(4, 5),) * 5
+    assert _eta(quintic_state, n1, 0, 0) == _eta(quintic_state, n4, 0, 0)
 
 
 def character_sum_dimension(state, phases):
@@ -258,26 +262,20 @@ def test_pairing_supersymmetry_corpus():
             sign = (-1) ** (len(space.sector.fixed_support) % 2)
             for i in range(space.dimension):
                 for j in range(other.dimension):
-                    ab = state.pairing(state.basis_element(phases, i),
-                                       state.basis_element(inv, j))
-                    ba = state.pairing(state.basis_element(inv, j),
-                                       state.basis_element(phases, i))
-                    assert ab == sign * ba
+                    assert _eta(state, phases, i, j) == sign * _eta(state, inv, j, i)
 
 
 def test_inv_pullback_is_involution():
     """inv^2 multiplies by the J-action, which is trivial on invariant
     classes; so the pullback squares to the identity on every basis
-    element."""
+    element: the scalars of a sector and of its inverse multiply to 1."""
     for name, model in corpus():
         state = StateSpace(model)
         for sec in state.sectors:
-            phases = sec.element.phases
-            for i in range(state.spaces[phases].dimension):
-                el = state.basis_element(phases, i)
-                back = state.inv_pullback(state.inv_pullback(el))
-                assert back.phases == el.phases
-                assert list(back.coefficients) == list(el.coefficients), name
+            there = state._inversion_scalars(state.space(sec.element))
+            back = state._inversion_scalars(state.space(sec.element.inverse()))
+            assert len(there) == len(back), name
+            assert all(s * t == 1 for s, t in zip(there, back)), name
 
 
 def test_broad_non_identity_sector_partial_fixed_support():
@@ -414,18 +412,15 @@ def test_kunneth_pairing_scales(rng):
             continue
         for i1 in range(sp1.dimension):
             for j1 in range(sp2.dimension):
-                a = _tensor_element(state, s1, s2, k1, k2, i1, j1)
-                inv = GroupElement(joint).inverse().phases
+                a = _tensor_index(state, s1, s2, k1, k2, i1, j1)
                 invk1 = GroupElement(k1).inverse().phases
                 invk2 = GroupElement(k2).inverse().phases
                 for i2 in range(s1.space(invk1).dimension):
                     for j2 in range(s2.space(invk2).dimension):
-                        b = _tensor_element(state, s1, s2, invk1, invk2, i2, j2)
-                        lhs = state.pairing(a, b)
-                        e1 = s1.pairing(s1.basis_element(k1, i1),
-                                        s1.basis_element(invk1, i2))
-                        e2 = s2.pairing(s2.basis_element(k2, j1),
-                                        s2.basis_element(invk2, j2))
+                        b = _tensor_index(state, s1, s2, invk1, invk2, i2, j2)
+                        lhs = _eta(state, joint, a, b)
+                        e1 = _eta(s1, k1, i1, i2)
+                        e2 = _eta(s2, k2, j1, j2)
                         assert lhs == e1 * e2 * scale
 
 
@@ -441,13 +436,13 @@ def _reprefix(model, prefix):
     return GlsmModel.from_dict(data)
 
 
-def _tensor_element(state, s1, s2, k1, k2, i, j):
-    """Basis element of the sum sector matching basis i of k1 with j of k2."""
+def _tensor_index(state, s1, s2, k1, k2, i, j):
+    """Index of the basis class of the sum sector matching basis i of k1 with j of k2."""
     joint = tuple(k1) + tuple(k2)
     spj = state.space(joint)
     sp1, sp2 = s1.space(k1), s2.space(k2)
     if sp1.narrow and sp2.narrow:
-        return state.basis_element(joint, 0)
+        return 0
     n1 = len(s1.model.variables)
     fixed1 = sorted(sp1.sector.fixed_support)
     fixed2 = sorted(sp2.sector.fixed_support)
@@ -460,5 +455,4 @@ def _tensor_element(state, s1, s2, k1, k2, i, j):
             target.append(exp1[fixed1.index(pos)])
         else:
             target.append(exp2[fixed2.index(pos - n1)])
-    idx = spj.basis.index(tuple(target))
-    return state.basis_element(joint, idx)
+    return spj.basis.index(tuple(target))
