@@ -257,8 +257,7 @@ def _cmd_simplicial_demo(args, config):
         oracle = order_complex_cohomology(sheaf, levels - 1) \
             if sheaf.is_unit_stalked() and all(d == 1 for d in sheaf.stalk_dims) \
             else None
-        rep = de_rham_triangle_check(resolution, oracle_ranks=oracle,
-                                     degree_bound=degree_bound)
+        rep = de_rham_triangle_check(resolution, oracle_ranks=oracle)
         flasque = [resolution.flasque(n) for n in range(levels + 1)]
         out[name] = {
             "level_bound": levels,

@@ -6,7 +6,8 @@ A block is read by walking its field table: key -> (spec, default), with
 the fields of its block read so far.  ``read`` names the dotted path of
 the first bad field in one ``ConfigError``; checks that need computed data
 raise it where that data lives.  A key that a block's table does not list
-is refused; the top level stays open, because the verbs share it.
+is refused; the top level stays open, because the verbs share it.  Each
+entry of a list of objects is read by its own table, named after the list.
 
 A rational is an integer or a string "p" or "p/q" such as "-2/5"; a float,
 a boolean or a decimal string is refused.
@@ -77,23 +78,24 @@ def poly(text, got) -> MultiPoly:
     return MultiPoly.parse(string(text), got["variables"])
 
 
+def entry(table: dict):
+    """An object read by its own field table, whose readers also see the
+    fields of the block that holds the list of entries."""
+    return lambda x, got=None: read(table, x, "entry", got)
+
+
 def correlators(arity: int, reader):
     """Entries {"key": [arity indices >= 0], "value": ...} as a dict by key."""
-    def read(x, got=None) -> dict:
+    fields = entry({"key": (list_of(integer(0), arity), REQUIRED), "value": (reader, REQUIRED)})
+
+    def read_entries(x, got=None) -> dict:
         table = {}
-        for entry in list_of(block)(x):
-            key = list_of(integer(0), arity)(entry.get("key"))
-            if key in table:
-                raise ValueError(f"key {list(key)} appears twice")
-            table[key] = reader(entry.get("value"))
+        for e in list_of(fields)(x):
+            if e["key"] in table:
+                raise ValueError(f"key {list(e['key'])} appears twice")
+            table[e["key"]] = e["value"]
         return table
-    return read
-
-
-def restriction(x, got) -> tuple:
-    """{"from": a, "to": b, "matrix": rows} as (a, b, matrix)."""
-    x = block(x)
-    return point(x.get("from"), got), point(x.get("to"), got), rows(x.get("matrix"))
+    return read_entries
 
 
 block = typed(dict, "an object")  # COHFT/SIMPLICIAL: its owner reads it by its own table
@@ -111,8 +113,9 @@ constant = typed((int, str), 'a constant such as "(3/2)*z5^2"',
 # -- the walk -------------------------------------------------------------------
 
 
-def read(table: dict, data, path: str = "") -> dict:
-    """The typed fields of the block at ``path``, by its field table."""
+def read(table: dict, data, path: str = "", scope=None) -> dict:
+    """The typed fields of the block at ``path``, by its field table; its
+    readers also see ``scope``, the fields of an enclosing block."""
     if not isinstance(data, dict):
         raise ConfigError(path, f"{type(data).__name__} is not a JSON object")
     if "*" in table:
@@ -120,7 +123,7 @@ def read(table: dict, data, path: str = "") -> dict:
     unknown = [key for key in data if key not in table]
     if path and unknown:  # the top level stays open: the verbs share it
         raise ConfigError(f"{path}.{unknown[0]}", "unknown field")
-    got = {}
+    got = dict(scope or {})
     for key, (spec, default) in table.items():
         at = f"{path}.{key}" if path else key
         if key not in data:
@@ -132,9 +135,11 @@ def read(table: dict, data, path: str = "") -> dict:
         else:
             try:
                 got[key] = spec(data[key], got)
+            except ConfigError as exc:  # in a list entry: named after the list
+                raise ConfigError(at, f"{exc.path}: {exc.reason}") from exc
             except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
                 raise ConfigError(at, str(exc)) from exc
-    return got
+    return {key: got[key] for key in table}
 
 
 def read_field(data, key: str, spec, default=REQUIRED):
@@ -175,12 +180,13 @@ COHFT_TABLES = {
     "omega11": (correlators(1, list_of(constant, 2)), {}),
     "boundary_pullbacks": ({"*": (list_of(rational, 2), REQUIRED)}, {}),
 }
+RESTRICTION = {"from": (point, REQUIRED), "to": (point, REQUIRED), "matrix": (rows, REQUIRED)}
 POSET = {
     "name": (string, "custom"),
     "points": (names, REQUIRED),
     "order_pairs": (list_of(list_of(point, 2)), REQUIRED),
     "stalk_dims": (list_of(integer(0)), REQUIRED),
-    "restriction_matrices": (list_of(restriction), ()),
+    "restriction_matrices": (list_of(entry(RESTRICTION)), ()),
 }
 SIMPLICIAL = {"poset": (block, None)}
 KUNNETH = {"other_model": (string, REQUIRED)}

@@ -359,16 +359,20 @@ def _restrictions(*items):
      "simplicial.poset.restriction_matrices"),
     ("poset", "simplicial"),
     ({"poset": _two_point_poset(name=["a"])}, "simplicial.poset.name"),
+    ({"poset": _two_point_poset(restriction_matrices=[
+        {"from": "a", "to": "b", "matrix": [[1]], "matrx": [[5]]}])},
+     "simplicial.poset.restriction_matrices"),
 ], ids=["null_entry", "unknown_point", "negative_dim", "wrong_shape", "wrong_width",
         "too_many_points", "unrelated_pair", "self_pair", "repeated_pair",
-        "simplicial_not_object", "name_not_string"])
+        "simplicial_not_object", "name_not_string", "extra_key_in_entry"])
 def test_malformed_poset_exits_2(tmp_path, capsys, block, field):
     """A malformed simplicial block or custom poset is refused with the
     field named; it is neither a traceback nor a failed check."""
     path = tmp_path / "poset.json"
     path.write_text(json.dumps({"simplicial": block}))
     assert _run(["simplicial-demo", path, "--level-bound", "2"]) == 2
-    assert f"malformed {field}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"malformed {field}:" in err and err.count("malformed") == 1
 
 
 def test_custom_poset_still_checked(tmp_path, capsys):
@@ -460,9 +464,10 @@ def _quintic_tables(**changes):
     (_quintic_tables(boundary_pullbacks={"loop": "10"}), "boundary_pullbacks.loop"),
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1"},
                               {"key": [0, 1, 2], "value": "7"}]), "omega03"),
+    (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1", "valeu": "7"}]), "omega03"),
 ], ids=["index_too_large", "omega03_short_key", "omega04_short_key", "unit_not_list",
         "negative_index", "omega11_index_too_large", "value_not_constant",
-        "value_divides_by_zero", "pullback_not_pair", "repeated_key"])
+        "value_divides_by_zero", "pullback_not_pair", "repeated_key", "extra_key_in_entry"])
 def test_malformed_cohft_tables_exit_2(quintic_config, tmp_path, capsys, tables, field):
     """A malformed table field is refused with its name; it is neither a
     traceback nor a silently misread entry."""
@@ -471,7 +476,8 @@ def test_malformed_cohft_tables_exit_2(quintic_config, tmp_path, capsys, tables,
     path = tmp_path / "tables.json"
     path.write_text(json.dumps(config))
     assert _run(["verify-cohft", path]) == 2
-    assert f"cohft.tables.{field}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"cohft.tables.{field}:" in err and err.count("malformed") == 1
 
 
 def test_cohft_block_not_object_exits_2(quintic_config, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 from lgck.cli import _builtin_posets
 from lgck.exactalg import MultiPoly
-from lgck.exactalg.linalg import sparse_rank
+from lgck.exactalg.linalg import mat_mul, sparse_rank
 from lgck.forms import DiffForm
 from lgck.simplicial import (
     MAX_POSET_POINTS,
@@ -384,13 +384,38 @@ def test_whitney_extension_exhaustive_compatibility():
             assert el.compatible(generators_only=False)
 
 
+@pytest.mark.parametrize("make_module", [
+    lambda: godement(_constant_sheaf(["c", "o"], [("c", "o")]), 2).module,
+    # A[0] = 0 and A[1] = Q: the cochains Q in degree 1, so A(f) c_0 = 0
+    lambda: CosimplicialModule([0, 1], {(1, 0): [[]], (1, 1): [[]]}, {(0, 0): []}),
+], ids=["godement", "zero_at_level_0"])
+def test_equalizer_rejects_perturbed_families(make_module):
+    """Whitney extensions are compatible; moving the last component at one
+    level by a constant fails both compatibility checks and is refused."""
+    cs = make_module()
+    norm = normalized_complex(cs)
+    for d, basis in enumerate(norm.bases):
+        for vec in basis:
+            el = whitney_extension(cs, d, vec)
+            for n, level in enumerate(el.levels):
+                if not level:
+                    continue
+                bumped = [list(forms) for forms in el.levels]
+                bumped[n][-1] = level[-1] + DiffForm.const(simplex_variables(n), 1)
+                bad = ThElement(cs, d, bumped, check=False)
+                assert not bad.compatible()
+                assert not bad.compatible(generators_only=False)
+                with pytest.raises(ValueError, match="equalizer"):
+                    ThElement(cs, d, bumped)
+
+
 def test_th_product_closure_random(rng):
     """Products of Thom-Sullivan elements stay compatible (cdga closure),
     and the product is graded-commutative."""
     sheaf = _constant_sheaf(["a", "b", "top"], [("a", "top"), ("b", "top")])
     cs = godement(sheaf, 3).module
-    tc = th_complex(cs, 3)
-    pool = [el for degree in tc.basis for el in degree]
+    _, basis = th_complex(cs)
+    pool = [el for degree in basis for el in degree]
     for _ in range(6):
         e1, e2 = rng.choice(pool), rng.choice(pool)
         prod = e1.multiply(e2)
@@ -406,8 +431,8 @@ def test_integration_of_products_lands_in_normalized(rng):
     normalized subcomplex (codegeneracy kernels)."""
     sheaf = _constant_sheaf(["c", "o"], [("c", "o")])
     cs = godement(sheaf, 2).module
-    tc = th_complex(cs, 2)
-    pool = [el for degree in tc.basis for el in degree]
+    _, basis = th_complex(cs)
+    pool = [el for degree in basis for el in degree]
     for _ in range(5):
         e1, e2 = rng.choice(pool), rng.choice(pool)
         prod = e1.multiply(e2)
@@ -416,15 +441,15 @@ def test_integration_of_products_lands_in_normalized(rng):
             continue
         vec = prod.integrate()
         for i in range(d):
-            out = cs.apply(cs.codegens[(d - 1, i)], vec)
-            assert not any(out)
+            out = mat_mul(cs.codegens[(d - 1, i)], [[x] for x in vec])
+            assert not any(x for (x,) in out)
 
 
 def test_th_product_associative(rng):
     sheaf = _constant_sheaf(["c", "o"], [("c", "o")])
     cs = godement(sheaf, 2).module
-    tc = th_complex(cs, 2)
-    pool = [el for degree in tc.basis for el in degree]
+    _, basis = th_complex(cs)
+    pool = [el for degree in basis for el in degree]
     for _ in range(4):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert a.multiply(b).multiply(c) == a.multiply(b.multiply(c))
@@ -436,12 +461,6 @@ def test_integration_is_chain_map(rng):
     res = godement(sheaf, 3)
     rep = de_rham_triangle_check(res)
     assert rep.whitney_chain_map and rep.integration_left_inverse
-
-
-def test_th_complex_requires_degree_bound():
-    cs = constant_cosimplicial(1, 3)
-    with pytest.raises(ValueError):
-        th_complex(cs, 2)
 
 
 # -- the one-point TK comparison -----------------------------------------------------
