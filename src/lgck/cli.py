@@ -1,8 +1,11 @@
 """Command-line front end: config ingestion, dispatch, reports.
 
 Every verb writes a JSON report (sorted keys, no timestamps, so output is
-byte-for-byte deterministic) plus a short text summary on stdout.  Exit
-code 1 signals a precondition failure surfaced from a library module;
+byte-for-byte deterministic) plus a short text summary on stdout.  A verb's
+handler returns ``(report, summary, passed)``; ``main`` alone stamps the
+report's ``command`` and ``conventions``, writes it, prints the summary and
+turns ``passed`` into the exit code (0, or 1 for a failed check).  Exit
+code 1 also signals a precondition failure surfaced from a library module;
 exit code 2 signals a malformed config.  The environment variable
 LGCK_SEED only affects randomized test corpora, never reported values.
 """
@@ -78,60 +81,37 @@ def _valid_model(config) -> GlsmModel:
     return model
 
 
-def _emit(report: dict, summary: str, output: str | None) -> None:
-    report.setdefault("conventions", CONVENTIONS)  # reports are self-describing
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    print(summary)
-
-
 def _cmd_validate(args, config):
     _, rep = _validation(config)
-    report = {"command": "validate", "checks": rep.to_jsonable(),
-              "passed": rep.passed}
-    _emit(report, f"validate: {'ok' if rep.passed else 'FAILED'}", args.output)
-    return 0 if rep.passed else 1
+    return ({"checks": rep.to_jsonable(), "passed": rep.passed},
+            f"validate: {'ok' if rep.passed else 'FAILED'}", rep.passed)
 
 
 def _cmd_phases(args, config):
     model = _valid_model(config)
     character = _parse_character(config, args.character, model)
     phase = semistable_locus(model, character)
-    dagger = check_dagger(model)
     report = {
-        "command": "phases",
         "phase": phase.to_jsonable(model.variables),
-        "dagger": dagger.to_jsonable(model.variables),
+        "dagger": check_dagger(model).to_jsonable(model.variables),
     }
-    _emit(report, phase.description, args.output)
-    return 0
+    return report, phase.description, True
 
 
 def _cmd_sectors(args, config):
     model = _valid_model(config)
     sectors = inertia_sectors(model, args.group_order_bound)
-    report = {
-        "command": "sectors",
-        "count": len(sectors),
-        "sectors": [s.to_jsonable(model.variables) for s in sectors],
-    }
-    _emit(report, f"{len(sectors)} sectors", args.output)
-    return 0
+    report = {"count": len(sectors),
+              "sectors": [s.to_jsonable(model.variables) for s in sectors]}
+    return report, f"{len(sectors)} sectors", True
 
 
 def _cmd_state_space(args, config):
     model = _valid_model(config)
     state = StateSpace(model, args.group_order_bound)
     body = state.to_jsonable()
-    body["command"] = "state-space"
     dims = [s["dimension"] for s in body["sectors"]]
-    _emit(body, f"state space: sector dims {dims}, total {state.total_dimension()}",
-          args.output)
-    return 0
+    return body, f"state space: sector dims {dims}, total {state.total_dimension()}", True
 
 
 def _cmd_pairing(args, config):
@@ -144,21 +124,15 @@ def _cmd_pairing(args, config):
             "gram": state.gram_strings(sec.element.phases),
             "nonsingular": state.gram_nonsingular(sec.element.phases),
         })
-    report = {"command": "pairing", "conventions": CONVENTIONS, "sectors": sectors}
     ok = all(s["nonsingular"] for s in sectors)
-    _emit(report, f"pairing: {'nondegenerate on all sectors' if ok else 'DEGENERATE'}",
-          args.output)
-    return 0 if ok else 1
+    return ({"sectors": sectors},
+            f"pairing: {'nondegenerate on all sectors' if ok else 'DEGENERATE'}", ok)
 
 
 def _cmd_unit(args, config):
-    model = _valid_model(config)
-    u = unit_class(model)
-    report = {"command": "unit", "conventions": CONVENTIONS,
-              "unit": u.to_jsonable()}
-    _emit(report, f"unit in sector {u.to_jsonable()['sector']} (degree {u.degree})",
-          args.output)
-    return 0
+    u = unit_class(_valid_model(config))
+    return ({"unit": u.to_jsonable()},
+            f"unit in sector {u.to_jsonable()['sector']} (degree {u.degree})", True)
 
 
 def _cmd_chern(args, config):
@@ -172,15 +146,12 @@ def _cmd_chern(args, config):
     fact = koszul(block["tau"], block["sigma"])
     ch = chern_char(fact)
     report = {
-        "command": "chern",
-        "conventions": CONVENTIONS,
         "factorization": fact.to_jsonable(),
         "chern": ch.to_jsonable(),
         "todd_chern": todd_chern(ch, fact.koszul_rank).to_jsonable(),
         "splitting_degree_ok": splitting_degree_check(ch, fact.koszul_rank),
     }
-    _emit(report, f"chern: {ch}", args.output)
-    return 0
+    return report, f"chern: {ch}", True
 
 
 def _cmd_virdim(args, config):
@@ -192,10 +163,8 @@ def _cmd_virdim(args, config):
                                                "one per name in variables")
     g, r = block["g"], len(insertions) if block["r"] is None else block["r"]
     value = virdim(model, g, r, block["d_pairing"], insertions)
-    report = {"command": "virdim", "g": g, "r": r,
-              "d_pairing": str(block["d_pairing"]), "value": str(value)}
-    _emit(report, f"virdim = {value}", args.output)
-    return 0
+    report = {"g": g, "r": r, "d_pairing": str(block["d_pairing"]), "value": str(value)}
+    return report, f"virdim = {value}", True
 
 
 def _cmd_verify_cohft(args, config):
@@ -208,20 +177,16 @@ def _cmd_verify_cohft(args, config):
         basis = paired_basis_from_state(state, narrow_only=block["basis"] == "narrow")
         data = cohft_data_from_jsonable(basis, block["tables"])
     results = run_all_checks(data)
-    counts = {name: [len(entries), sum(1 for e in entries if not e["pass"])]
-              for name, entries in results.items() if isinstance(entries, list)}
+    ok = results.pop("all_pass")
     report = {
-        "command": "verify-cohft",
-        "all_pass": results["all_pass"],
-        "counts": {k: {"checked": v[0], "failed": v[1]} for k, v in counts.items()},
-        "entries": {name: entries for name, entries in results.items()
-                    if isinstance(entries, list)},
-        "failures": [e for entries in results.values() if isinstance(entries, list)
-                     for e in entries if not e["pass"]],
+        "all_pass": ok,
+        "counts": {name: {"checked": len(entries),
+                          "failed": sum(1 for e in entries if not e["pass"])}
+                   for name, entries in results.items()},
+        "entries": results,
+        "failures": [e for entries in results.values() for e in entries if not e["pass"]],
     }
-    _emit(report, f"cohft axioms: {'all pass' if results['all_pass'] else 'FAILURES'}",
-          args.output)
-    return 0 if results["all_pass"] else 1
+    return report, f"cohft axioms: {'all pass' if ok else 'FAILURES'}", ok
 
 
 def _builtin_posets():
@@ -267,10 +232,7 @@ def _cmd_simplicial_demo(args, config):
             "triangle": rep.to_jsonable(),
         }
         ok = ok and rep.passed and all(flasque)
-    report = {"command": "simplicial-demo", "posets": out}
-    _emit(report, f"simplicial demo: {'all checks pass' if ok else 'FAILURES'}",
-          args.output)
-    return 0 if ok else 1
+    return {"posets": out}, f"simplicial demo: {'all checks pass' if ok else 'FAILURES'}", ok
 
 
 def _cmd_kunneth(args, config):
@@ -279,14 +241,12 @@ def _cmd_kunneth(args, config):
     model2 = _valid_model(_load_config(path, "kunneth.other_model"))
     combined, state, witness = kunneth_sum(model1, model2)
     report = {
-        "command": "kunneth",
         "sum_model": combined.to_dict(),
         "total_dimension": state.total_dimension(),
         "pairs": witness.to_jsonable(),
     }
-    _emit(report, f"kunneth: total dim {state.total_dimension()} over "
-                  f"{len(witness.pairs)} sector pairs", args.output)
-    return 0
+    return report, (f"kunneth: total dim {state.total_dimension()} over "
+                    f"{len(witness.pairs)} sector pairs"), True
 
 
 _HANDLERS = {
@@ -336,14 +296,23 @@ def main(argv=None) -> int:
               f"{MAX_LEVEL_BOUND}", file=sys.stderr)
         return 2
     try:
-        config = _load_config(args.config)
-        return _HANDLERS[args.verb](args, config)
+        report, summary, passed = _HANDLERS[args.verb](args, _load_config(args.config))
+        report["command"] = args.verb
+        report.setdefault("conventions", CONVENTIONS)  # reports are self-describing
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        print(summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -193,6 +193,16 @@ class CohftData:
         return c0, c2
 
 
+def _stored(data: CohftData):
+    """Every stored (0,3) entry, then every stored (0,4) entry, in key order,
+    as (key, its degree-0 [and degree-2] parts, lookup of those parts at
+    any key of the same table)."""
+    for key, val in sorted(data.omega03.items()):
+        yield key, (val,), lambda k: (data.o3(*k),)
+    for key, parts in sorted(data.omega04.items()):
+        yield key, parts, data.o4
+
+
 def _entry(axiom, tup, lhs, rhs):
     return {"axiom": axiom, "tuple": tuple(tup), "lhs": str(lhs),
             "rhs": str(rhs), "pass": lhs == rhs}
@@ -227,17 +237,11 @@ def check_selection_rules(data: CohftData) -> list[dict]:
             out.append(_entry("selection_group", (i, j),
                               "product is identity" if ok else "product is not identity",
                               "product is identity"))
-    for key, val in sorted(data.omega03.items()):
-        if not val:
-            continue
+    for key, parts, _ in _stored(data):
         total = sum((basis.degrees[i] for i in key), Fraction(0)) + data.shift_genus0
-        out.append(_entry("selection_degree", key, total, Fraction(0)))
-    for key, (v0, v2) in sorted(data.omega04.items()):
-        total = sum((basis.degrees[i] for i in key), Fraction(0)) + data.shift_genus0
-        if v0:
-            out.append(_entry("selection_degree", key, total, Fraction(0)))
-        if v2:
-            out.append(_entry("selection_degree", key, total, Fraction(2)))
+        for c, part in enumerate(parts):
+            if part:
+                out.append(_entry("selection_degree", key, total, Fraction(2 * c)))
     return out
 
 
@@ -245,26 +249,14 @@ def check_sr_covariance(data: CohftData) -> list[dict]:
     """Adjacent transpositions act with the Koszul sign on every stored tuple."""
     out = []
     par = data.basis.parities
-    for key in sorted(data.omega03):
-        val = data.omega03[key]
-        for pos in range(2):
+    for key, parts, lookup in _stored(data):
+        for pos in range(len(key) - 1):
             swapped = list(key)
             swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
             sign = (-1) ** (par[key[pos]] * par[key[pos + 1]])
-            other = data.o3(*swapped)
-            out.append(_entry("sr_covariance", key + tuple(swapped),
-                              val if sign > 0 else -val, other))
-    for key in sorted(data.omega04):
-        v0, v2 = data.omega04[key]
-        for pos in range(3):
-            swapped = list(key)
-            swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-            sign = (-1) ** (par[key[pos]] * par[key[pos + 1]])
-            o0, o2 = data.o4(swapped)
-            out.append(_entry("sr_covariance", key + tuple(swapped),
-                              v0 if sign > 0 else -v0, o0))
-            out.append(_entry("sr_covariance", key + tuple(swapped),
-                              v2 if sign > 0 else -v2, o2))
+            for v, other in zip(parts, lookup(swapped)):
+                out.append(_entry("sr_covariance", key + tuple(swapped),
+                                  v if sign > 0 else -v, other))
     return out
 
 

@@ -161,18 +161,14 @@ class PolyIdeal:
         if not generators:
             raise ValueError("ideal needs at least one generator (may be zero)")
         variables = generators[0].variables
-        gens = [g.with_variables(variables) if g.variables != variables else g
-                for g in generators]
         self.variables = variables
-        self.basis = tuple(buchberger(list(gens)))
+        self.basis = tuple(buchberger([g.with_variables(variables) for g in generators]))
         self._divisors = _divisors(self.basis)
         self._leads = tuple(lead for lead, _, _ in self._divisors)
         self._monomial_nf: dict[tuple[int, ...], dict] = {}
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
-        if tuple(p.variables) != self.variables:
-            p = p.with_variables(self.variables)
-        return reduce_full(p, list(self.basis), self._divisors)
+        return reduce_full(p.with_variables(self.variables), list(self.basis), self._divisors)
 
     def monomial_normal_form(self, exp) -> dict:
         """Normal form of x^exp as {standard exponent: coefficient}, memoized.

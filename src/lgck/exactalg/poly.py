@@ -124,8 +124,11 @@ class MultiPoly:
         return self, None
 
     def with_variables(self, new_vars) -> "MultiPoly":
-        """Reindex onto a superset (or permutation) of the current variables."""
+        """Reindex onto a superset (or permutation) of the current variables;
+        the same ring returns ``self``."""
         new_vars = tuple(new_vars)
+        if new_vars == self.variables:
+            return self
         pos = []
         for v in self.variables:
             if v not in new_vars:
@@ -222,7 +225,7 @@ class MultiPoly:
                 img = MultiPoly.var(target, v)
             elif not isinstance(img, MultiPoly):
                 img = MultiPoly.const(target, img)
-            images.append(img.with_variables(target) if img.variables != tuple(target) else img)
+            images.append(img.with_variables(target))
         result = MultiPoly.zero(target)
         for exp, c in self.terms.items():
             term = MultiPoly.const(target, c)

@@ -37,9 +37,7 @@ class DiffForm:
         if terms:
             for idx, p in terms.items():
                 if p and not p.is_zero():
-                    clean[tuple(idx)] = (
-                        p if p.variables == self.variables else p.with_variables(self.variables)
-                    )
+                    clean[tuple(idx)] = p.with_variables(self.variables)
         self.terms = clean
 
     # -- constructors -----------------------------------------------------

@@ -18,7 +18,12 @@ Conventions baked in here:
   torus.  The kernel-side tests (used for the stable-equals-semistable
   check and for the R-fixed-locus condition) augment the cone with the
   line through chi, which is the Hilbert-Mumford criterion for the
-  kernel subgroup.
+  kernel subgroup.  Semistable supports form an upward-closed family;
+  one walk (``_maximal_unstable``) finds the maximal supports failing any
+  such predicate, so the minimal semistable supports are complements of
+  its answer for t -> "X - t is not semistable".  The walk stops at once
+  when the empty support is semistable (the affine case), and every cone
+  answer is re-verified from its coefficients or Farkas certificate.
 * Properness of the critical locus is certified only in the affine
   regime (finite-dimensional Jacobian ring); geometric phases are
   reported as unchecked.
@@ -240,27 +245,46 @@ class _ConeTester:
         self.memo: dict[frozenset, bool] = {}
 
     def semistable(self, support: frozenset) -> bool:
+        """Is the character in the cone of the support's weight columns?  The
+        LP's answer is re-verified from its coefficients or its Farkas
+        certificate before it is trusted."""
         if support in self.memo:
             return self.memo[support]
         if not self.model.torus_rank:
             result = True  # no destabilizing one-parameter subgroups
         else:
             gens = [self.model.weight_column(i) for i in sorted(support)] + self.extra
-            result = exact_lp_cone_membership(gens, self.character).inside
+            ans = exact_lp_cone_membership(gens, self.character)
+            result, c, y = ans.inside, ans.coefficients, ans.certificate
+            if result:
+                ok = all(x >= 0 for x in c) and all(
+                    _dot(c, [v[r] for v in gens]) == x for r, x in enumerate(self.character))
+            else:
+                ok = all(_dot(y, v) <= 0 for v in gens) and _dot(y, self.character) > 0
+            if not ok:
+                names = sorted(self.model.variables[i] for i in support)
+                raise ValueError(f"cone test on support {names} returned an "
+                                 "answer its certificate does not verify")
         self.memo[support] = result
         return result
 
 
-def _maximal_unstable(tester: _ConeTester, n: int) -> list[frozenset]:
-    """Maximal elements of the (downward-closed) unstable support family.
+def _dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
-    Semistable supports form an upward-closed family, so every semistable
-    support is reachable from the full one by single deletions through
-    semistable intermediates, and every maximal unstable support appears
-    as a child of a visited semistable support.
+
+def _maximal_unstable(semistable, n: int) -> list[frozenset]:
+    """Maximal supports failing an upward-closed predicate ``semistable``.
+
+    The empty support passing means every support does, so the answer is
+    empty at once.  Otherwise every passing support is reachable from the
+    full one by single deletions through passing intermediates, and every
+    maximal failing support appears as a child of a visited passing one.
     """
     full = frozenset(range(n))
-    if not tester.semistable(full):
+    if semistable(frozenset()):
+        return []
+    if not semistable(full):
         return [full]
     maximal: set[frozenset] = set()
     seen: set[frozenset] = set()
@@ -269,37 +293,14 @@ def _maximal_unstable(tester: _ConeTester, n: int) -> list[frozenset]:
         if support in seen:
             return
         seen.add(support)
-        if tester.semistable(support):
+        if semistable(support):
             for i in support:
                 visit(support - {i})
-        elif all(tester.semistable(support | {i}) for i in range(n) if i not in support):
+        elif all(semistable(support | {i}) for i in range(n) if i not in support):
             maximal.add(support)
 
     visit(full)
     return sorted(maximal, key=lambda s: (len(s), sorted(s)))
-
-
-def _minimal_semistable(tester: _ConeTester, n: int) -> list[frozenset]:
-    """Minimal elements of the (upward-closed) semistable support family."""
-    empty = frozenset()
-    if tester.semistable(empty):
-        return [empty]
-    minimal: set[frozenset] = set()
-    seen: set[frozenset] = set()
-
-    def visit(support: frozenset):
-        if support in seen:
-            return
-        seen.add(support)
-        if not tester.semistable(support):
-            for i in range(n):
-                if i not in support:
-                    visit(support | {i})
-        elif all(not tester.semistable(support - {i}) for i in support):
-            minimal.add(support)
-
-    visit(empty)
-    return sorted(minimal, key=lambda s: (len(s), sorted(s)))
 
 
 def semistable_locus(model: GlsmModel, character) -> PhaseDescription:
@@ -309,17 +310,10 @@ def semistable_locus(model: GlsmModel, character) -> PhaseDescription:
         raise ValueError("character dimension does not match the torus rank")
     n = model.n_vars
     tester = _ConeTester(model, character, include_chi_line=False)
-    maximal = _maximal_unstable(tester, n)
-
-    if not maximal:
-        desc = "V^ss = V"
-    else:
-        pieces = []
-        for u in maximal:
-            complement = [model.variables[i] for i in range(n) if i not in u]
-            pieces.append("{" + " = ".join(complement) + " = 0}")
-        desc = "V^ss = complement of " + " and ".join(pieces)
-
+    maximal = _maximal_unstable(tester.semistable, n)
+    pieces = ["{" + " = ".join(model.variables[i] for i in range(n) if i not in u) + " = 0}"
+              for u in maximal]
+    desc = "V^ss = complement of " + " and ".join(pieces) if maximal else "V^ss = V"
     stable_eq = _stable_equals_semistable(model, character)
     return PhaseDescription(character, tuple(maximal), desc, stable_eq)
 
@@ -330,15 +324,12 @@ def _stable_equals_semistable(model: GlsmModel, character) -> bool:
     avoids the facets."""
     if not model.torus_rank:
         return True
-    n = model.n_vars
-    k = model.torus_rank
     tester = _ConeTester(model, character, include_chi_line=True)
-    for support in _minimal_semistable(tester, n):
-        rows = [model.weight_column(i) for i in sorted(support)]
-        rows.append(list(model.chi))
-        if mat_rank(rows) < k:
-            return False
-    return True
+    full = frozenset(range(model.n_vars))
+    # minimal semistable supports: complements of the maximal t with X - t semistable
+    return all(mat_rank([model.weight_column(i) for i in sorted(full - t)] + [list(model.chi)])
+               >= model.torus_rank
+               for t in _maximal_unstable(lambda t: not tester.semistable(full - t), len(full)))
 
 
 def r_fixed_locus(model: GlsmModel, subgroup) -> frozenset[int]:
@@ -346,12 +337,7 @@ def r_fixed_locus(model: GlsmModel, subgroup) -> frozenset[int]:
     rho = [Fraction(x) for x in subgroup]
     if len(rho) != model.torus_rank:
         raise ValueError("subgroup vector must match the torus rank")
-    fixed = set()
-    for i in range(model.n_vars):
-        pairing = sum(r * w for r, w in zip(rho, model.weight_column(i)))
-        if pairing == 0:
-            fixed.add(i)
-    return frozenset(fixed)
+    return frozenset(i for i in range(model.n_vars) if _dot(rho, model.weight_column(i)) == 0)
 
 
 @dataclass
@@ -378,15 +364,9 @@ def check_dagger(model: GlsmModel) -> DaggerReport:
     R-charge.  Semistable supports are upward closed, so the subspace
     meets V^ss iff its full coordinate support is itself semistable.
     """
-    fixed = frozenset(i for i, c in enumerate(model.r_charges) if c == 0)
+    fixed = tuple(i for i, c in enumerate(model.r_charges) if c == 0)
     tester = _ConeTester(model, model.nu if model.torus_rank else (),
                          include_chi_line=False)
-    if tester.semistable(fixed):
-        return DaggerReport(
-            True, tuple(sorted(fixed)), tuple(sorted(fixed)),
-            "fixed subspace meets V^ss",
-        )
-    return DaggerReport(
-        False, tuple(sorted(fixed)), None,
-        "every support inside the fixed subspace is unstable",
-    )
+    if tester.semistable(frozenset(fixed)):
+        return DaggerReport(True, fixed, fixed, "fixed subspace meets V^ss")
+    return DaggerReport(False, fixed, None, "every support inside the fixed subspace is unstable")

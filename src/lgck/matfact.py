@@ -45,7 +45,7 @@ from .glsm import GlsmModel, check_dagger
 def _align_ring(polys):
     # sorted union: the orientation of dx_1 ^ ... ^ dx_n follows variable-name order
     union = tuple(sorted({v for p in polys for v in p.variables}))
-    return union, [p.with_variables(union) if p.variables != union else p for p in polys]
+    return union, [p.with_variables(union) for p in polys]
 
 
 class FactorizationError(ValueError):
@@ -294,7 +294,7 @@ def cdga_element_from_covector(algebra: Cdga, tau) -> dict:
             f"{len(tau)} coefficients for a cdga with {len(singles)} generators")
     out = {}
     for idx, t in zip(singles, tau):
-        tp = t.with_variables(algebra.variables) if t.variables != algebra.variables else t
+        tp = t.with_variables(algebra.variables)
         if not tp.is_zero():
             out[idx] = tp
     return out
@@ -432,8 +432,7 @@ def _jacobian_reduce(top: MultiPoly, potential: MultiPoly) -> MultiPoly:
 def twisted_class(form: DiffForm, potential: MultiPoly) -> TwistedClass:
     """Check the cocycle condition and reduce the top component (for W = 0
     the top coefficient is kept as is)."""
-    w = potential.with_variables(form.variables) \
-        if potential.variables != form.variables else potential
+    w = potential.with_variables(form.variables)
     dw = d_of_poly(w)
     if not dw.wedge(form).is_zero():
         raise FactorizationError("form is not a cocycle for the twisted differential")

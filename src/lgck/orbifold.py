@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .glsm import GlsmModel, semistable_locus
 
@@ -53,17 +54,43 @@ class GroupElement:
         return "(" + ",".join(str(p) for p in self.phases) + ")"
 
 
-def age(h: GroupElement) -> Fraction:
-    """Sum of the fractional rotation exponents over all coordinates."""
-    return h.age()
+def group_order(generators) -> int:
+    """Order of the group the phase vectors generate, without enumerating it:
+    D^n / det L, with D the common denominator of the phases and L the
+    lattice spanned by the D e_i and the D g_j.  det L is the product of the
+    pivots of an integer echelon form, found by Euclid down each column;
+    entries are reduced mod D, which L contains in every coordinate."""
+    n = len(generators[0])
+    d = lcm(*(p.denominator for g in generators for p in g))
+    rows = [[d * (i == j) for j in range(n)] for i in range(n)]
+    rows += [[p.numerator * (d // p.denominator) % d for p in g] for g in generators]
+    det = 1
+    for col in range(n):
+        while True:
+            live = [r for r in rows if r[col]]
+            piv = min(live, key=lambda r: r[col])
+            if len(live) == 1:
+                break
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[col:] = [(a - q * b) % d for a, b in zip(r[col:], piv[col:])]
+        det *= piv[col]
+        rows.remove(piv)
+    return d ** n // det
 
 
 def enumerate_group(generators, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupElement]:
-    """All products of the generators; deterministic phase-vector order."""
+    """All products of the generators; deterministic phase-vector order.  A
+    group of order above ``bound`` is refused before it is enumerated."""
     gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in generators]
     if not gens:
         raise ValueError("need at least one generator (the identity is fine)")
     n = len(gens[0].phases)
+    if any(len(g.phases) != n for g in gens):
+        raise ValueError("phase vectors of different lengths")
+    if group_order([g.phases for g in gens]) > bound:
+        raise ValueError(f"group order exceeds bound {bound}")
     identity = GroupElement([Fraction(0)] * n)
     seen = {identity}
     frontier = [identity]
@@ -75,8 +102,6 @@ def enumerate_group(generators, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupE
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > bound:
-                        raise ValueError(f"group order exceeds bound {bound}")
         frontier = nxt
     return sorted(seen)
 

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, reports, determinism, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -607,3 +608,19 @@ def test_koszul_rank_budget(tmp_path, capsys):
         cfg.write_text(json.dumps({"koszul": _koszul_rank(MAX_KOSZUL_RANK + extra)}))
         assert _run(["chern", cfg, "--output", tmp_path / "out.json"]) == code
     assert "malformed koszul.tau:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {"variables": ["x", "y"], "r_charges": [1, 1], "d_w": 2000,
+     "potential": "x^2000 + y^2000", "finite_generators": [["1/2000", "0"]]},
+    {"variables": ["x"], "r_charges": [1], "d_w": 10 ** 9, "potential": "x^1000000000"},
+], ids=["order_4e6", "order_1e9"])
+def test_oversized_group_refused_up_front(tmp_path, capsys, model):
+    """A group above the bound is refused from its closed-form order, not
+    after enumerating a million elements."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(model))
+    start = time.perf_counter()
+    assert _run(["sectors", path]) == 1
+    assert time.perf_counter() - start < 2
+    assert "group order exceeds bound 1000000" in capsys.readouterr().err

@@ -2,6 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
+from lgck import glsm
+from lgck.exactalg import ConeResult, MultiPoly, exact_lp_cone_membership
+from lgck.exactalg.linalg import rank as mat_rank
 from lgck.glsm import (
     GlsmModel,
     check_dagger,
@@ -168,3 +173,84 @@ def test_json_roundtrip(tmp_path):
     assert again.potential == model.potential
     assert again.r_charges == model.r_charges
     assert again.torus_weights == model.torus_weights
+
+
+def _random_model(rng, n, k):
+    """A model whose only role is its weight matrix and chi; the potential is 0."""
+    names = tuple(f"x{i}" for i in range(n))
+    return GlsmModel(
+        names, tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(n)) for _ in range(k)),
+        (), tuple(Fraction(rng.randint(-3, 3)) for _ in range(k)), (Fraction(0),) * k,
+        (Fraction(0),) * n, 1, MultiPoly.zero(names))
+
+
+def _in_cone(gens, character):
+    return exact_lp_cone_membership(gens, character).inside
+
+
+def test_support_walk_matches_brute_force(rng):
+    """Maximal unstable supports and stable = semistable against all 2^n supports."""
+    for _ in range(150):
+        n, k = rng.randint(1, 6), rng.randint(1, 2)
+        model = _random_model(rng, n, k)
+        character = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+        supports = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+        cols = {s: [model.weight_column(i) for i in sorted(s)] for s in supports}
+        unstable = [s for s in supports if not _in_cone(cols[s], character)]
+        maximal = sorted((s for s in unstable if not any(s < t for t in unstable)),
+                         key=lambda s: (len(s), sorted(s)))
+        chi_line = [list(model.chi), [-x for x in model.chi]]
+        stable_eq = all(mat_rank(cols[s] + [list(model.chi)]) >= k for s in supports
+                        if _in_cone(cols[s] + chi_line, character))
+        phase = semistable_locus(model, character)
+        assert list(phase.max_unstable_supports) == maximal, (model, character)
+        assert phase.stable_equals_semistable == stable_eq, (model, character)
+
+
+def _count_lps(monkeypatch):
+    calls = []
+
+    def counted(vectors, target):
+        calls.append(1)
+        return exact_lp_cone_membership(vectors, target)
+
+    monkeypatch.setattr(glsm, "exact_lp_cone_membership", counted)
+    return calls
+
+
+def test_affine_phase_lp_count(monkeypatch):
+    """nu = 0 puts every support in V^ss: the walk stops after the empty support."""
+    names = [f"x{i}" for i in range(1, 9)]
+    model = GlsmModel.from_dict({
+        "variables": names, "torus_weights": [[1] * 8], "finite_generators": [],
+        "chi": [3], "nu": [0], "r_charges": [1] * 8, "d_w": 3,
+        "potential": " + ".join(f"{v}^3" for v in names)})
+    calls = _count_lps(monkeypatch)
+    phase = semistable_locus(model, model.nu)
+    assert phase.max_unstable_supports == () and phase.stable_equals_semistable
+    assert len(calls) <= 3
+
+
+def test_quintic_glsm_lp_count(monkeypatch):
+    """Both quintic phases and the dagger check: 205 LPs plus the empty-support probe."""
+    calls = _count_lps(monkeypatch)
+    model = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
+    semistable_locus(model, [1, 0])
+    semistable_locus(model, [-5, 1])
+    assert check_dagger(model).holds
+    assert len(calls) <= 206
+
+
+@pytest.mark.parametrize("flip", ["inside", "outside"])
+def test_cone_answer_is_reverified(monkeypatch, flip):
+    """An LP answer its coefficients or certificate do not support raises."""
+    def lying(vectors, target):
+        ans = exact_lp_cone_membership(vectors, target)
+        if ans.inside == (flip == "inside"):
+            return ConeResult(not ans.inside, ans.certificate, ans.coefficients)
+        return ans
+
+    monkeypatch.setattr(glsm, "exact_lp_cone_membership", lying)
+    model = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
+    with pytest.raises(ValueError, match="support"):
+        semistable_locus(model, [1, 0])

@@ -1,10 +1,11 @@
 """Group enumeration, sectors, ages."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from lgck.orbifold import GroupElement, Sector, age, enumerate_group, inertia_sectors
+from lgck.orbifold import GroupElement, Sector, enumerate_group, group_order, inertia_sectors
 
 from conftest import make_quintic_glsm
 
@@ -32,18 +33,18 @@ def test_group_order_bound():
 
 
 def test_age_values():
-    assert age(GroupElement([0, 0])) == 0
+    assert GroupElement([0, 0]).age() == 0
     for k in range(1, 5):
-        assert age(GroupElement([Fraction(k, 5)] * 5)) == k
-    assert age(GroupElement([Fraction(1, 2), Fraction(1, 2)])) == 1
+        assert GroupElement([Fraction(k, 5)] * 5).age() == k
+    assert GroupElement([Fraction(1, 2), Fraction(1, 2)]).age() == 1
 
 
 def test_age_inverse_sum_property():
-    """age(h) + age(h^{-1}) = number of moving coordinates."""
+    """h.age() + h^{-1}.age() = number of moving coordinates."""
     gens = [GroupElement([Fraction(1, 5), Fraction(2, 5), 0, Fraction(1, 2)])]
     for h in enumerate_group(gens):
         moving = sum(1 for p in h.phases if p != 0)
-        assert age(h) + age(h.inverse()) == moving
+        assert h.age() + h.inverse().age() == moving
         assert h.fixed_support() == h.inverse().fixed_support()
 
 
@@ -92,3 +93,22 @@ def test_non_affine_regime_rejected():
     model = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
     with pytest.raises(ValueError, match="narrow-sector bookkeeping"):
         inertia_sectors(model)
+
+
+def test_group_order_matches_enumeration():
+    rng = random.Random(14)
+    for _ in range(300):
+        n, d = rng.randint(1, 4), rng.randint(1, 12)
+        gens = [[Fraction(rng.randrange(2 * d), d) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        assert group_order(gens) == len(enumerate_group(gens)), gens
+
+
+def test_group_bound_checked_before_enumeration(monkeypatch):
+    def no_products(self, other):
+        raise AssertionError("enumerated a group above the bound")
+
+    monkeypatch.setattr(GroupElement, "__mul__", no_products)
+    for gens in ([[Fraction(1, 2000), 0], [0, Fraction(1, 2000)]], [[Fraction(1, 10 ** 9)]]):
+        with pytest.raises(ValueError, match="exceeds bound 1000000"):
+            enumerate_group(gens)
