@@ -83,6 +83,26 @@ def _echelon(rows) -> dict:
     return pivots
 
 
+def integer_echelon(rows) -> list:
+    """An echelon basis of the lattice the integer rows span, by Euclid
+    down each column: [(pivot column, pivot > 0, {later column: entry})],
+    pivot columns increasing."""
+    rows, out = [list(r) for r in rows if any(r)], []
+    for col in range(len(rows[0]) if rows else 0):
+        while len(live := [r for r in rows if r[col]]) > 1:
+            piv = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not piv:
+                    q = r[col] // piv[col]
+                    r[:] = [a - q * b for a, b in zip(r, piv)]
+        if live:
+            piv, sign = live[0], 1 if live[0][col] > 0 else -1
+            rows.remove(piv)
+            out.append((col, sign * piv[col],
+                        {c: sign * x for c, x in enumerate(piv) if c > col and x}))
+    return out
+
+
 def sparse_rank(rows) -> int:
     """Rank of a matrix given as sparse rows ({column: entry})."""
     return len(_echelon(rows))

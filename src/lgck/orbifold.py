@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
+from .exactalg.linalg import integer_echelon
 from .glsm import GlsmModel, semistable_locus
 
 DEFAULT_GROUP_BOUND = 10 ** 6
@@ -57,27 +58,14 @@ class GroupElement:
 def group_order(generators) -> int:
     """Order of the group the phase vectors generate, without enumerating it:
     D^n / det L, with D the common denominator of the phases and L the
-    lattice spanned by the D e_i and the D g_j.  det L is the product of the
-    pivots of an integer echelon form, found by Euclid down each column;
-    entries are reduced mod D, which L contains in every coordinate."""
+    lattice spanned by the D e_i and the D g_j (reduced mod D, which L
+    contains in every coordinate).  det L is the product of the pivots of
+    an integer echelon form of L."""
     n = len(generators[0])
     d = lcm(*(p.denominator for g in generators for p in g))
     rows = [[d * (i == j) for j in range(n)] for i in range(n)]
     rows += [[p.numerator * (d // p.denominator) % d for p in g] for g in generators]
-    det = 1
-    for col in range(n):
-        while True:
-            live = [r for r in rows if r[col]]
-            piv = min(live, key=lambda r: r[col])
-            if len(live) == 1:
-                break
-            for r in live:
-                if r is not piv:
-                    q = r[col] // piv[col]
-                    r[col:] = [(a - q * b) % d for a, b in zip(r[col:], piv[col:])]
-        det *= piv[col]
-        rows.remove(piv)
-    return d ** n // det
+    return d ** n // prod(pivot for _, pivot, _ in integer_echelon(rows))
 
 
 def enumerate_group(generators, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupElement]:
@@ -91,19 +79,25 @@ def enumerate_group(generators, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupE
         raise ValueError("phase vectors of different lengths")
     if group_order([g.phases for g in gens]) > bound:
         raise ValueError(f"group order exceeds bound {bound}")
-    identity = GroupElement([Fraction(0)] * n)
-    seen = {identity}
-    frontier = [identity]
+    # search integer phase vectors mod d; sorting them sorts the phases
+    d = lcm(*(p.denominator for g in gens for p in g.phases))
+    steps = [tuple(p.numerator * (d // p.denominator) for p in g.phases) for g in gens]
+    seen = {(0,) * n}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for x in frontier:
-            for g in gens:
-                y = x * g
+            for g in steps:
+                y = tuple((a + b) % d for a, b in zip(x, g))
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return sorted(seen)
+    phase = {a: Fraction(a, d) for a in {a for v in seen for a in v}}
+    out = [GroupElement.__new__(GroupElement) for _ in seen]  # phases reduced already
+    for h, v in zip(out, sorted(seen)):
+        h.phases = tuple(map(phase.__getitem__, v))
+    return out
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,7 @@ class CosimplicialModule:
         # componentwise products with unit (1, ..., 1) at every level
         self.algebra = algebra
         self._verify_identities()
+        self._maps: dict[tuple, list] = {}  # the maps are fixed from here on
 
     def _verify_identities(self):
         N = self.top_level
@@ -178,8 +179,15 @@ class CosimplicialModule:
                                 raise ValueError("mixed identity fails (i>j+1)")
 
     def map_into(self, f, m: int) -> list[list[Fraction]]:
-        """Matrix of A(f) for monotone f: [n] -> [m] with explicit target."""
+        """Matrix of A(f) for monotone f: [n] -> [m] with explicit target,
+        memoized per (f, m); callers must not mutate it."""
         f = tuple(f)
+        hit = self._maps.get((f, m))
+        if hit is None:
+            hit = self._maps[(f, m)] = self._build_map(f, m)
+        return hit
+
+    def _build_map(self, f: tuple, m: int) -> list[list[Fraction]]:
         if not _monotone(f):
             raise ValueError("map is not monotone")
         n = len(f) - 1

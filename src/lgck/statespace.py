@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
-from .exactalg.linalg import sparse_rank
+from .exactalg.linalg import integer_echelon, sparse_rank
 from .glsm import GlsmModel
 from .orbifold import DEFAULT_GROUP_BOUND, GroupElement, Sector, inertia_sectors
 
@@ -63,8 +63,12 @@ class ResidueCalculator:
     monomial of top weighted degree and the hessian class is a scalar
     multiple of it.  The residue of p is then the coefficient of that
     monomial in the normal form of p, rescaled so res(hessian) = mu.
-    Normal forms keep the weighted degree, so a monomial's residue
-    vanishes unless its degree is the socle degree (the selection rule).
+
+    Each partial dw/dx_i is homogeneous for the grading of Z^n by Z^n / L,
+    L the lattice spanned by the exponents of w (the characters that the
+    diagonal symmetries of w leave trivial), and for the weighted degree.
+    Normal forms keep both, so a monomial's residue vanishes unless its
+    ``symmetry_class`` is that of the socle (the selection rule).
     """
 
     def __init__(self, w: MultiPoly, weights):
@@ -85,7 +89,9 @@ class ResidueCalculator:
         self.standard_monomials = std
         self.milnor_number = len(std)
         self._cache: dict[tuple, Cyclo] = {}
-        self.monomial_gb = all(len(g.terms) == 1 for g in self.ideal.basis)
+        den = lcm(*(q.denominator for q in self.weights))
+        self._charges = [int(q * den) for q in self.weights]
+        self._lattice = integer_echelon(w.terms)
         if self.milnor_number:
             hess = _poly_det([
                 [w.derivative(a).derivative(b) for b in self.variables]
@@ -99,13 +105,29 @@ class ResidueCalculator:
                 )
             (self.socle_monomial, self.socle_coeff), = hess_nf.terms.items()
             self.socle_degree = self.weighted_degree(self.socle_monomial)
+            self.socle_class = self.symmetry_class(self.socle_monomial)
+            if self.socle_degree != sum(1 - 2 * q for q in self.weights):
+                raise ValueError(f"potential {w.canonical_str()}: socle_degree check fails")
         else:
-            self.socle_monomial = None
-            self.socle_coeff = None
-            self.socle_degree = None
+            self.socle_monomial = self.socle_coeff = None
+            self.socle_degree = self.socle_class = None
+        if all(q > 0 for q in self.weights) and \
+                self.milnor_number != prod(1 / q - 1 for q in self.weights):
+            raise ValueError(f"potential {w.canonical_str()}: milnor_orlik check fails")
 
     def weighted_degree(self, exp) -> Fraction:
         return sum((w_ * a for w_, a in zip(self.weights, exp)), Fraction(0))
+
+    def symmetry_class(self, exp) -> tuple:
+        """The canonical representative of exp modulo L, then its weighted
+        degree over the weights' common denominator."""
+        v = list(exp)
+        for col, pivot, tail in self._lattice:
+            if k := v[col] // pivot:
+                v[col] -= k * pivot
+                for c, x in tail.items():
+                    v[c] -= k * x
+        return (*v, sum(c * a for c, a in zip(self._charges, exp)))
 
     def residue(self, p: MultiPoly) -> Cyclo:
         """res[p dx / (dw_1 ... dw_n)], normalized so res(hessian) = mu."""
@@ -119,13 +141,11 @@ class ResidueCalculator:
 
     def residue_of_monomial(self, exp: tuple) -> Cyclo:
         exp = tuple(exp)
-        if self.monomial_gb and exp != self.socle_monomial:
-            # normal form of a monomial modulo a monomial basis is itself or 0
-            return Cyclo.zero()
         hit = self._cache.get(exp)
         if hit is None:
-            c = self.ideal.monomial_normal_form(exp).get(self.socle_monomial)
-            hit = Cyclo.zero() if c is None else c * self.milnor_number / self.socle_coeff
+            c = self.symmetry_class(exp) == self.socle_class and \
+                self.ideal.monomial_normal_form(exp).get(self.socle_monomial)
+            hit = c * self.milnor_number / self.socle_coeff if c else Cyclo.zero()
             self._cache[exp] = hit
         return hit
 
@@ -237,8 +257,9 @@ class StateSpace:
 
     Gram blocks are kept as sparse rows ({column: nonzero entry}).  By the
     selection rule a basis monomial e1 pairs only with the inverse-sector
-    monomials of weighted degree socle_degree - deg(e1); for a monomial
-    Groebner basis that is the single monomial socle - e1.
+    monomials e2 whose symmetry class is that of socle - e1: the same
+    weighted degree and the same class modulo the exponent lattice.  On a
+    Fermat sector that is the single monomial socle - e1.
     """
 
     def __init__(self, model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND):
@@ -290,18 +311,14 @@ class StateSpace:
             calc = space.calculator
             inv_order = Fraction(1, self.group_order)
             scalars = [s * inv_order for s in self._inversion_scalars(other)]
-            if calc.monomial_gb:  # the one partner of e1 is socle - e1
-                index = {e2: (j,) for j, e2 in enumerate(other.basis)}
-                key = lambda e1: tuple(s - a for s, a in zip(calc.socle_monomial, e1))
-            else:  # the partners of e1 have weighted degree socle - deg(e1)
-                index = {}
-                for j, e2 in enumerate(other.basis):
-                    index.setdefault(calc.weighted_degree(e2), []).append(j)
-                key = lambda e1: calc.socle_degree - calc.weighted_degree(e1)
+            index = {}
+            for j, e2 in enumerate(other.basis):
+                index.setdefault(calc.symmetry_class(e2), []).append(j)
             rows = []
             for e1 in space.basis:
                 row = {}
-                for j in index.get(key(e1), ()):
+                partner = tuple(s - a for s, a in zip(calc.socle_monomial, e1))
+                for j in index.get(calc.symmetry_class(partner), ()):
                     r = calc.residue_of_monomial(
                         tuple(a + b for a, b in zip(e1, other.basis[j])))
                     if r:

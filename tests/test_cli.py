@@ -599,6 +599,18 @@ def _koszul_rank(r):
     return {"variables": xs + ys, "tau": xs, "sigma": [f"{x}+{y}^2" for x, y in zip(xs, ys)]}
 
 
+def test_wrong_milnor_number_refused(quintic_config, capsys, monkeypatch):
+    """A quotient basis one monomial short breaks mu = prod(1/q_i - 1)
+    (Milnor-Orlik): the state space is refused with the check named."""
+    from lgck.exactalg.groebner import PolyIdeal
+    original = PolyIdeal.quotient_basis
+    monkeypatch.setattr(PolyIdeal, "quotient_basis", lambda ideal: original(ideal)[:-1])
+    assert _run(["state-space", quintic_config]) == 1
+    assert "milnor_orlik check fails" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="milnor_orlik"):
+        StateSpace(make_quintic_lg())
+
+
 def test_koszul_rank_budget(tmp_path, capsys):
     """A Koszul factorization of rank MAX_KOSZUL_RANK runs; one of rank one
     more is refused before anything is computed."""

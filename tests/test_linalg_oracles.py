@@ -7,6 +7,7 @@ library multiplies: ``Fraction``, ``Cyclo`` and ``MultiPoly``.  Over
 ``Cyclo`` the elimination is checked through products alone: every
 nullspace vector is sent to 0, there are ncols - rank of them, an
 inverse is a two-sided one, and a matrix with none has a kernel vector.
+``integer_echelon`` is checked against the ``sympy`` determinant and rank.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 from lgck.exactalg import Cyclo, MultiPoly, zeta
 from lgck.exactalg.linalg import (
     identity,
+    integer_echelon,
     inverse,
     mat_mul,
     nullspace,
@@ -224,3 +226,38 @@ def test_mat_mul_shapes():
     assert mat_mul([[one]], [[]]) == [[]]
     assert mat_mul(identity(2), [[one, 2 * one], [3 * one, 4 * one]]) == \
         [[1, 2], [3, 4]]
+
+
+def _reduce(v, echelon):
+    v = list(v)
+    for col, pivot, tail in echelon:
+        k = v[col] // pivot
+        v[col] -= k * pivot
+        for c, x in tail.items():
+            v[c] -= k * x
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), max_size=3))))
+def test_integer_echelon_spans_the_rows_lattice(data):
+    """Each row reduces to 0 against the echelon basis, so the lattice it
+    spans contains the rows'; integer combinations of the rows appended
+    change nothing, and the pivots multiply to |det| (the covolume), so
+    on a nonsingular square block the two lattices are equal."""
+    square, combos = data
+    rows = square + [[sum(c * r[j] for c, r in zip(cs, square)) for j in range(len(square))]
+                     for cs in combos]
+    echelon = integer_echelon(rows)
+    assert [col for col, _, _ in echelon] == sorted({col for col, _, _ in echelon})
+    assert all(pivot > 0 and all(c > col for c in tail) for col, pivot, tail in echelon)
+    assert all(not any(_reduce(r, echelon)) for r in rows)
+    assert len(echelon) == sympy.Matrix(square).rank()
+    det = abs(int(sympy.Matrix(square).det()))
+    if det:
+        prod = 1
+        for _, pivot, _ in echelon:
+            prod *= pivot
+        assert prod == det

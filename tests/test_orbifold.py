@@ -27,6 +27,34 @@ def test_generator_and_inverse_agree():
     assert g1 == g2
 
 
+def _fraction_closure(gens):
+    """Reference: the breadth-first closure under GroupElement products,
+    with Fraction phases throughout."""
+    identity = GroupElement([0] * len(gens[0].phases))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                if (y := x * g) not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return sorted(seen)
+
+
+def test_enumerate_group_matches_fraction_search(rng):
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = [GroupElement([Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4, 6, 10]))
+                              for _ in range(n)]) for _ in range(rng.randint(1, 3))]
+        got = enumerate_group(gens)
+        want = _fraction_closure(gens)
+        assert [h.phases for h in got] == [h.phases for h in want]
+        assert set(got) == set(want)
+        assert all(type(p) is Fraction and 0 <= p < 1 for h in got for p in h.phases)
+
+
 def test_group_order_bound():
     with pytest.raises(ValueError):
         enumerate_group([GroupElement([Fraction(1, 101)])], bound=50)

@@ -182,6 +182,35 @@ def test_map_into_functorial(rng):
         assert lhs == rhs
 
 
+def composed_afresh(cs, f, m):
+    """A(f) from the coface and codegeneracy matrices with no memo, peeling
+    the last repeated value and the first missed one (``map_into`` peels
+    the first repeated and the last missed)."""
+    n = len(f) - 1
+    repeats = [i for i in range(n) if f[i] == f[i + 1]]
+    if repeats:
+        i = repeats[-1]
+        return mat_mul(composed_afresh(cs, f[:i] + f[i + 1:], m), cs.codegens[(n - 1, i)])
+    missed = [j for j in range(m + 1) if j not in f]
+    if not missed:
+        return [[Fraction(int(a == b)) for b in range(cs.dims[n])] for a in range(cs.dims[n])]
+    j = missed[0]
+    inner = tuple(v - 1 if v > j else v for v in f)
+    return mat_mul(cs.cofaces[(m, j)], composed_afresh(cs, inner, m - 1))
+
+
+def test_map_into_memo_matches_fresh_composition(rng):
+    sheaf = FinitePosetSheaf(["base", "top", "side"], [("base", "top"), ("side", "top")],
+                             [2, 1, 1], {("base", "top"): [[1, 2]], ("side", "top"): [[3]]})
+    cs = godement(sheaf, 3).module
+    for _ in range(60):
+        m = rng.randint(0, 3)
+        f = tuple(sorted(rng.randint(0, m) for _ in range(rng.randint(1, 4))))
+        got = cs.map_into(f, m)
+        assert cs.map_into(list(f), m) is got  # memoized
+        assert got == composed_afresh(cs, f, m)
+
+
 def test_normalized_d_squared_zero():
     sheaf = FinitePosetSheaf(["a", "b", "top"], [("a", "top"), ("b", "top")],
                              [1, 1, 1],

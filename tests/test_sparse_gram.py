@@ -9,7 +9,7 @@ from lgck.exactalg import Cyclo
 from lgck.exactalg.linalg import is_nonsingular, rank, rref, sparse_rank
 from lgck.glsm import GlsmModel
 from lgck.orbifold import GroupElement
-from lgck.statespace import StateSpace
+from lgck.statespace import ResidueCalculator, StateSpace
 
 from corpus import corpus
 
@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 def dense_gram(state, phases):
-    """The dense construction with no selection rule: one residue call per
-    entry, and the inversion scalar exp(pi i t / d_w) computed afresh."""
+    """The dense construction with no selection rule: one unfiltered normal
+    form per entry, read at the socle and normalized so res(hessian) = mu,
+    and the inversion scalar exp(pi i t / d_w) computed afresh."""
     space = state.space(phases)
     other = state.space(GroupElement(phases).inverse().phases)
     if space.narrow:
@@ -37,8 +38,10 @@ def dense_gram(state, phases):
     for e1 in space.basis:
         row = []
         for e2, s in zip(other.basis, scalars):
-            r = calc.residue_of_monomial(tuple(a + b for a, b in zip(e1, e2)))
-            row.append(r * s * Fraction(1, state.group_order) if r else Cyclo.zero())
+            nf = calc.ideal.monomial_normal_form(tuple(a + b for a, b in zip(e1, e2)))
+            c = nf.get(calc.socle_monomial)
+            row.append(c * calc.milnor_number / calc.socle_coeff * s
+                       * Fraction(1, state.group_order) if c else Cyclo.zero())
         mat.append(row)
     return mat
 
@@ -63,8 +66,8 @@ def test_sparse_gram_matches_dense_corpus(name, model):
 
 @pytest.mark.parametrize("psi", [Fraction(-1, 2), Fraction(7, 3)])
 def test_sparse_gram_matches_dense_dwork_quintic(psi):
-    """The Dwork quintic has a non-monomial Groebner basis, so the sparse
-    Gram goes through the weighted-degree buckets."""
+    """The Dwork quintic has a non-monomial Groebner basis, so its residues
+    are socle coefficients of genuine normal forms."""
     names = [f"x{i}" for i in range(1, 6)]
     sign = "-" if psi < 0 else "+"
     model = GlsmModel.from_dict({
@@ -74,8 +77,84 @@ def test_sparse_gram_matches_dense_dwork_quintic(psi):
                      + f" {sign} {abs(psi)}*x1*x2*x3*x4*x5",
     })
     state = StateSpace(model)
-    assert not state.space((Fraction(0),) * 5).calculator.monomial_gb
+    ideal = state.space((Fraction(0),) * 5).calculator.ideal
+    assert any(len(g.terms) > 1 for g in ideal.basis)
     assert_grams_match(state, f"dwork psi={psi}")
+
+
+# -- the symmetry-class partner index -------------------------------------------
+
+def _lg(names, charges, d_w, potential):
+    return GlsmModel.from_dict({
+        "variables": names, "torus_weights": [charges], "finite_generators": [],
+        "chi": [d_w], "nu": [0], "r_charges": charges, "d_w": d_w,
+        "potential": potential})
+
+
+X5, X4 = [f"x{i}" for i in range(1, 6)], [f"x{i}" for i in range(1, 5)]
+QUINTIC = " + ".join(f"{v}^5" for v in X5)
+DEFORMED = {
+    "dwork_-1/2": lambda: _lg(X5, [1] * 5, 5, QUINTIC + " - 1/2*x1*x2*x3*x4*x5"),
+    "dwork_7/3": lambda: _lg(X5, [1] * 5, 5, QUINTIC + " + 7/3*x1*x2*x3*x4*x5"),
+    "quintic_x1cube": lambda: _lg(X5, [1] * 5, 5, QUINTIC + " + 2*x1^3*x2*x3"),
+    "loop_5": lambda: _lg(X5, [1] * 5, 4, "x1^3*x2 + x2^3*x3 + x3^3*x4 + x4^3*x5 + x5^3*x1"),
+    "chain_4": lambda: _lg(["x", "y", "z", "u"], [20, 21, 18, 27], 81,
+                           "x^3*y + y^3*z + z^3*u + u^3"),
+    "quartic_z8": lambda: _lg(X4, [1] * 4, 4,
+                              " + ".join(f"{v}^4" for v in X4) + " + z8^3*x1^2*x2^2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFORMED))
+def test_nonzero_residues_lie_in_the_socle_class(name):
+    """Oracle for the selection rule: wherever the unfiltered normal form of
+    a product of degree-complementary standard monomials meets the socle,
+    the product is in the socle's symmetry class."""
+    model = DEFORMED[name]()
+    calc = ResidueCalculator(model.potential,
+                             [Fraction(c, model.d_w) for c in model.r_charges])
+    by_degree = {}
+    for e in calc.standard_monomials:
+        by_degree.setdefault(calc.weighted_degree(e), []).append(e)
+    sums = {tuple(a + b for a, b in zip(e1, e2))
+            for deg, left in by_degree.items() for e1 in left
+            for e2 in by_degree.get(calc.socle_degree - deg, ())}
+    nonzero = [e for e in sums
+               if calc.ideal.monomial_normal_form(e).get(calc.socle_monomial)]
+    assert calc.socle_monomial in nonzero
+    assert all(calc.symmetry_class(e) == calc.socle_class for e in nonzero)
+
+
+def test_dwork_gram_residue_calls(monkeypatch):
+    """20,404 residue_of_monomial calls with weighted-degree partners alone."""
+    calls = []
+    original = ResidueCalculator.residue_of_monomial
+    monkeypatch.setattr(ResidueCalculator, "residue_of_monomial",
+                        lambda calc, exp: calls.append(exp) or original(calc, exp))
+    state = StateSpace(DEFORMED["dwork_-1/2"]())
+    for sec in state.sectors:
+        state.gram_rows(sec.element.phases)
+    assert 0 < len(calls) <= 204
+
+
+FERMAT = [(n, m) for n, m in corpus()
+          if all(sum(1 for a in e if a) == 1 for e in m.potential.terms)]
+
+
+@pytest.mark.parametrize("name,model", FERMAT, ids=[n for n, _ in FERMAT])
+def test_fermat_partner_is_socle_minus_e1(name, model):
+    state = StateSpace(model)
+    for sec in state.sectors:
+        space = state.space(sec.element.phases)
+        if space.narrow:
+            continue
+        other = state.space(sec.element.inverse().phases)
+        calc = space.calculator
+        for e1, row in zip(space.basis, state.gram_rows(sec.element.phases)):
+            dual = tuple(s - a for s, a in zip(calc.socle_monomial, e1))
+            partners = {e2 for e2 in other.basis
+                        if calc.symmetry_class(e2) == calc.symmetry_class(dual)}
+            assert partners == {dual} & set(other.basis) == {other.basis[j] for j in row}
 
 
 # -- sparse exact rank --------------------------------------------------------

@@ -72,6 +72,18 @@ def test_residue_nonisolated_rejected():
         residue(MultiPoly.parse("x", w.variables), w)
 
 
+def test_socle_degree_check(monkeypatch):
+    """A hessian class one degree off the socle degree sum(1 - 2q_i) is
+    refused with the check named."""
+    from lgck.exactalg.groebner import PolyIdeal
+    w = MultiPoly.parse("x^3 + y^4")
+    original = PolyIdeal.normal_form
+    monkeypatch.setattr(PolyIdeal, "normal_form",
+                        lambda ideal, p: original(ideal, p) * MultiPoly.var(w.variables, "x"))
+    with pytest.raises(ValueError, match="socle_degree check fails"):
+        residue(MultiPoly.parse("x*y^2", w.variables), w)
+
+
 # -- quintic sector spaces -----------------------------------------------------
 
 def test_quintic_sector_dimensions(quintic_state):
