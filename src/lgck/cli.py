@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .config import (
     CHARACTERS, COHFT, KOSZUL, KUNNETH, SIMPLICIAL, VIRDIM, ConfigError, boolean,
     rationals, read_field,
 )
-from .glsm import GlsmModel, check_dagger, semistable_locus, validate
+from .glsm import ConeTester, GlsmModel, check_dagger, semistable_locus, validate
 from .matfact import (MAX_KOSZUL_RANK, chern_char, koszul, splitting_degree_check,
                       todd_chern, unit_class)
 from .orbifold import DEFAULT_GROUP_BOUND, inertia_sectors
@@ -90,10 +91,11 @@ def _cmd_validate(args, config):
 def _cmd_phases(args, config):
     model = _valid_model(config)
     character = _parse_character(config, args.character, model)
-    phase = semistable_locus(model, character)
+    tester = ConeTester(model, character)  # one LP memo when the character is nu
+    phase = semistable_locus(model, character, tester)
     report = {
         "phase": phase.to_jsonable(model.variables),
-        "dagger": check_dagger(model).to_jsonable(model.variables),
+        "dagger": check_dagger(model, tester).to_jsonable(model.variables),
     }
     return report, phase.description, True
 
@@ -264,6 +266,28 @@ _HANDLERS = {
 }
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``.
+    Anything but a string, int, bool, None, non-empty list or non-empty
+    str-keyed dict is json's own text, re-indented (json escapes every
+    newline inside a string)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        items = [_json_text(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                 for key, value in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgck",
@@ -299,7 +323,7 @@ def main(argv=None) -> int:
         report, summary, passed = _HANDLERS[args.verb](args, _load_config(args.config))
         report["command"] = args.verb
         report.setdefault("conventions", CONVENTIONS)  # reports are self-describing
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = _json_text(report)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as iproduct
+from math import lcm
 
 from .config import COHFT_TABLES, ConfigError, read
 from .exactalg import Cyclo
@@ -178,19 +179,10 @@ class CohftData:
 
     def o3_unit(self, i, j) -> Cyclo:
         return sum((c * self.o3(i, j, k) for k, c in enumerate(self.unit_vector) if c),
-                   Cyclo.zero())
+                   _ZERO)
 
     def o4(self, key) -> tuple:
         return self.omega04.get(tuple(key), (_ZERO, _ZERO))
-
-    def o4_unit_last(self, i, j, k) -> tuple:
-        c0, c2 = Cyclo.zero(), Cyclo.zero()
-        for l, c in enumerate(self.unit_vector):
-            if c:
-                v0, v2 = self.o4((i, j, k, l))
-                c0 = c0 + c * v0
-                c2 = c2 + c * v2
-        return c0, c2
 
 
 def _stored(data: CohftData):
@@ -260,33 +252,46 @@ def check_sr_covariance(data: CohftData) -> list[dict]:
     return out
 
 
-def _contract(data: CohftData, casimir, left_pair: tuple[int, int],
-              right_pair: tuple[int, int]) -> Cyclo:
-    """sum over the Casimir pairs (i, dual) of
-    omega_{0,3}(left, T_i) * omega_{0,3}(T_i^dual, right).  Every nonzero
-    dual coefficient contributes a term, absent table entries included,
-    so a sum lives in the field of all its coefficients."""
-    total = Cyclo.zero()
-    for i, dual in casimir:
-        a = data.o3(*left_pair, i)
-        if not a:
-            continue
-        b = sum((c * data.o3(l, *right_pair) for l, c in dual.items()), Cyclo.zero())
-        if b:
-            total = total + a * b
-    return total
+class _Contraction:
+    """The (0,3) table indexed for the Casimir contraction: nonzero entries
+    by their first two slots and by their first, every entry by its last
+    two, and each dual with the field of all its coefficients.  A table
+    may be changed in place, so each walk builds its own index."""
+
+    def __init__(self, data: CohftData, casimir):
+        self.duals = {i: (dual, lcm(*(c.order for c in dual.values())))
+                      for i, dual in casimir}
+        self.left, self.right, self.starts = {}, {}, {}
+        for (a, b, c), v in data.omega03.items():
+            if v:
+                self.left.setdefault((a, b), []).append((c, v))
+                self.starts.setdefault(a, []).append((b, c))
+            self.right.setdefault((b, c), {})[a] = v
+
+    def __call__(self, left_pair: tuple[int, int], right_pair: tuple[int, int]) -> Cyclo:
+        """sum over the Casimir pairs (i, dual) of omega_{0,3}(left, T_i) *
+        omega_{0,3}(T_i^dual, right) over the stored entries.  An absent
+        entry would add c * 0 in the field of c, so each nonzero inner sum
+        is promoted to the field of all coefficients of its dual."""
+        total, row = _ZERO, self.right.get(right_pair, {})
+        for i, a in self.left.get(left_pair, ()):
+            dual, order = self.duals[i]
+            b = sum((c * row[l] for l, c in dual.items() if l in row), _ZERO)
+            if b:
+                total = total + a * b.promote(lcm(b.order, order))
+        return total
 
 
 def _handle_trace(data: CohftData, casimir, g: int) -> Cyclo:
     """sum over the Casimir pairs (i, dual) of omega_{0,3}(g, T_i, T_i^dual)."""
     return sum((c * data.o3(g, i, l) for i, dual in casimir for l, c in dual.items()),
-               Cyclo.zero())
+               _ZERO)
 
 
 def check_tree_gluing(data: CohftData) -> list[dict]:
     """Boundary pullback of (0,4) equals the dual-basis contraction of two
     (0,3) tables, in every channel supplied in the pullback data."""
-    casimir = data.basis.casimir
+    contract = _Contraction(data, data.basis.casimir)
     out = []
     channels = {
         "tree_12_34": (0, 1, 2, 3),
@@ -298,7 +303,7 @@ def check_tree_gluing(data: CohftData) -> list[dict]:
         for name, (p, q, r, s) in channels.items():
             coeff = data.boundary_pullbacks[name]
             lhs = v0 * coeff[0] + v2 * coeff[1]
-            rhs = _contract(data, casimir, (key[p], key[q]), (key[r], key[s]))
+            rhs = contract((key[p], key[q]), (key[r], key[s]))
             out.append(_entry(name, key, lhs, rhs))
     return out
 
@@ -319,12 +324,15 @@ def check_forgetting_tails(data: CohftData) -> list[dict]:
     """(0,4) with a unit insertion is the pulled-back (0,3) table: its
     degree-0 part matches and its degree-2 part vanishes."""
     n = data.basis.dimension
+    unit = [(l, c) for l, c in enumerate(data.unit_vector) if c]
     out = []
     for key in iproduct(range(n), repeat=3):
-        c0, c2 = data.o4_unit_last(*key)
-        expected = data.o3(*key)
-        out.append(_entry("forgetting_tails_deg0", key, c0, expected))
-        out.append(_entry("forgetting_tails_deg2", key, c2, Cyclo.zero()))
+        c0 = c2 = _ZERO  # the (0,4) table with the unit in the last slot
+        for l, c in unit:
+            v0, v2 = data.o4(key + (l,))
+            c0, c2 = c0 + c * v0, c2 + c * v2
+        out.append(_entry("forgetting_tails_deg0", key, c0, data.o3(*key)))
+        out.append(_entry("forgetting_tails_deg2", key, c2, _ZERO))
     return out
 
 
@@ -412,9 +420,13 @@ def axiom_seeded_data(basis: PairedBasis, unit_vector,
 
     data = CohftData(basis, list(unit_vector), shift_genus0, omega03, {}, {})
     casimir = basis.casimir
-    data.omega04 = {key: (v, Cyclo.zero()) for key in iproduct(range(n), repeat=4)
-                    if (v := _contract(data, casimir, key[:2], key[2:]))}
-    data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
+    contract = _Contraction(data, casimir)
+    # candidate keys: a stored (a, b, i), l in the dual of i, a stored (l, c, d)
+    keys = {left + right for left, row in contract.left.items() for i, _ in row
+            for l in contract.duals[i][0] for right in contract.starts.get(l, ())}
+    data.omega04 = {key: (v, _ZERO) for key in sorted(keys)
+                    if (v := contract(key[:2], key[2:]))}
+    data.omega11 = {(g,): (v, _ZERO) for g in range(n)
                     if (v := _handle_trace(data, casimir, g))}
     return data
 

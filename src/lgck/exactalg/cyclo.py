@@ -250,11 +250,10 @@ class Cyclo:
     # -- display ---------------------------------------------------------
 
     def __str__(self):
-        items = self.items()
-        if not items:
-            return "0"
+        if not any(self.nums[1:]):  # rational: most report entries are "0"
+            return str(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
         parts = []
-        for k, c in items:
+        for k, c in self.items():
             if k == 0:
                 parts.append(str(c))
             else:

@@ -33,7 +33,7 @@ def mat_mul(a, b):
     if any(len(row) != len(b) for row in a):
         raise ValueError(f"inner dimensions differ: {len(b)} rows on the right")
     if not a or not b or not b[0]:
-        return [[] for _ in a] if b else []
+        return [[] for _ in a]
     zero = b[0][0] - b[0][0]
     sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []

@@ -54,10 +54,6 @@ class DiffForm:
     def const(cls, variables, c) -> "DiffForm":
         return cls.from_poly(MultiPoly.const(variables, c))
 
-    @classmethod
-    def d_var(cls, variables, index: int) -> "DiffForm":
-        return cls(variables, {(index,): MultiPoly.const(variables, 1)})
-
     # -- structure ----------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -233,10 +233,10 @@ class PhaseDescription:
         }
 
 
-class _ConeTester:
+class ConeTester:
     """Memoized support-cone membership tests for one model and character."""
 
-    def __init__(self, model: GlsmModel, character, include_chi_line: bool):
+    def __init__(self, model: GlsmModel, character, include_chi_line: bool = False):
         self.model = model
         self.character = [Fraction(x) for x in character]
         self.extra: list[list[Fraction]] = []
@@ -303,13 +303,14 @@ def _maximal_unstable(semistable, n: int) -> list[frozenset]:
     return sorted(maximal, key=lambda s: (len(s), sorted(s)))
 
 
-def semistable_locus(model: GlsmModel, character) -> PhaseDescription:
-    """Describe V^ss(character) by its maximal unstable coordinate supports."""
+def semistable_locus(model: GlsmModel, character, tester=None) -> PhaseDescription:
+    """Describe V^ss(character) by its maximal unstable coordinate supports.
+    A ``tester`` given for this model and character shares its LP answers."""
     character = tuple(Fraction(x) for x in character)
     if model.torus_rank and len(character) != model.torus_rank:
         raise ValueError("character dimension does not match the torus rank")
     n = model.n_vars
-    tester = _ConeTester(model, character, include_chi_line=False)
+    tester = tester or ConeTester(model, character)
     maximal = _maximal_unstable(tester.semistable, n)
     pieces = ["{" + " = ".join(model.variables[i] for i in range(n) if i not in u) + " = 0}"
               for u in maximal]
@@ -324,7 +325,7 @@ def _stable_equals_semistable(model: GlsmModel, character) -> bool:
     avoids the facets."""
     if not model.torus_rank:
         return True
-    tester = _ConeTester(model, character, include_chi_line=True)
+    tester = ConeTester(model, character, include_chi_line=True)
     full = frozenset(range(model.n_vars))
     # minimal semistable supports: complements of the maximal t with X - t semistable
     return all(mat_rank([model.weight_column(i) for i in sorted(full - t)] + [list(model.chi)])
@@ -357,16 +358,18 @@ class DaggerReport:
         }
 
 
-def check_dagger(model: GlsmModel) -> DaggerReport:
+def check_dagger(model: GlsmModel, tester=None) -> DaggerReport:
     """Does the R-fixed coordinate subspace meet the semistable locus?
 
     The R-fixed subspace is cut out by the coordinates with nonzero
     R-charge.  Semistable supports are upward closed, so the subspace
     meets V^ss iff its full coordinate support is itself semistable.
+    A ``tester`` of this model at nu shares its LP answers.
     """
     fixed = tuple(i for i, c in enumerate(model.r_charges) if c == 0)
-    tester = _ConeTester(model, model.nu if model.torus_rank else (),
-                         include_chi_line=False)
+    nu = [Fraction(x) for x in model.nu] if model.torus_rank else []
+    if tester is None or tester.character != nu or tester.extra:
+        tester = ConeTester(model, nu)
     if tester.semistable(frozenset(fixed)):
         return DaggerReport(True, fixed, fixed, "fixed subspace meets V^ss")
     return DaggerReport(False, fixed, None, "every support inside the fixed subspace is unstable")

@@ -530,7 +530,7 @@ class ThElement:
         """A(f) c_n == f^* c_m for a monotone f: [n] -> [m]."""
         pull, source = pullback(f, m), self.levels[len(f) - 1]
         pulled = [[pull(form)] for form in self.levels[m]]
-        if not source:  # A[n] = 0, so A(f) c_n = 0
+        if not source:  # A[n] = 0: A(f) c_n = 0, and a product with no rows has no width
             return not any(form for (form,) in pulled)
         return mat_mul(self.cs.map_into(f, m), [[form] for form in source]) == pulled
 
@@ -701,7 +701,7 @@ def de_rham_triangle_check(resolution: GodementResolution,
     chain_map = True
     for d in range(N):
         de = [el.d() for el in basis[d]]
-        if not basis[d + 1]:  # N^(d+1) = 0
+        if not basis[d + 1]:  # N^(d+1) = 0: the product below would have no width
             chain_map = chain_map and all(e.is_zero() for e in de)
             continue
         columns = _transpose(norm.differentials[d])

@@ -3,7 +3,8 @@
 ``dense_pairs``, ``dense_contract`` and ``dense_handle_trace`` copy the
 earlier dense code: every basis element is a length-n unit vector paired
 with a length-n dual vector, and each contraction loops over all n
-coordinates.  Values are compared with ``str``, so a sum that lands in a
+coordinates.  ``dense_seeded_tables`` fills the (0,4) table on all n^4
+index tuples, where ``axiom_seeded_data`` walks only the stored entries.  Values are compared with ``str``, so a sum that lands in a
 different cyclotomic field (a different printed order) is a mismatch even
 when the two numbers are equal.
 """
@@ -17,7 +18,7 @@ import pytest
 from lgck.cohft import (
     CohftData,
     PairedBasis,
-    _contract,
+    _Contraction,
     _handle_trace,
     axiom_seeded_data,
     casimir_check,
@@ -28,7 +29,7 @@ from lgck.exactalg import Cyclo
 from lgck.exactalg.linalg import inverse
 from lgck.statespace import StateSpace
 
-from corpus import corpus
+from corpus import corpus, fermat_model
 
 
 def dense_pairs(basis):
@@ -101,9 +102,10 @@ def dense_seeded_tables(data):
 
 def assert_contractions_match(data):
     n, pairs, casimir = data.basis.dimension, dense_pairs(data.basis), data.basis.casimir
+    contract = _Contraction(data, casimir)
     for left in product(range(n), repeat=2):
         for right in product(range(n), repeat=2):
-            got = _contract(data, casimir, left, right)
+            got = contract(left, right)
             assert str(got) == str(dense_contract(data, pairs, left, right)), (left, right)
     for g in range(n):
         assert str(_handle_trace(data, casimir, g)) == str(dense_handle_trace(data, pairs, g))
@@ -122,13 +124,24 @@ def test_toy_contractions_match_dense():
     assert {k: str(v[0]) for k, v in toy.omega11.items()} == omega11
 
 
-@pytest.mark.parametrize("name, model", corpus(), ids=[name for name, _ in corpus()])
+def _full_group_fermat_cubic(k):
+    """Sum_{i<=k} x_i^3 with the full diagonal group: every state is narrow."""
+    return fermat_model([3] * k, extra_generators=[
+        ["1/3" if j == i else "0" for j in range(k)] for i in range(k)])
+
+
+_MODELS = corpus() + [(f"fermat_3_{k}_gmax", _full_group_fermat_cubic(k)) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name, model", _MODELS, ids=[name for name, _ in _MODELS])
 def test_seeded_tables_match_dense(name, model):
     """The axiom-seeded (0,4) and (1,1) tables of every corpus model, E8
-    included, print exactly as the dense contraction prints them."""
+    included, and of Sum x_i^3 with the full group (n = 2^k), print exactly
+    as the dense n^4 fill prints them, in sorted key order."""
     data = narrow_sector_data(model, StateSpace(model))
     omega04, omega11 = dense_seeded_tables(data)
     assert {k: str(v[0]) for k, v in data.omega04.items()} == omega04
+    assert list(data.omega04) == sorted(data.omega04)
     assert all(not v[1] for v in data.omega04.values())
     assert {k: str(v[0]) for k, v in data.omega11.items()} == omega11
     assert all(e["pass"] for e in casimir_check(data.basis))
@@ -196,7 +209,7 @@ def test_absent_entries_keep_the_field():
                      {(0, 0, 0): Cyclo.one(), (1, 1, 1): z3}, {}, {})
     casimir = basis.casimir
     assert casimir[0] == (0, {0: -z4, 1: Cyclo.one()})
-    got = _contract(data, casimir, (0, 0), (1, 1))
+    got = _Contraction(data, casimir)((0, 0), (1, 1))
     assert str(got) == str(dense_contract(data, dense_pairs(basis), (0, 0), (1, 1)))
     assert str(got) == "-1 + z12^2" and got == z3
     assert_contractions_match(data)

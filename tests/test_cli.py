@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from lgck.cli import main
+from lgck.cli import _json_text, main
 from lgck.glsm import GlsmModel
 from lgck.statespace import StateSpace
 from lgck.simplicial import MAX_POSET_POINTS, MAX_STALK_DIM
@@ -636,3 +636,25 @@ def test_oversized_group_refused_up_front(tmp_path, capsys, model):
     assert _run(["sectors", path]) == 1
     assert time.perf_counter() - start < 2
     assert "group order exceeds bound 1000000" in capsys.readouterr().err
+
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_scalars = (st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
+            | st.text())
+_numeric_keys = st.integers(-5, 5) | st.floats(allow_nan=False) | st.booleans()
+_json_values = st.recursive(_scalars, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(_numeric_keys, inner, max_size=3)
+    | st.dictionaries(st.none(), inner, max_size=1)), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(obj):
+    """The report writer gives the bytes of json.dumps(indent=2,
+    sort_keys=True): non-ASCII strings, int/float/bool/None keys and
+    values, empty containers and tuples."""
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

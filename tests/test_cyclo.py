@@ -99,3 +99,31 @@ def test_long_coefficient_lists_match_reference(order, coeffs):
                ref.Cyclo.zero(order))
     got = Cyclo(order, coeffs)
     assert (str(got), got.order) == (str(want), want.order)
+
+
+def _items_str(x: Cyclo) -> str:
+    """The display of a value built from ``items()`` alone, as ``__str__``
+    printed every value before its rational fast path."""
+    parts = []
+    for k, c in x.items():
+        if k == 0:
+            parts.append(str(c))
+        else:
+            z = f"z{x.order}" + (f"^{k}" if k > 1 else "")
+            if c in (1, -1):
+                parts.append(z if c == 1 else f"-{z}")
+            else:
+                parts.append(f"({c})*{z}" if c.denominator != 1 or c < 0 else f"{c}*{z}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(rationals, max_size=euler_phi(n)), st.integers(1, 4))))
+def test_str_matches_items(value):
+    """``str`` agrees with the ``items()`` route on zero, rational and dense
+    values, also after promotion to a larger order."""
+    order, coeffs, step = value
+    x = Cyclo(order, coeffs)
+    for y in (x, x.promote(order * step), Cyclo.from_rational(x.nums[0], order)):
+        assert str(y) == _items_str(y)

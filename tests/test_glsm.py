@@ -1,13 +1,16 @@
 """GLSM validation, GIT phases, R-fixed loci, and the fixed-locus condition."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from lgck import glsm
+from lgck.cli import main
 from lgck.exactalg import ConeResult, MultiPoly, exact_lp_cone_membership
 from lgck.exactalg.linalg import rank as mat_rank
 from lgck.glsm import (
+    ConeTester,
     GlsmModel,
     check_dagger,
     r_fixed_locus,
@@ -239,6 +242,25 @@ def test_quintic_glsm_lp_count(monkeypatch):
     semistable_locus(model, [-5, 1])
     assert check_dagger(model).holds
     assert len(calls) <= 206
+
+
+def test_quintic_phase_at_nu_shares_the_dagger_lp(monkeypatch, tmp_path):
+    """The phase at nu and the dagger check share one tester: both quintic
+    phases and the dagger check make 205 LPs, and ``lgck phases`` at nu
+    makes no LP beyond the phase's own."""
+    calls = _count_lps(monkeypatch)
+    model = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
+    tester = ConeTester(model, model.nu)
+    semistable_locus(model, model.nu, tester)
+    alone = len(calls)
+    semistable_locus(model, [-5, 1])
+    assert check_dagger(model, tester).holds
+    assert len(calls) == 205
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(model.to_dict()))
+    del calls[:]
+    assert main(["phases", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    assert len(calls) == alone
 
 
 @pytest.mark.parametrize("flip", ["inside", "outside"])

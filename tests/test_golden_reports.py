@@ -35,9 +35,13 @@ def _configs(root: Path) -> dict:
     other = fermat_model([3], prefix="y").to_dict()
     main_model = fermat_model([3], prefix="x").to_dict()
     main_model["kunneth"] = {"other_model": str(root / "other.json")}
+    # Sum_{i<=4} x_i^3 with the full diagonal group: every state is narrow (n = 16)
+    gmax = fermat_model([3] * 4, extra_generators=[
+        ["1/3" if j == i else "0" for j in range(4)] for i in range(4)]).to_dict()
     paths = {}
     for name, data in (("quintic", quintic), ("glsm", glsm), ("koszul", koszul),
-                       ("other", other), ("kunneth", main_model), ("empty", {})):
+                       ("other", other), ("kunneth", main_model), ("empty", {}),
+                       ("fermat_3_4_gmax", gmax)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -55,6 +59,7 @@ def _cases(paths: dict) -> dict:
     cases["simplicial-demo-level-2"] = ["simplicial-demo", paths["empty"],
                                         "--level-bound", "2"]
     cases["simplicial-demo"] = ["simplicial-demo", paths["empty"]]
+    cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
     return cases
 
 

@@ -228,6 +228,14 @@ def test_mat_mul_shapes():
         [[1, 2], [3, 4]]
 
 
+@pytest.mark.parametrize("m", range(4))
+def test_mat_mul_empty_inner_dimension(m):
+    """An m x 0 matrix times a 0 x p one is m rows; with no row on the
+    right the width p is unknown, so each row is empty."""
+    assert mat_mul([[] for _ in range(m)], []) == [[] for _ in range(m)]
+    assert mat_mul([[Fraction(1)]] * m, [[]]) == [[] for _ in range(m)]
+
+
 def _reduce(v, echelon):
     v = list(v)
     for col, pivot, tail in echelon:
