@@ -24,7 +24,7 @@ from .config import (
 from .glsm import ConeTester, GlsmModel, check_dagger, semistable_locus, validate
 from .matfact import (MAX_KOSZUL_RANK, chern_char, koszul, splitting_degree_check,
                       todd_chern, unit_class)
-from .orbifold import DEFAULT_GROUP_BOUND, inertia_sectors
+from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, inertia_sectors
 from .simplicial import (
     FinitePosetSheaf,
     de_rham_triangle_check,
@@ -163,6 +163,9 @@ def _cmd_virdim(args, config):
     if any(len(ins) != n for ins in insertions):
         raise ConfigError("virdim.insertions", f"expected insertions of {n} rationals each, "
                                                "one per name in variables")
+    group = DiagonalGroup.of(model)
+    if bad := [k for k, ins in enumerate(insertions) if not group.contains(ins)]:
+        raise ConfigError("virdim.insertions", f"insertion {bad[0]} is not in the model's group")
     g, r = block["g"], len(insertions) if block["r"] is None else block["r"]
     value = virdim(model, g, r, block["d_pairing"], insertions)
     report = {"g": g, "r": r, "d_pairing": str(block["d_pairing"]), "value": str(value)}
@@ -216,7 +219,6 @@ def _cmd_simplicial_demo(args, config):
     else:
         sheaves = {poset.get("name", "custom"): FinitePosetSheaf.from_dict(poset)}
     levels = args.level_bound
-    degree_bound = max(args.degree_bound, levels)
     out = {}
     ok = True
     for name, sheaf in sorted(sheaves.items()):
@@ -228,7 +230,7 @@ def _cmd_simplicial_demo(args, config):
         flasque = [resolution.flasque(n) for n in range(levels + 1)]
         out[name] = {
             "level_bound": levels,
-            "degree_bound": degree_bound,
+            "degree_bound": 6,  # a fixed report entry; it bounds no computation
             "godement_dims": resolution.module.dims,
             "flasque": flasque,
             "triangle": rep.to_jsonable(),
@@ -301,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="character for 'phases': a name from the config's "
                              "'characters' table or comma-separated rationals")
     parser.add_argument("--level-bound", type=int, default=MAX_LEVEL_BOUND)
-    parser.add_argument("--degree-bound", type=int, default=6)
     parser.add_argument("--group-order-bound", type=int, default=DEFAULT_GROUP_BOUND)
     return parser
 
@@ -310,7 +311,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, value in (("level-bound", args.level_bound),
-                        ("degree-bound", args.degree_bound),
                         ("group-order-bound", args.group_order_bound)):
         if value <= 0:
             print(f"error: --{name} must be positive", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 from .exactalg.linalg import integer_echelon
 from .glsm import GlsmModel, semistable_locus
@@ -55,49 +56,62 @@ class GroupElement:
         return "(" + ",".join(str(p) for p in self.phases) + ")"
 
 
-def group_order(generators) -> int:
-    """Order of the group the phase vectors generate, without enumerating it:
-    D^n / det L, with D the common denominator of the phases and L the
-    lattice spanned by the D e_i and the D g_j (reduced mod D, which L
-    contains in every coordinate).  det L is the product of the pivots of
-    an integer echelon form of L."""
-    n = len(generators[0])
-    d = lcm(*(p.denominator for g in generators for p in g))
-    rows = [[d * (i == j) for j in range(n)] for i in range(n)]
-    rows += [[p.numerator * (d // p.denominator) % d for p in g] for g in generators]
-    return d ** n // prod(pivot for _, pivot, _ in integer_echelon(rows))
+class DiagonalGroup:
+    """The group G the phase vectors generate, as one integer lattice.
 
+    With d the common denominator of the phases, G = L / (d Z)^n for L the
+    lattice of the d e_i and the d g_j.  An ``integer_echelon`` basis of L
+    has n rows, row k with a pivot p_k | d at column k (kept mod d, so p_k = d
+    reads 0).  So |G| = d^n / prod p_k, and the sums sum a_k row_k mod d,
+    0 <= a_k < d / p_k, are the elements of G, each once."""
 
-def enumerate_group(generators, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupElement]:
-    """All products of the generators; deterministic phase-vector order.  A
-    group of order above ``bound`` is refused before it is enumerated."""
-    gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in generators]
-    if not gens:
-        raise ValueError("need at least one generator (the identity is fine)")
-    n = len(gens[0].phases)
-    if any(len(g.phases) != n for g in gens):
-        raise ValueError("phase vectors of different lengths")
-    if group_order([g.phases for g in gens]) > bound:
-        raise ValueError(f"group order exceeds bound {bound}")
-    # search integer phase vectors mod d; sorting them sorts the phases
-    d = lcm(*(p.denominator for g in gens for p in g.phases))
-    steps = [tuple(p.numerator * (d // p.denominator) for p in g.phases) for g in gens]
-    seen = {(0,) * n}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in steps:
-                y = tuple((a + b) % d for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    phase = {a: Fraction(a, d) for a in {a for v in seen for a in v}}
-    out = [GroupElement.__new__(GroupElement) for _ in seen]  # phases reduced already
-    for h, v in zip(out, sorted(seen)):
-        h.phases = tuple(map(phase.__getitem__, v))
-    return out
+    def __init__(self, generators):
+        gens = [g.phases if isinstance(g, GroupElement) else tuple(map(Fraction, g))
+                for g in generators]
+        n = len(gens[0])
+        if any(len(g) != n for g in gens):
+            raise ValueError("phase vectors of different lengths")
+        self.d = d = lcm(*(p.denominator for g in gens for p in g))
+        lattice = [[d * (i == j) for j in range(n)] for i in range(n)]
+        lattice += [[p.numerator * (d // p.denominator) % d for p in g] for g in gens]
+        self.rows = [tuple((pivot if c == col else tail.get(c, 0)) % d for c in range(n))
+                     for col, pivot, tail in integer_echelon(lattice)]
+        self.ranges = [range(d // (row[k] or d)) for k, row in enumerate(self.rows)]
+        self.order = prod(map(len, self.ranges))
+        self._restricted: dict[tuple, set] = {}
+
+    @classmethod
+    def of(cls, model: GlsmModel) -> "DiagonalGroup":
+        """The model's group, generated by J and the finite generators."""
+        return cls([model.j_phases, *model.finite_generators])
+
+    def elements(self, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupElement]:
+        """Every element, sorted; above ``bound`` refused before any is built."""
+        if self.order > bound:
+            raise ValueError(f"group order exceeds bound {bound}")
+        d, vectors = self.d, [(0,) * len(self.rows)]
+        for row, coefficients in zip(self.rows, self.ranges):
+            vectors = [tuple((x + a * y) % d for x, y in zip(v, row))
+                       for v in vectors for a in coefficients]
+        phase = [Fraction(a, d) for a in range(d)]  # shared; d <= order
+        out = [GroupElement.__new__(GroupElement) for _ in vectors]  # phases reduced already
+        for h, v in zip(out, sorted(vectors)):
+            h.phases = tuple(map(phase.__getitem__, v))
+        return out
+
+    def fixes(self, character, support=None) -> bool:
+        """Whether x^character, given on ``support`` (default all coordinates),
+        pairs to 0 mod d with every row restricted there (memoized per support)."""
+        support = tuple(range(len(self.rows)) if support is None else support)
+        if (rows := self._restricted.get(support)) is None:
+            rows = {tuple(row[i] for i in support) for row in self.rows} - {(0,) * len(support)}
+            self._restricted[support] = rows
+        return all(sum(map(mul, row, character)) % self.d == 0 for row in rows)
+
+    def contains(self, phases) -> bool:
+        """Whether the phase vector lies in G: adjoining it keeps the order."""
+        rows = [[Fraction(x, self.d) for x in row] for row in self.rows]
+        return DiagonalGroup([*rows, phases]).order == self.order
 
 
 @dataclass(frozen=True)
@@ -123,20 +137,16 @@ class Sector:
         }
 
 
-def sector_group(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND) -> list[GroupElement]:
-    """The finite diagonal group generated by J and the finite generators."""
-    gens = [GroupElement(model.j_phases)]
-    gens += [GroupElement(g) for g in model.finite_generators]
-    return enumerate_group(gens, bound)
+def sector_group(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
+                 group: DiagonalGroup | None = None) -> list[GroupElement]:
+    """The elements of the model's group (``group``, when already built)."""
+    return (group or DiagonalGroup.of(model)).elements(bound)
 
 
-def inertia_sectors(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND) -> list[Sector]:
+def inertia_sectors(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
+                    group: DiagonalGroup | None = None) -> list[Sector]:
     """One sector per group element; requires the affine regime V^ss = V."""
-    if model.torus_rank:
-        phase = semistable_locus(model, model.nu)
-        if phase.max_unstable_supports:
-            raise ValueError(
-                "model is not in the affine regime (V^ss != V); only "
-                "narrow-sector bookkeeping is available for geometric phases"
-            )
-    return [Sector.of(h) for h in sector_group(model, bound)]
+    if model.torus_rank and semistable_locus(model, model.nu).max_unstable_supports:
+        raise ValueError("model is not in the affine regime (V^ss != V); only "
+                         "narrow-sector bookkeeping is available for geometric phases")
+    return [Sector.of(h) for h in sector_group(model, bound, group)]

@@ -23,7 +23,7 @@ from math import lcm, prod
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
 from .exactalg.linalg import integer_echelon, sparse_rank
 from .glsm import GlsmModel
-from .orbifold import DEFAULT_GROUP_BOUND, GroupElement, Sector, inertia_sectors
+from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, Sector, inertia_sectors
 
 CONVENTIONS = {
     "residue_normalization": "res(hessian) = milnor number",
@@ -208,15 +208,11 @@ class SectorSpace:
 
 def sector_space(model: GlsmModel, h: GroupElement,
                  group=None) -> SectorSpace:
-    """Invariant Jacobian-ring classes of the restricted potential.
-
-    Invariance is tested against ``group`` when given and otherwise
-    against the generators J and ``finite_generators``: a character is
-    trivial on the group exactly when it is trivial on its generators.
-    """
+    """Invariant Jacobian-ring classes of the restricted potential: the
+    x^exp dx_fixed whose character, exp + 1 on the fixed coordinates, is
+    trivial on ``group``, the model's ``DiagonalGroup`` or a list of elements
+    or generators of it (by default J and the ``finite_generators``)."""
     sector = Sector.of(h)
-    if group is None:
-        group = [GroupElement(g) for g in (model.j_phases, *model.finite_generators)]
     fixed = sorted(sector.fixed_support)
     fixed_names = tuple(model.variables[i] for i in fixed)
     deg = Fraction(len(fixed)) + 2 * (sector.age - model.q)
@@ -231,17 +227,10 @@ def sector_space(model: GlsmModel, h: GroupElement,
         calc = ResidueCalculator(w_res, weights)
     except ValueError as exc:
         raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
-
-    # g acts on x^exp dx_fixed by exp(2 pi i sum_i nums_i (exp_i + 1) / den)
-    actions = []
-    for g in group:
-        den = lcm(*(g.phases[i].denominator for i in fixed))
-        nums = [g.phases[i].numerator * (den // g.phases[i].denominator) for i in fixed]
-        actions.append((den, nums, sum(nums)))
-    invariant = tuple(
-        exp for exp in calc.standard_monomials
-        if all((twist + sum(n * a for n, a in zip(nums, exp))) % den == 0
-               for den, nums, twist in actions))
+    if not isinstance(group, DiagonalGroup):
+        group = DiagonalGroup.of(model) if group is None else DiagonalGroup(group)
+    invariant = tuple(exp for exp in calc.standard_monomials
+                      if group.fixes([a + 1 for a in exp], fixed))
     return SectorSpace(sector, fixed_names, invariant, deg, calc)
 
 
@@ -264,12 +253,13 @@ class StateSpace:
 
     def __init__(self, model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND):
         self.model = model
-        self.sectors = inertia_sectors(model, bound)
+        lattice = DiagonalGroup.of(model)
+        self.sectors = inertia_sectors(model, bound, lattice)
         self.group = [sec.element for sec in self.sectors]
         self.group_order = len(self.group)
         self.spaces: dict[tuple, SectorSpace] = {}
         for sec in self.sectors:
-            self.spaces[sec.element.phases] = sector_space(model, sec.element)
+            self.spaces[sec.element.phases] = sector_space(model, sec.element, lattice)
         self._gram_cache: dict[tuple, list[dict[int, Cyclo]]] = {}
 
     # -- bookkeeping -----------------------------------------------------

@@ -133,18 +133,24 @@ def test_unit_and_virdim(quintic_config, tmp_path):
     assert json.loads(out2.read_text())["value"] == "3"
 
 
-@pytest.mark.parametrize("insertions", [[["1/5"]], 5, [["1/5"] * 5, 7], [["1/0"] * 5]],
-                         ids=["short_insertion", "not_a_list", "insertion_not_a_list",
-                              "divides_by_zero"])
-def test_malformed_virdim_insertions_exit_2(quintic_config, tmp_path, capsys, insertions):
-    """Each insertion is one rational phase per variable; anything else is
-    refused with the field named, not read as a shorter element."""
+@pytest.mark.parametrize("insertions, detail", [
+    ([["1/5"]], "rationals each"), (5, ""), ([["1/5"] * 5, 7], ""), ([["1/0"] * 5], ""),
+    ([["1/7"] * 5], "insertion 0 is not in"),
+    ([["1/5"] * 5, ["1/3", 0, 0, 0, 0]], "insertion 1 is not in"),
+], ids=["short_insertion", "not_a_list", "insertion_not_a_list", "divides_by_zero",
+        "outside_the_group", "second_outside_the_group"])
+def test_malformed_virdim_insertions_exit_2(quintic_config, tmp_path, capsys, insertions,
+                                           detail):
+    """Each insertion is one rational phase per variable, and an element of
+    the group; anything else is refused with the field named, not read as a
+    shorter element or given a virtual dimension."""
     config = json.loads(quintic_config.read_text())
     config["virdim"]["insertions"] = insertions
     path = tmp_path / "virdim.json"
     path.write_text(json.dumps(config))
     assert _run(["virdim", path, "--output", tmp_path / "vd.json"]) == 2
-    assert "virdim.insertions:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "virdim.insertions:" in err and detail in err
 
 
 @pytest.mark.parametrize("field,value", [("g", 0.9), ("g", True), ("g", -1),
@@ -282,6 +288,13 @@ def test_determinism_byte_for_byte(quintic_config, tmp_path):
 
 def test_bad_bounds_exit_2(quintic_config):
     assert _run(["state-space", quintic_config, "--group-order-bound", "0"]) == 2
+
+
+def test_degree_bound_flag_is_gone(quintic_config):
+    """--degree-bound bounded no computation and is no longer accepted."""
+    with pytest.raises(SystemExit) as exc:
+        _run(["state-space", quintic_config, "--degree-bound", "6"])
+    assert exc.value.code == 2
 
 
 def test_level_bound_above_3_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -38,10 +39,14 @@ def _configs(root: Path) -> dict:
     # Sum_{i<=4} x_i^3 with the full diagonal group: every state is narrow (n = 16)
     gmax = fermat_model([3] * 4, extra_generators=[
         ["1/3" if j == i else "0" for j in range(4)] for i in range(4)]).to_dict()
+    # the quintic orbifolded by SL ∩ G_max (order 625), from J and three generators
+    mirror = make_quintic_lg().to_dict()
+    mirror["finite_generators"] = [["1/5" if j == 0 else "4/5" if j == i else "0"
+                                    for j in range(5)] for i in range(1, 4)]
     paths = {}
     for name, data in (("quintic", quintic), ("glsm", glsm), ("koszul", koszul),
                        ("other", other), ("kunneth", main_model), ("empty", {}),
-                       ("fermat_3_4_gmax", gmax)):
+                       ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -60,6 +65,8 @@ def _cases(paths: dict) -> dict:
                                         "--level-bound", "2"]
     cases["simplicial-demo"] = ["simplicial-demo", paths["empty"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
+    for name in ("fermat_3_4_gmax", "mirror_quintic"):
+        cases[f"state-space-{name}"] = ["state-space", paths[name]]
     return cases
 
 
@@ -76,6 +83,17 @@ _GOLDEN = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
 def test_report_digest(case, tmp_path):
     args = _cases(_configs(tmp_path))[case]
     assert _digest(tmp_path, args) == _GOLDEN[case]
+
+
+def test_listed_group_writes_the_report_of_its_generators(tmp_path):
+    """The mirror quintic with all 625 elements of SL ∩ G_max listed as
+    generators writes the bytes of J and three generators."""
+    config = make_quintic_lg().to_dict()
+    config["finite_generators"] = [[f"{a}/5" for a in v] for v in product(range(5), repeat=5)
+                                   if sum(v) % 5 == 0]
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps(config))
+    assert _digest(tmp_path, ["state-space", path]) == _GOLDEN["state-space-mirror_quintic"]
 
 
 def test_golden_covers_every_case(tmp_path):

@@ -1,29 +1,33 @@
-"""Group enumeration, sectors, ages."""
+"""The group lattice, its elements, sectors, ages."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from lgck.orbifold import GroupElement, Sector, enumerate_group, group_order, inertia_sectors
+from lgck.orbifold import DiagonalGroup, GroupElement, Sector, inertia_sectors
 
 from conftest import make_quintic_glsm
 
 
+def _elements(generators, bound=10 ** 6):
+    return DiagonalGroup(generators).elements(bound)
+
+
 def test_enumerate_cyclic():
-    group = enumerate_group([GroupElement([Fraction(1, 5)] * 5)])
+    group = _elements([GroupElement([Fraction(1, 5)] * 5)])
     assert len(group) == 5
 
 
 def test_enumerate_klein():
-    group = enumerate_group([GroupElement([Fraction(1, 2), 0]),
-                             GroupElement([0, Fraction(1, 2)])])
+    group = _elements([GroupElement([Fraction(1, 2), 0]),
+                       GroupElement([0, Fraction(1, 2)])])
     assert len(group) == 4
 
 
 def test_generator_and_inverse_agree():
-    g1 = enumerate_group([GroupElement([Fraction(1, 3), Fraction(1, 3)])])
-    g2 = enumerate_group([GroupElement([Fraction(2, 3), Fraction(2, 3)])])
+    g1 = _elements([GroupElement([Fraction(1, 3), Fraction(1, 3)])])
+    g2 = _elements([GroupElement([Fraction(2, 3), Fraction(2, 3)])])
     assert g1 == g2
 
 
@@ -48,7 +52,7 @@ def test_enumerate_group_matches_fraction_search(rng):
         n = rng.randint(1, 3)
         gens = [GroupElement([Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 4, 6, 10]))
                               for _ in range(n)]) for _ in range(rng.randint(1, 3))]
-        got = enumerate_group(gens)
+        got = _elements(gens)
         want = _fraction_closure(gens)
         assert [h.phases for h in got] == [h.phases for h in want]
         assert set(got) == set(want)
@@ -57,7 +61,7 @@ def test_enumerate_group_matches_fraction_search(rng):
 
 def test_group_order_bound():
     with pytest.raises(ValueError):
-        enumerate_group([GroupElement([Fraction(1, 101)])], bound=50)
+        _elements([GroupElement([Fraction(1, 101)])], bound=50)
 
 
 def test_age_values():
@@ -70,7 +74,7 @@ def test_age_values():
 def test_age_inverse_sum_property():
     """h.age() + h^{-1}.age() = number of moving coordinates."""
     gens = [GroupElement([Fraction(1, 5), Fraction(2, 5), 0, Fraction(1, 2)])]
-    for h in enumerate_group(gens):
+    for h in _elements(gens):
         moving = sum(1 for p in h.phases if p != 0)
         assert h.age() + h.inverse().age() == moving
         assert h.fixed_support() == h.inverse().fixed_support()
@@ -103,7 +107,7 @@ def test_trivial_group_single_broad_sector():
 
 
 def test_z2_partial_fixed_support():
-    group = enumerate_group([GroupElement([Fraction(1, 2), 0])])
+    group = _elements([GroupElement([Fraction(1, 2), 0])])
     h = [g for g in group if any(g.phases)][0]
     assert Sector.of(h).fixed_support == frozenset({1})
 
@@ -129,14 +133,65 @@ def test_group_order_matches_enumeration():
         n, d = rng.randint(1, 4), rng.randint(1, 12)
         gens = [[Fraction(rng.randrange(2 * d), d) for _ in range(n)]
                 for _ in range(rng.randint(1, 3))]
-        assert group_order(gens) == len(enumerate_group(gens)), gens
+        want = _fraction_closure([GroupElement(g) for g in gens])
+        assert DiagonalGroup(gens).order == len(want), gens
 
 
 def test_group_bound_checked_before_enumeration(monkeypatch):
-    def no_products(self, other):
-        raise AssertionError("enumerated a group above the bound")
+    """Above the bound no element is built: GroupElement is patched to
+    refuse, and within the bound the same patch does fire."""
+    import lgck.orbifold as orbifold
 
-    monkeypatch.setattr(GroupElement, "__mul__", no_products)
+    class Refused(GroupElement):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            raise AssertionError("built an element")
+
     for gens in ([[Fraction(1, 2000), 0], [0, Fraction(1, 2000)]], [[Fraction(1, 10 ** 9)]]):
-        with pytest.raises(ValueError, match="exceeds bound 1000000"):
-            enumerate_group(gens)
+        group = DiagonalGroup(gens)
+        with monkeypatch.context() as patched:
+            patched.setattr(orbifold, "GroupElement", Refused)
+            with pytest.raises(ValueError, match="exceeds bound 1000000"):
+                group.elements()
+            with pytest.raises(AssertionError, match="built an element"):
+                DiagonalGroup([[Fraction(1, 2)]]).elements()  # within the bound
+
+
+def _random_group(rng):
+    n, d = rng.randint(1, 4), rng.choice([1, 2, 3, 4, 5, 6, 8, 10, 12])
+    gens = [[Fraction(rng.randrange(2 * d), d) for _ in range(n)]
+            for _ in range(rng.randint(1, 3))]
+    return n, d, gens
+
+
+def test_fixes_matches_brute_force():
+    """A character is trivial on G iff exp(2 pi i <chi, h>) = 1 for every
+    element h, on all coordinates and on a random support."""
+    rng = random.Random(18)
+    for _ in range(300):
+        n, d, gens = _random_group(rng)
+        group = DiagonalGroup(gens)
+        elements = group.elements()
+        chi = [rng.randrange(-2 * d, 2 * d) for _ in range(n)]
+        want = all(sum(c * p for c, p in zip(chi, h.phases)) % 1 == 0 for h in elements)
+        assert group.fixes(chi) == want, (gens, chi)
+        support = sorted(rng.sample(range(n), rng.randint(0, n)))
+        on_support = [chi[i] for i in support]
+        want = all(sum(c * h.phases[i] for i, c in zip(support, on_support)) % 1 == 0
+                   for h in elements)
+        assert group.fixes(on_support, support) == want, (gens, chi, support)
+
+
+def test_contains_matches_membership():
+    rng = random.Random(19)
+    for _ in range(300):
+        n, d, gens = _random_group(rng)
+        group = DiagonalGroup(gens)
+        elements = set(h.phases for h in group.elements())
+        den = rng.choice([d, 2 * d, 3 * d, 7])
+        phases = [Fraction(rng.randrange(-2 * den, 2 * den), den) for _ in range(n)]
+        assert group.contains(phases) == (tuple(p % 1 for p in phases) in elements), \
+            (gens, phases)
+        h = rng.choice(sorted(elements))
+        assert group.contains(h) and group.contains([p + 1 for p in h])

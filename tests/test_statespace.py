@@ -320,18 +320,24 @@ def test_broad_non_identity_sector_partial_fixed_support():
 
 
 def test_state_space_enumerates_its_group_once(quintic_lg, monkeypatch):
-    """The group and the sectors come from one enumeration, in one order."""
-    import lgck.orbifold as orbifold
-    calls = []
-    enumerate_group = orbifold.enumerate_group
+    """The group and the sectors come from one lattice, enumerated once, and
+    every sector space tests invariance against that lattice."""
+    from lgck.orbifold import DiagonalGroup
+    built, walks = [], []
+    init, elements = DiagonalGroup.__init__, DiagonalGroup.elements
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return enumerate_group(*args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(orbifold, "enumerate_group", counted)
+    def counted_elements(self, *args, **kwargs):
+        walks.append(self)
+        return elements(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiagonalGroup, "__init__", counted_init)
+    monkeypatch.setattr(DiagonalGroup, "elements", counted_elements)
     state = StateSpace(quintic_lg)
-    assert len(calls) == 1
+    assert len(built) == 1 and walks == built
     assert state.group == [sec.element for sec in state.sectors]
     assert state.group_order == 5
 
