@@ -103,7 +103,7 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
         space = state.spaces[key]
         if narrow_only and not space.narrow:
             continue
-        inverse[key] = sec.element.inverse().phases
+        inverse[key] = state.inverse_phases[key]
         gram[key] = state.gram_matrix(key)
         for lbl in space.basis_labels():
             labels.append(f"{sec.element.label()}:{lbl}")

@@ -172,6 +172,9 @@ class Cyclo:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, Cyclo) and self.order == other.order == 1:  # rationals
+            return _make(1, (self.nums[0] * other.den + other.nums[0] * self.den,),
+                         self.den * other.den)
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
@@ -194,6 +197,8 @@ class Cyclo:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, Cyclo) and self.order == other.order == 1:  # rationals
+            return _make(1, (self.nums[0] * other.nums[0],), self.den * other.den)
         a, b = self._pair(other)
         if b is None:
             return NotImplemented

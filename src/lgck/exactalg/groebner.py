@@ -223,18 +223,23 @@ class PolyIdeal:
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return list(self._leads)
 
+    def pure_power_bounds(self) -> list[int] | None:
+        """Per variable x_i the least a with x_i^a a leading monomial, or None
+        when some x_i has none: then, and only then, the quotient is infinite
+        (the Finiteness Theorem, Cox-Little-O'Shea ch. 5 section 3)."""
+        pure = [[e[i] for e in self._leads if not any(e[:i] + e[i + 1:])]
+                for i in range(len(self.variables))]
+        return [min(p) for p in pure] if all(pure) else None
+
     def quotient_basis(self):
         """Standard monomials of the quotient, or None when infinite."""
         n = len(self.variables)
         leads = self.leading_exponents()
         if any(exp == (0,) * n for exp in leads):
             return []  # unit ideal: zero ring
-        bounds = []
-        for i in range(n):
-            pure = [exp[i] for exp in leads if all(exp[j] == 0 for j in range(n) if j != i)]
-            if not pure:
-                return None
-            bounds.append(min(pure))
+        bounds = self.pure_power_bounds()
+        if bounds is None:
+            return None
         out: list[tuple[int, ...]] = []
 
         def rec(prefix, i):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb, factorial
 
@@ -57,12 +58,13 @@ class Factorization:
     matrix on a basis whose ``parities`` list the even part (0) first."""
 
     def __init__(self, variables, parities, delta, potential: MultiPoly,
-                 koszul_rank: int | None = None):
+                 koszul_rank: int | None = None, factors=()):
         self.variables = tuple(variables)
         self.parities = tuple(parities)
         self.delta = delta
         self.potential = potential
         self.koszul_rank = koszul_rank
+        self._factors = tuple(factors)
         self.even_rank = self.parities.count(0)
         self.odd_rank = len(self.parities) - self.even_rank
         self._verify_square()
@@ -82,6 +84,11 @@ class Factorization:
                 if got != (self.potential if i == j else zero):
                     raise FactorizationError(
                         f"delta.delta != W.Id at ({i},{j}): got {got.canonical_str()}")
+
+    @property
+    def factors(self) -> tuple["Factorization", ...]:
+        """Recorded tensor factors (Koszul and tensor data), else just self."""
+        return self._factors or (self,)
 
     @property
     def block_a(self) -> list[list[MultiPoly]]:
@@ -104,7 +111,7 @@ class Factorization:
 
 
 def _assemble(variables, basis, parity, images, potential: MultiPoly,
-              koszul_rank: int | None = None) -> Factorization:
+              koszul_rank: int | None = None, factors=()) -> Factorization:
     """The factorization whose differential sends each basis key to the
     sum of its ``images(key)``, pairs (target key, coefficient); the basis
     is sorted by ``parity`` (stable, so even keys first, in given order)."""
@@ -118,7 +125,16 @@ def _assemble(variables, basis, parity, images, potential: MultiPoly,
                 row = index[target]
                 delta[row][col] = delta[row][col] + c
     return Factorization(variables, [parity(key) for key in order], delta,
-                         potential, koszul_rank)
+                         potential, koszul_rank, factors)
+
+
+def _on_ring(fact: Factorization, variables) -> Factorization:
+    """A single factor with every entry moved to ``variables``."""
+    if fact.variables == variables:
+        return fact
+    return Factorization(variables, fact.parities,
+                         [[e.with_variables(variables) for e in row] for row in fact.delta],
+                         fact.potential.with_variables(variables), fact.koszul_rank)
 
 
 def _contractions(source: tuple[int, ...], sigma):
@@ -132,27 +148,26 @@ def _subsets(r: int) -> list[tuple[int, ...]]:
     return [s for k in range(r + 1) for s in combinations(range(r), k)]
 
 
-# The Chern character of a rank-r Koszul factorization multiplies 2^r x 2^r
-# form-valued matrices: with tau_i = x_i, sigma_i = x_i + y_i^2, `lgck chern`
-# took 0.4 / 2.7 / 18.9 s end to end at r = 4 / 5 / 6 (Python 3.11, 2 cores).
-MAX_KOSZUL_RANK = 5
+# Checking delta . delta = W.Id on 2^r x 2^r matrices is what grows with r: with
+# tau_i = x_i, sigma_i = x_i + y_i^2, `lgck chern` took 0.16 / 0.24 / 0.36 / 0.62 /
+# 1.5 s end to end at r = 5 / 6 / 7 / 8 / 9 (Python 3.11, 2 cores).
+MAX_KOSZUL_RANK = 8
 
 
-def koszul(tau, sigma) -> Factorization:
-    """Koszul factorization on the exterior algebra of a rank-r free module.
+def koszul(tau, sigma, variables=None) -> Factorization:
+    """Koszul factorization on the exterior algebra of a rank-r free module,
+    over ``variables`` (default: the sorted union of the entries' variables).
 
     The differential is contraction by sigma plus wedging by tau, so the
-    potential is the pairing <tau, sigma>.
+    potential is the pairing <tau, sigma>.  It is the tensor product of its
+    r rank-one factors koszul([tau_i], [sigma_i]), which it records.
     """
     if len(tau) != len(sigma):
         raise ValueError("tau and sigma must have equal length")
     r = len(tau)
-    variables, aligned = _align_ring(list(tau) + list(sigma))
-    tau = aligned[:r]
-    sigma = aligned[r:]
-    w = MultiPoly.zero(variables)
-    for t, s in zip(tau, sigma):
-        w = w + t * s
+    variables = _align_ring(list(tau) + list(sigma))[0] if variables is None else variables
+    tau, sigma = ([p.with_variables(variables) for p in ps] for ps in (tau, sigma))
+    w = sum((t * s for t, s in zip(tau, sigma)), MultiPoly.zero(variables))
 
     def images(source: tuple[int, ...]):
         yield from _contractions(source, sigma)
@@ -161,8 +176,9 @@ def koszul(tau, sigma) -> Factorization:
                 target, sign = _merge_sign((j,), source)
                 yield target, tau[j] if sign > 0 else -tau[j]
 
+    factors = [koszul([t], [s], variables) for t, s in zip(tau, sigma)] if r > 1 else ()
     return _assemble(variables, _subsets(r), lambda s: len(s) % 2, images, w,
-                     koszul_rank=r)
+                     koszul_rank=r, factors=factors)
 
 
 def tensor(f1: Factorization, f2: Factorization, external: bool = False) -> Factorization:
@@ -181,12 +197,12 @@ def tensor(f1: Factorization, f2: Factorization, external: bool = False) -> Fact
             yield (i, l), -row[j] if p1[i] else row[j]
 
     w = f1.potential.with_variables(variables) + f2.potential.with_variables(variables)
-    kr = None
-    if f1.koszul_rank is not None and f2.koszul_rank is not None:
-        kr = f1.koszul_rank + f2.koszul_rank
+    ranks = (f1.koszul_rank, f2.koszul_rank)
+    kr = None if None in ranks else sum(ranks)
     pairs = [(i, j) for i in range(len(p1)) for j in range(len(p2))]
     return _assemble(variables, pairs, lambda pr: (p1[pr[0]] + p2[pr[1]]) % 2,
-                     images, w, koszul_rank=kr)
+                     images, w, koszul_rank=kr,
+                     factors=[_on_ring(g, variables) for f in (f1, f2) for g in f.factors])
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +417,7 @@ class TwistedClass:
         return {"twist": self.twist, "class": self.jac_class.canonical_str()}
 
 
-def chern_character_form(fact: Factorization) -> DiffForm:
+def _matrix_chern_form(fact: Factorization) -> DiffForm:
     """str(exp of the Atiyah curvature), truncated exactly at n = dim.
 
     The k-th Koszul-signed power of the curvature is T((T curv)^k), so the
@@ -419,11 +435,18 @@ def chern_character_form(fact: Factorization) -> DiffForm:
     return total
 
 
+def chern_character_form(fact: Factorization) -> DiffForm:
+    """The wedge of the (even, so commuting) matrix-route forms of ``fact``'s
+    tensor factors: ch is multiplicative (Polishchuk-Vaintrob, Duke Math. J.
+    161, 2012)."""
+    return reduce(DiffForm.wedge, map(_matrix_chern_form, fact.factors))
+
+
 def _jacobian_reduce(top: MultiPoly, potential: MultiPoly) -> MultiPoly:
     if potential.is_zero():
         return top
     ideal = jacobian_ideal(potential)
-    if ideal.quotient_basis() is None:
+    if ideal.pure_power_bounds() is None:
         raise FactorizationError(
             "potential has a non-isolated singularity; no Jacobian reduction")
     return ideal.normal_form(top)
@@ -594,11 +617,7 @@ def unit_class(model: GlsmModel) -> UnitClass:
             "J-sector carries zero potential on a positive-dimensional fixed "
             "space; outside the affine computational regime")
 
-    kos = koszul(tau, sigma)
-    kos = Factorization(fixed_names, kos.parities,
-                        [[e.with_variables(fixed_names) for e in row] for row in kos.delta],
-                        kos.potential.with_variables(fixed_names),
-                        koszul_rank=kos.koszul_rank)
+    kos = koszul(tau, sigma, variables=fixed_names)
     tdch = todd_chern(chern_char(kos), kos.koszul_rank)
     space = sector_space(model, j)
     coeffs = [tdch.jac_class.coefficient(exp) for exp in space.basis]

@@ -260,6 +260,7 @@ class StateSpace:
         self.spaces: dict[tuple, SectorSpace] = {}
         for sec in self.sectors:
             self.spaces[sec.element.phases] = sector_space(model, sec.element, lattice)
+        self.inverse_phases = {s.element.phases: s.element.inverse().phases for s in self.sectors}
         self._gram_cache: dict[tuple, list[dict[int, Cyclo]]] = {}
 
     # -- bookkeeping -----------------------------------------------------
@@ -297,7 +298,7 @@ class StateSpace:
         if space.narrow:
             rows = [{0: Cyclo.one()}]
         else:
-            other = self.space(GroupElement(phases).inverse().phases)
+            other = self.space(self.inverse_phases[phases])
             calc = space.calculator
             inv_order = Fraction(1, self.group_order)
             scalars = [s * inv_order for s in self._inversion_scalars(other)]
@@ -318,7 +319,7 @@ class StateSpace:
         return rows
 
     def _gram_width(self, phases) -> int:
-        return self.space(GroupElement(phases).inverse().phases).dimension
+        return self.space(self.inverse_phases[tuple(phases)]).dimension
 
     def gram_matrix(self, phases) -> list[list[Cyclo]]:
         """The Gram block as dense rows; absent entries share one zero."""

@@ -127,3 +127,20 @@ def test_str_matches_items(value):
     x = Cyclo(order, coeffs)
     for y in (x, x.promote(order * step), Cyclo.from_rational(x.nums[0], order)):
         assert str(y) == _items_str(y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals, rationals, st.integers(2, 12))
+def test_rational_fast_path(p, q, order):
+    """Two order-1 operands take the rational fast path of ``*`` and ``+``; a
+    Fraction operand goes through ``_pair`` and the general path, which must
+    store the same value.  An operand promoted to a higher order must not
+    take the fast path, so its result keeps that order."""
+    a, b = Cyclo.from_rational(p), Cyclo.from_rational(q)
+    for fast, general in ((a * b, a * q), (a + b, a + q), (b * a, b * p), (b + a, b + p)):
+        assert (fast.order, fast.nums, fast.den) == (general.order, general.nums, general.den)
+    ra, rb = ref.Cyclo.from_rational(p), ref.Cyclo.from_rational(q)
+    for x, y, rx, ry in ((a, b, ra, rb), (a.promote(order), b, ra.promote(order), rb),
+                         (a, b.promote(order), ra, rb.promote(order))):
+        for got, want in ((x * y, rx * ry), (x + y, rx + ry), (y * x, ry * rx), (y + x, ry + rx)):
+            assert (str(got), got.order) == (str(want), want.order)
