@@ -171,7 +171,7 @@ class CohftData:
     omega04: dict              # (i, j, k, l) -> (Cyclo, Cyclo)
     omega11: dict              # (i,) -> (Cyclo, Cyclo)
     boundary_pullbacks: dict = field(default_factory=lambda: dict.fromkeys(
-        ("tree_12_34", "tree_13_24", "tree_14_23", "loop", "forget"),
+        ("tree_12_34", "tree_13_24", "tree_14_23", "loop"),
         (Fraction(1), Fraction(0))))
 
     def o3(self, i, j, k) -> Cyclo:

@@ -279,6 +279,11 @@ MAX_POSET_POINTS = 10
 # every chain: at level 3 one point of dimension 8/10/12/16 takes
 # 0.7/1.0/1.3/2.2 s end to end (Python 3.11, one core of a 2-core x86-64 host).
 MAX_STALK_DIM = 10
+# The checks grow with the top level's dimension, a sum of stalk dimensions
+# over weak chains known before any matrix is built: in process, a discrete
+# poset of 10-dimensional stalks takes 1.0/1.7/6.1 s at level 3 (dimension
+# 50/60/100), and a chain of 10 points 4.4 s at level 2 (dimension 220).
+MAX_GODEMENT_DIM = 60
 
 
 class FinitePosetSheaf:
@@ -337,19 +342,18 @@ class FinitePosetSheaf:
         return cls(points, f["order_pairs"], dims, mats)
 
     def _close_maps(self):
+        """From each point i, search along the maps k -> j and compose through
+        the i -> k already closed; a pair no path joins is a zero map at a
+        0-dimensional stalk, or missing.  Order pairs may form a cycle."""
         n = len(self.points)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
+        for i in range(n):
+            reached = [i]
+            for k in reached:
                 for j in range(n):
-                    if i != j and self.leq[i][j] and (i, j) not in self.maps:
-                        for k in range(n):
-                            if k not in (i, j) and self.leq[i][k] and self.leq[k][j] \
-                                    and (i, k) in self.maps and (k, j) in self.maps:
-                                self.maps[(i, j)] = self._compose(i, k, j)
-                                changed = True
-                                break
+                    if j not in reached and (k, j) in self.maps:
+                        if (i, j) not in self.maps:
+                            self.maps[(i, j)] = self._compose(i, k, j)
+                        reached.append(j)
         for i in range(n):
             for j in range(n):
                 if self.leq[i][j] and (i, j) not in self.maps:
@@ -389,65 +393,68 @@ class FinitePosetSheaf:
                 out.append(s)
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
-    def sections(self, open_set) -> list[list[Fraction]]:
-        """Basis of F(U) inside the product of stalks over U."""
-        pts = sorted(open_set)
-        offsets, total = _offsets(pts, lambda p: self.stalk_dims[p])
-        constraints = []
-        for a in pts:
-            for b in pts:
-                if a != b and self.leq[a][b]:
-                    mat = self.maps[(a, b)]
-                    for r in range(self.stalk_dims[b]):
-                        row = [Fraction(0)] * total
-                        for c in range(self.stalk_dims[a]):
-                            row[offsets[a] + c] += mat[r][c]
-                        row[offsets[b] + r] -= Fraction(1)
-                        constraints.append(row)
-        if not constraints:
-            return identity(total)
-        return nullspace(constraints)
-
     def is_unit_stalked(self) -> bool:
         return all(d <= 1 for d in self.stalk_dims)
 
 
-def _weak_chains(sheaf: FinitePosetSheaf, length: int,
-                 start_filter=None) -> list[tuple[int, ...]]:
+def _weak_chains(sheaf: FinitePosetSheaf, length: int) -> list[tuple[int, ...]]:
     n = len(sheaf.points)
-    starts = range(n) if start_filter is None else sorted(start_filter)
-    chains = [(i,) for i in starts]
+    chains = [(i,) for i in range(n)]
     for _ in range(length):
         chains = [c + (j,) for c in chains for j in range(n) if sheaf.leq[c[-1]][j]]
     return chains
 
 
-def _offsets(keys, dim) -> tuple[dict, int]:
-    """Where each key's block starts in the product of dim(key)-dimensional
-    blocks, listed in key order, and the product's dimension."""
-    offsets, total = {}, 0
-    for key in keys:
-        offsets[key] = total
-        total += dim(key)
-    return offsets, total
-
-
-@dataclass
 class GodementResolution:
-    sheaf: FinitePosetSheaf
-    module: CosimplicialModule
-    chains: list[list[tuple[int, ...]]]  # per level, global chains
+    """The cosimplicial Godement resolution: level n is the product of the
+    stalks at the ends of the weak chains c_0 <= ... <= c_n, one block per
+    chain in chain order.  Every structure map follows one rule: a monotone
+    f: [n] -> [m] sends the germ along the chain c.f to the chain c,
+    generized from (c.f)[-1] to c[-1] (Godement, 1958)."""
+
+    def __init__(self, sheaf: FinitePosetSheaf, levels: int):
+        if levels < 1:
+            raise ValueError("need at least one level")
+        self.sheaf = sheaf
+        self.chains = [_weak_chains(sheaf, n) for n in range(levels + 1)]
+        self.offsets, self.dims = [], []  # where each chain's block starts, per level
+        for level in self.chains:
+            at, total = {}, 0
+            for c in level:
+                at[c], total = total, total + sheaf.stalk_dims[c[-1]]
+            self.offsets.append(at)
+            self.dims.append(total)
+        if self.dims[-1] > MAX_GODEMENT_DIM:
+            raise ValueError(f"Godement level {levels} has dimension {self.dims[-1]}, "
+                             f"above the budget MAX_GODEMENT_DIM = {MAX_GODEMENT_DIM}")
+        # d^i deletes c[i] and s^i repeats it: c.d^i and c.s^i
+        cofaces = {(n, i): self.induced(n, n - 1, lambda c: c[:i] + c[i + 1:])
+                   for n in range(1, levels + 1) for i in range(n + 1)}
+        codegens = {(n, i): self.induced(n, n + 1, lambda c: c[:i + 1] + c[i:])
+                    for n in range(levels) for i in range(n + 1)}
+        self.module = CosimplicialModule(self.dims, cofaces, codegens,
+                                         algebra=sheaf.is_unit_stalked())
+
+    def induced(self, n: int, m: int, f) -> list[list[Fraction]]:
+        """The matrix G[m] -> G[n] whose block at a chain c of level n is the
+        generization from f(c)[-1] to c[-1], at the block of the chain f(c)."""
+        mat = [[Fraction(0)] * self.dims[m] for _ in range(self.dims[n])]
+        for c, row in self.offsets[n].items():
+            src = f(c)
+            col = self.offsets[m][src]
+            for r, gen in enumerate(self.sheaf.maps[(src[-1], c[-1])]):
+                mat[row + r][col:col + len(gen)] = gen
+        return mat
 
     @cached_property
-    def _global_sections(self):
-        """A basis of F(X) and where each stalk starts in the product of stalks."""
-        sheaf, points = self.sheaf, range(len(self.sheaf.points))
-        return sheaf.sections(points), _offsets(points, lambda p: sheaf.stalk_dims[p])[0]
+    def global_sections(self) -> list[list[Fraction]]:
+        """A basis of F(X) inside G[0], the equalizer of d^0, d^1: G[0] -> G[1]."""
+        return nullspace(alternating_coface(self.module, 0))
 
     def augmentation(self, n: int):
         """Matrix F(X) -> G[n]F(X): a section maps to its germs along chains."""
-        sections, stalk_at = self._global_sections
-        return [[sec[stalk_at[c[-1]] + r] for sec in sections]
+        at = self.offsets[0]
+        return [[sec[at[(c[-1],)] + r] for sec in self.global_sections]
                 for c in self.chains[n] for r in range(self.sheaf.stalk_dims[c[-1]])]
 
     def flasque(self, n: int) -> bool:
@@ -458,57 +465,14 @@ class GodementResolution:
         Only covering pairs (U, U - {m}) are compared: U - {m} is an up-set
         exactly when m is minimal in U, any up-set V < U is reached from U
         by such steps, and containment is transitive."""
-        opens = self.sheaf.up_sets()
-        chains = {u: set(_weak_chains(self.sheaf, n, u)) for u in opens}
+        opens, every = self.sheaf.up_sets(), _weak_chains(self.sheaf, n)
+        chains = {u: {c for c in every if c[0] in u} for u in opens}
         return all(chains[u - {m}] <= chains[u] for u in opens for m in u if u - {m} in chains)
 
 
 def godement(sheaf: FinitePosetSheaf, levels: int) -> GodementResolution:
-    """The cosimplicial Godement resolution: level n is the product of
-    stalks over weak chains of length n+1, with unit-insertion cofaces and
-    multiplication codegeneracies."""
-    if levels < 1:
-        raise ValueError("need at least one level")
-    chains = [_weak_chains(sheaf, n) for n in range(levels + 1)]
-    layout = [_offsets(level, lambda c: sheaf.stalk_dims[c[-1]]) for level in chains]
-    offsets_all = [offsets for offsets, _ in layout]
-    dims = [total for _, total in layout]
-
-    cofaces = {}
-    for n in range(1, levels + 1):
-        for i in range(n + 1):
-            mat = [[Fraction(0)] * dims[n - 1] for _ in range(dims[n])]
-            for c in chains[n]:
-                base = offsets_all[n][c]
-                if i < n:
-                    src = c[:i] + c[i + 1:]
-                    sbase = offsets_all[n - 1][src]
-                    for r in range(sheaf.stalk_dims[c[-1]]):
-                        mat[base + r][sbase + r] = Fraction(1)
-                else:
-                    src = c[:-1]
-                    sbase = offsets_all[n - 1][src]
-                    gen = sheaf.maps[(src[-1], c[-1])]
-                    for r in range(sheaf.stalk_dims[c[-1]]):
-                        for s in range(sheaf.stalk_dims[src[-1]]):
-                            mat[base + r][sbase + s] = gen[r][s]
-            cofaces[(n, i)] = mat
-
-    codegens = {}
-    for n in range(0, levels):
-        for i in range(n + 1):
-            mat = [[Fraction(0)] * dims[n + 1] for _ in range(dims[n])]
-            for c in chains[n]:
-                base = offsets_all[n][c]
-                src = c[:i + 1] + c[i:]
-                sbase = offsets_all[n + 1][src]
-                for r in range(sheaf.stalk_dims[c[-1]]):
-                    mat[base + r][sbase + r] = Fraction(1)
-            codegens[(n, i)] = mat
-
-    module = CosimplicialModule(dims, cofaces, codegens,
-                                algebra=sheaf.is_unit_stalked())
-    return GodementResolution(sheaf, module, chains)
+    """The cosimplicial Godement resolution of ``sheaf`` at levels 0..levels."""
+    return GodementResolution(sheaf, levels)
 
 
 # ---------------------------------------------------------------------------

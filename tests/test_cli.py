@@ -8,7 +8,8 @@ import pytest
 from lgck.cli import _json_text, main
 from lgck.glsm import GlsmModel
 from lgck.statespace import StateSpace
-from lgck.simplicial import MAX_POSET_POINTS, MAX_STALK_DIM
+from lgck.simplicial import (MAX_GODEMENT_DIM, MAX_POSET_POINTS, MAX_STALK_DIM,
+                             GodementResolution)
 
 from conftest import make_quintic_glsm, make_quintic_lg
 
@@ -442,18 +443,54 @@ def test_non_object_config_exits_2(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def _points_budget_chain():
+    """A chain of exactly MAX_POSET_POINTS points with identity maps."""
+    names = [f"p{i}" for i in range(MAX_POSET_POINTS)]
+    return {"points": names, "order_pairs": [list(p) for p in zip(names, names[1:])],
+            "stalk_dims": [1] * len(names),
+            "restriction_matrices": [{"from": a, "to": b, "matrix": [[1]]}
+                                     for a, b in zip(names, names[1:])]}
+
+
+def _simplicial_demo(tmp_path, poset, level):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"simplicial": {"poset": poset}}))
+    return _run(["simplicial-demo", path, "--level-bound", str(level),
+                 "--output", tmp_path / "out.json"])
+
+
 def test_poset_at_points_budget_runs(tmp_path):
     """A chain of exactly MAX_POSET_POINTS points is accepted; beyond the
     bound is refused in test_malformed_poset_exits_2."""
-    names = [f"p{i}" for i in range(MAX_POSET_POINTS)]
-    chain = {"points": names, "order_pairs": [list(p) for p in zip(names, names[1:])],
-             "stalk_dims": [1] * len(names),
-             "restriction_matrices": [{"from": a, "to": b, "matrix": [[1]]}
-                                      for a, b in zip(names, names[1:])]}
-    path = tmp_path / "poset.json"
-    path.write_text(json.dumps({"simplicial": {"poset": chain}}))
-    assert _run(["simplicial-demo", path, "--level-bound", "1",
-                 "--output", tmp_path / "out.json"]) == 0
+    assert _simplicial_demo(tmp_path, _points_budget_chain(), 1) == 0
+
+
+@pytest.mark.parametrize("extra, code", [(0, 0), (1, 1)], ids=["at_bound", "above_bound"])
+def test_godement_dim_budget(tmp_path, capsys, extra, code):
+    """A top Godement level of MAX_GODEMENT_DIM dimensions runs; one more is
+    refused with exit 1, naming the bound and the predicted dimension.  A
+    discrete poset's level 1 is the product of its stalks."""
+    full, rest = divmod(MAX_GODEMENT_DIM + extra, MAX_STALK_DIM)
+    dims = [MAX_STALK_DIM] * full + [rest] * bool(rest)
+    assert len(dims) <= MAX_POSET_POINTS
+    poset = {"points": [f"p{i}" for i in range(len(dims))], "order_pairs": [],
+             "stalk_dims": dims}
+    assert _simplicial_demo(tmp_path, poset, 1) == code
+    if code:
+        assert (f"dimension {MAX_GODEMENT_DIM + 1}, above the budget MAX_GODEMENT_DIM = "
+                f"{MAX_GODEMENT_DIM}") in capsys.readouterr().err
+
+
+def test_chain_at_points_budget_refused_at_level_3(tmp_path, capsys, monkeypatch):
+    """A chain of MAX_POSET_POINTS points passes the points bound, but its
+    level 3 has one dimension per weak chain, C(13, 4) = 715 of them: it is
+    refused before any structure map is built."""
+    def built(*args):
+        raise AssertionError("a structure map was built")
+
+    monkeypatch.setattr(GodementResolution, "induced", built)
+    assert _simplicial_demo(tmp_path, _points_budget_chain(), 3) == 1
+    assert "Godement level 3 has dimension 715" in capsys.readouterr().err
 
 
 def _quintic_tables(**changes):
@@ -476,12 +513,14 @@ def _quintic_tables(**changes):
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "q"}]), "omega03"),
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1/0"}]), "omega03"),
     (_quintic_tables(boundary_pullbacks={"loop": "10"}), "boundary_pullbacks.loop"),
+    (_quintic_tables(boundary_pullbacks={"forget": ["1", "0"]}), "boundary_pullbacks.forget"),
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1"},
                               {"key": [0, 1, 2], "value": "7"}]), "omega03"),
     (_quintic_tables(omega03=[{"key": [0, 1, 2], "value": "1", "valeu": "7"}]), "omega03"),
 ], ids=["index_too_large", "omega03_short_key", "omega04_short_key", "unit_not_list",
         "negative_index", "omega11_index_too_large", "value_not_constant",
-        "value_divides_by_zero", "pullback_not_pair", "repeated_key", "extra_key_in_entry"])
+        "value_divides_by_zero", "pullback_not_pair", "unread_forget_pullback", "repeated_key",
+        "extra_key_in_entry"])
 def test_malformed_cohft_tables_exit_2(quintic_config, tmp_path, capsys, tables, field):
     """A malformed table field is refused with its name; it is neither a
     traceback nor a silently misread entry."""

@@ -43,10 +43,15 @@ def _configs(root: Path) -> dict:
     mirror = make_quintic_lg().to_dict()
     mirror["finite_generators"] = [["1/5" if j == 0 else "4/5" if j == i else "0"
                                     for j in range(5)] for i in range(1, 4)]
+    # a unit on the "koszul todd-chern" route: the broad J-sector fixes y and x
+    unit_koszul = {"variables": ["y", "x", "z"], "torus_weights": [[1, -1, 0], [0, 2, 1]],
+                   "finite_generators": [], "chi": [0, 2], "nu": [0, 0],
+                   "r_charges": [0, 2, 1], "d_w": 2, "potential": "x*y + z^2"}
     paths = {}
     for name, data in (("quintic", quintic), ("glsm", glsm), ("koszul", koszul),
                        ("other", other), ("kunneth", main_model), ("empty", {}),
-                       ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror)):
+                       ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror),
+                       ("unit_koszul", unit_koszul)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -60,6 +65,7 @@ def _cases(paths: dict) -> dict:
         cases[f"phases-{character}"] = ["phases", paths["glsm"],
                                         "--character", character]
     cases["chern"] = ["chern", paths["koszul"]]
+    cases["unit-koszul"] = ["unit", paths["unit_koszul"]]
     cases["kunneth"] = ["kunneth", paths["kunneth"]]
     cases["simplicial-demo-level-2"] = ["simplicial-demo", paths["empty"],
                                         "--level-bound", "2"]

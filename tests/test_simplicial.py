@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from lgck.cli import _builtin_posets
 from lgck.exactalg import MultiPoly
-from lgck.exactalg.linalg import mat_mul, sparse_rank
+from lgck.exactalg.linalg import identity, mat_mul, nullspace, sparse_rank
 from lgck.forms import DiffForm
 from lgck.simplicial import (
+    MAX_GODEMENT_DIM,
     MAX_POSET_POINTS,
     CosimplicialModule,
     FinitePosetSheaf,
@@ -263,7 +264,7 @@ def test_skyscraper_cohomology():
     res = godement(sky, 3)
     rep = de_rham_triangle_check(res, oracle_ranks=[1, 0, 0])
     assert rep.passed
-    assert len(sky.sections(range(len(sky.points)))) == 1
+    assert len(res.global_sections) == 1
 
 
 def test_triangle_on_poset_corpus():
@@ -289,7 +290,7 @@ def test_higher_rank_stalks_with_projection():
     an initial object, so the section functor is exact)."""
     sheaf = FinitePosetSheaf(["base", "top"], [("base", "top")], [2, 1],
                              {("base", "top"): [[1, 1]]})
-    assert len(sheaf.sections(range(2))) == 2
+    assert len(godement(sheaf, 1).global_sections) == 2
     res = godement(sheaf, 3)
     for n in range(4):
         assert res.flasque(n)
@@ -361,6 +362,118 @@ def test_flasque_matches_rank_reference():
             assert res.flasque(n) == _rank_flasque(sheaf, n), (sheaf.points, n)
 
 
+def _random_frame_sheaf(rng):
+    """Up to 5 points, a random order and stalks of one dimension d <= 2,
+    generized by A_b A_a^-1 for random invertible A_p, so the maps compose
+    and are mostly nonzero."""
+    points = [f"p{i}" for i in range(rng.randint(1, 5))]
+    d = rng.randint(1, 2)
+    frames = []
+    for _ in points:  # c times a unit lower-triangular matrix, and its inverse
+        c, low = Fraction(rng.choice([-2, -1, 1, 3])), rng.randint(-2, 2)
+        a, inv = [[c, 0], [c * low, c]], [[1 / c, 0], [-low / c, 1 / c]]
+        frames.append(([row[:d] for row in a[:d]], [row[:d] for row in inv[:d]]))
+    pairs = [(i, j) for i, j in combinations(range(len(points)), 2) if rng.random() < 0.5]
+    mats = {(points[i], points[j]): mat_mul(frames[j][0], frames[i][1]) for i, j in pairs}
+    return FinitePosetSheaf(points, [(points[i], points[j]) for i, j in pairs], [d] * len(points),
+                            mats)
+
+
+def _oracle_sheaves():
+    """The built-in posets, the CLI's custom posets and random posets, with
+    zero and with invertible generization maps."""
+    rng = random.Random(f"{SEED}-rule")
+    return (list(_builtin_posets().values()) + _cli_custom_sheaves()
+            + [_random_poset_sheaf(rng) for _ in range(8)]
+            + [_random_frame_sheaf(rng) for _ in range(8)])
+
+
+def _reference_chains(sheaf, n):
+    """The weak chains c_0 <= ... <= c_n in lexicographic order."""
+    return [c for c in product(range(len(sheaf.points)), repeat=n + 1)
+            if all(sheaf.leq[a][b] for a, b in zip(c, c[1:]))]
+
+
+def _deepest_resolution(sheaf):
+    """The resolution at the deepest level up to 3 within MAX_GODEMENT_DIM."""
+    top = max(level for level in (1, 2, 3) if sum(
+        sheaf.stalk_dims[c[-1]] for c in _reference_chains(sheaf, level)) <= MAX_GODEMENT_DIM)
+    return godement(sheaf, top)
+
+
+def _rule_matrix(sheaf, f, m):
+    """G(f): G[n] -> G[m] for a monotone f: [n] -> [m], read off the rule:
+    the germ along the chain c.f goes to the chain c, generized from
+    c[f[-1]] to c[-1]."""
+    def layout(level):
+        at, total = {}, 0
+        for c in level:
+            at[c], total = total, total + sheaf.stalk_dims[c[-1]]
+        return at, total
+
+    rows, height = layout(_reference_chains(sheaf, m))
+    cols, width = layout(_reference_chains(sheaf, len(f) - 1))
+    mat = [[Fraction(0)] * width for _ in range(height)]
+    for c, top in rows.items():
+        src = tuple(c[k] for k in f)
+        for r, row in enumerate(sheaf.maps[(c[f[-1]], c[-1])]):
+            for s, x in enumerate(row):
+                mat[top + r][cols[src] + s] = x
+    return mat
+
+
+def test_every_monotone_map_follows_the_rule():
+    """map_into(f, m) is the rule's matrix for every monotone f: [n] -> [m]
+    with m, n <= 3, within the levels each sheaf's budget allows."""
+    for sheaf in _oracle_sheaves():
+        res = _deepest_resolution(sheaf)
+        levels = res.module.top_level
+        for n in range(levels + 1):
+            for m in range(levels + 1):
+                for f in combinations_with_replacement(range(m + 1), n + 1):
+                    assert res.module.map_into(f, m) == _rule_matrix(sheaf, f, m), \
+                        (sheaf.points, f, m)
+
+
+def _constraint_sections(sheaf):
+    """A basis of F(X) from the constraint rows s_b = maps[(a, b)] s_a for
+    a < b, inside the product of stalks."""
+    offsets, total = {}, 0
+    for p, dim in enumerate(sheaf.stalk_dims):
+        offsets[p], total = total, total + dim
+    constraints = []
+    for a, b in product(range(len(sheaf.points)), repeat=2):
+        if a != b and sheaf.leq[a][b]:
+            for r in range(sheaf.stalk_dims[b]):
+                row = [Fraction(0)] * total
+                for c, x in enumerate(sheaf.maps[(a, b)][r]):
+                    row[offsets[a] + c] += x
+                row[offsets[b] + r] -= 1
+                constraints.append(row)
+    return nullspace(constraints) if constraints else identity(total)
+
+
+def test_global_sections_match_constraint_rows():
+    """The equalizer of G[0] => G[1] has the constraint rows' basis."""
+    for sheaf in _oracle_sheaves():
+        assert godement(sheaf, 1).global_sections == _constraint_sections(sheaf), sheaf.points
+
+
+def test_cyclic_order_closes_through_the_cycle():
+    """Order pairs may form a cycle: x < y < b, a <= b <= a.  x -> a is the
+    composite through y and b, whichever order the points come in."""
+    for names in (["x", "y", "a", "b"], ["b", "a", "y", "x"]):
+        sheaf = FinitePosetSheaf(
+            names, [("x", "y"), ("y", "b"), ("b", "a"), ("a", "b")], [1] * 4,
+            {("x", "y"): [[2]], ("y", "b"): [[3]], ("b", "a"): [[1]], ("a", "b"): [[1]]})
+        at = sheaf.index
+        assert sheaf.maps[(at["x"], at["a"])] == [[6]]
+        assert godement(sheaf, 2).global_sections == _constraint_sections(sheaf)
+    with pytest.raises(ValueError, match="functorial"):
+        FinitePosetSheaf(["a", "b"], [("a", "b"), ("b", "a")], [1, 1],
+                         {("a", "b"): [[2]], ("b", "a"): [[1]]})
+
+
 def test_triangle_checks_each_family_once(monkeypatch):
     """de_rham_triangle_check checks compatibility once per Whitney
     extension and once per augmentation family, each when it is built."""
@@ -377,7 +490,7 @@ def test_triangle_checks_each_family_once(monkeypatch):
         rep = de_rham_triangle_check(res)
         assert rep.passed and rep.whitney_compatible
         extensions = sum(normalized_complex(res.module).dims)
-        sections = len(sheaf.sections(range(len(sheaf.points))))
+        sections = len(res.global_sections)
         assert len(calls) == extensions + sections
         assert len({id(el) for el in calls}) == len(calls)
 
