@@ -28,7 +28,7 @@ from math import lcm
 
 from .config import COHFT_TABLES, ConfigError, read
 from .exactalg import Cyclo
-from .exactalg.linalg import inverse as mat_inverse, mat_mul
+from .exactalg.linalg import inverse as mat_inverse, mat_mul, transpose
 from .glsm import GlsmModel
 from .orbifold import GroupElement
 
@@ -40,10 +40,10 @@ class PairedBasis:
     """A graded basis split into sectors with a block pairing.
 
     ``gram[key]`` pairs the basis of sector ``key`` against the basis of
-    ``inverse[key]`` in basis order.  ``by_sector[key]`` lists the global
-    indices of a sector and ``position[i]`` is the place of ``i`` in its
-    sector's list.  A basis is not changed after construction, so its
-    Casimir element is built once, on first use.
+    ``inverse[key]`` in basis order, as sparse rows.  ``by_sector[key]``
+    lists the global indices of a sector and ``position[i]`` is the place
+    of ``i`` in its sector's list.  A basis is not changed after
+    construction, so its Casimir element is built once, on first use.
     """
 
     labels: list[str]
@@ -51,7 +51,7 @@ class PairedBasis:
     inverse: dict      # sector key -> sector key
     degrees: list[Fraction]
     parities: list[int]
-    gram: dict         # sector key -> matrix of Cyclo
+    gram: dict         # sector key -> sparse rows of Cyclo
 
     def __post_init__(self):
         self.by_sector, self.position = {}, []
@@ -68,7 +68,7 @@ class PairedBasis:
         ki = self.sector_keys[i]
         if self.inverse[ki] != self.sector_keys[j]:
             return _ZERO
-        return self.gram[ki][self.position[i]][self.position[j]]
+        return self.gram[ki][self.position[i]].get(self.position[j], _ZERO)
 
     def sector_parity(self, key) -> int:
         return self.parities[self.by_sector[key][0]]
@@ -87,9 +87,8 @@ class PairedBasis:
                 raise ValueError(f"singular Gram block on sector {key}")
             odd = self.sector_parity(key)
             inv_idx = self.by_sector[self.inverse[key]]
-            for j, i in enumerate(idx):
-                casimir.append((i, {l: -row[j] if odd else row[j]
-                                    for l, row in zip(inv_idx, inv) if row[j]}))
+            for i, col in zip(idx, transpose(inv, len(idx))):
+                casimir.append((i, {inv_idx[l]: -x if odd else x for l, x in col.items()}))
         return casimir
 
 
@@ -104,7 +103,7 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
         if narrow_only and not space.narrow:
             continue
         inverse[key] = state.inverse_phases[key]
-        gram[key] = state.gram_matrix(key)
+        gram[key] = state.gram_rows(key)
         for lbl in space.basis_labels():
             labels.append(f"{sec.element.label()}:{lbl}")
             sector_keys.append(key)
@@ -123,10 +122,10 @@ def casimir_check(basis: PairedBasis) -> list[dict]:
     """
     duals = dict(basis.casimir)
     report = []
-    for key, idx in sorted(basis.by_sector.items()):
+    for key in sorted(basis.by_sector):
         g = basis.gram[key]
-        # dual coefficients of sector k^{-1}, restricted to sector-k coords
-        c = [[duals[i].get(l, _ZERO) for l in idx]
+        # dual coefficients of sector k^{-1}, in sector-k coords
+        c = [{basis.position[l]: x for l, x in duals[i].items()}
              for i in basis.by_sector[basis.inverse[key]]]
         ok = mat_mul(mat_mul(g, c), g) == g
         report.append({
@@ -381,7 +380,7 @@ def frobenius_toy(labels, degrees, trace, mult_table, central_charge=None) -> Co
 
     one, zero = Cyclo.one(), Cyclo.zero()
     e = [[one if k == i else zero for k in range(n)] for i in range(n)]  # basis vectors
-    gram = [[eps(mul(e[i], e[j])) for j in range(n)] for i in range(n)]
+    gram = [{j: v for j in range(n) if (v := eps(mul(e[i], e[j])))} for i in range(n)]
     if central_charge is None:
         central_charge = max(degrees) if degrees else Fraction(0)
     basis = PairedBasis(list(labels), [key] * n, {key: key},

@@ -1,20 +1,25 @@
-"""Exact linear algebra: one matrix product and one elimination.
+"""Exact linear algebra over one matrix format: a list of sparse rows.
 
-Dense matrices are lists of rows; entries support +, -, * and truth
-testing (zero iff falsy), and ``/`` too wherever a matrix is eliminated.
-``Fraction``, ``Cyclo`` and (for products) ``MultiPoly`` all qualify;
-``int`` entries are promoted to ``Fraction`` before any division.
+A matrix is a list of rows {column: nonzero entry}.  A row never stores a
+zero, so matrices are equal exactly when their rows are equal dicts.
+Entries support +, -, * and truth testing (zero iff falsy), and ``/``
+wherever a matrix is eliminated: ``Fraction``, ``Cyclo``, and for products
+``MultiPoly`` and ``DiffForm``; ``int`` is promoted to ``Fraction`` before
+any division.  Dense input is converted once, at the edge, by ``sparse``.
 
-``mat_mul`` is Gustavson's row-by-row sparse product (ACM TOMS 4(3),
-1978): row i of the result accumulates x * b[t] over the nonzero entries
-x = a[i][t] only, and skips the zero entries of b[t].
+A row does not record its matrix's width.  Products and equality need
+none: an m x 0 matrix times a 0 x p one is m empty rows, the m x p zero
+map.  The calls that enumerate columns take it: ``nullspace`` (one vector
+per free column), ``solve`` (the column of the right-hand side),
+``transpose`` (one row per column) and ``is_nonsingular`` (square).
 
-``_echelon`` is the only elimination.  It reduces sparse rows
-({column: entry}) one at a time against the pivot rows found so far, so
-rows that meet no pivot cost no arithmetic.  ``sparse_rank`` counts its
-pivots, and ``rref`` back-substitutes and normalizes them into the reduced
-row echelon form, on which ``nullspace``, ``solve`` and ``inverse`` are
-built.  The reduced form of a matrix is unique, so those results do not
+``mat_mul`` is Gustavson's row-by-row product (ACM TOMS 4(3), 1978): row i
+accumulates x * b[t] over the entries x = a[i][t] only, and drops the sums
+that cancel.  ``_echelon``, the only elimination, reduces rows one at a
+time against the pivot rows found so far, so rows that meet no pivot cost
+no arithmetic.  ``rank`` counts its pivots, and ``rref`` back-substitutes
+them into the reduced row echelon form, on which ``nullspace``, ``solve``
+and ``inverse`` are built; that form is unique, so their results do not
 depend on the order of elimination.
 """
 
@@ -23,32 +28,35 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def sparse(mat):
+    """The sparse rows of a dense matrix (a list of lists)."""
+    return [{j: x for j, x in enumerate(row) if x} for row in mat]
+
+
 def identity(n: int, one=Fraction(1)):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return [{i: one} for i in range(n)]
+
+
+def transpose(rows, width: int):
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
 
 
 def mat_mul(a, b):
-    """The product a . b; an all-zero row of a gives a row of y - y."""
-    if any(len(row) != len(b) for row in a):
-        raise ValueError(f"inner dimensions differ: {len(b)} rows on the right")
-    if not a or not b or not b[0]:
-        return [[] for _ in a]
-    zero = b[0][0] - b[0][0]
-    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
+    """The product a . b, row by row; entries that cancel are dropped."""
+    out, inner = [], len(b)
     for row_a in a:
-        row = [zero] * len(b[0])
-        for x, row_b in zip(row_a, sparse_b):
-            if x:
-                for j, y in row_b:
-                    row[j] = row[j] + x * y
-        out.append(row)
+        row = {}
+        for t, x in row_a.items():
+            if t >= inner:
+                raise ValueError(f"inner dimensions differ: {inner} rows on the right")
+            for j, y in b[t].items():
+                row[j] = row[j] + x * y if j in row else x * y
+        out.append({j: x for j, x in row.items() if x} if row else row)
     return out
-
-
-def _sparse(mat):
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
 def _subtract(row, f, pivot):
@@ -62,7 +70,7 @@ def _subtract(row, f, pivot):
 
 
 def _echelon(rows) -> dict:
-    """Forward elimination of sparse rows: {lead column: reduced row}.
+    """Forward elimination: {lead column: reduced row}.
 
     Each row is reduced against the pivot rows found so far until its
     leading (smallest) column is new, and then becomes the pivot row of
@@ -86,7 +94,7 @@ def _echelon(rows) -> dict:
 def integer_echelon(rows) -> list:
     """An echelon basis of the lattice the integer rows span, by Euclid
     down each column: [(pivot column, pivot > 0, {later column: entry})],
-    pivot columns increasing."""
+    pivot columns increasing.  The rows are dense integer vectors."""
     rows, out = [list(r) for r in rows if any(r)], []
     for col in range(len(rows[0]) if rows else 0):
         while len(live := [r for r in rows if r[col]]) > 1:
@@ -103,18 +111,17 @@ def integer_echelon(rows) -> list:
     return out
 
 
-def sparse_rank(rows) -> int:
-    """Rank of a matrix given as sparse rows ({column: entry})."""
+def rank(rows) -> int:
     return len(_echelon(rows))
 
 
-def rref(mat) -> dict:
-    """Reduced row echelon form as {pivot column: row}, rows sparse.
+def rref(rows) -> dict:
+    """Reduced row echelon form as {pivot column: row}.
 
     Each pivot row has a 1 at its pivot column and nothing at any other
     pivot column; zero rows are left out.
     """
-    pivots = _echelon(_sparse(mat))
+    pivots = _echelon(rows)
     reduced = {}
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
@@ -126,19 +133,12 @@ def rref(mat) -> dict:
     return dict(sorted(reduced.items()))
 
 
-def rank(mat) -> int:
-    return sparse_rank(_sparse(mat))
-
-
-def nullspace(mat, one=Fraction(1)):
-    """Basis of the right kernel, one vector per non-pivot column."""
-    if not mat:
-        return []
-    reduced, zero = rref(mat), one - one
+def nullspace(rows, width: int, one=Fraction(1)):
+    """Basis of the right kernel, one sparse vector per non-pivot column."""
+    reduced = rref(rows)
     basis = []
-    for f in (f for f in range(len(mat[0])) if f not in reduced):
-        v = [zero] * len(mat[0])
-        v[f] = one
+    for f in (f for f in range(width) if f not in reduced):
+        v = {f: one}
         for c, row in reduced.items():
             if f in row:
                 v[c] = -row[f]
@@ -146,33 +146,27 @@ def nullspace(mat, one=Fraction(1)):
     return basis
 
 
-def solve(mat, rhs):
-    """One solution of mat*x = rhs (free variables 0), or None if inconsistent."""
-    if not mat:
-        return [] if not any(rhs) else None
-    ncols = len(mat[0])
-    reduced = rref([list(r) + [b] for r, b in zip(mat, rhs)])
-    if ncols in reduced:  # a row 0 = nonzero
+def solve(rows, rhs: dict, width: int):
+    """One solution {column: x} of rows . x = rhs (free variables 0), or None
+    if inconsistent; ``rhs`` is sparse too, {row: entry}."""
+    reduced = rref([{**row, width: rhs[i]} if i in rhs else row
+                    for i, row in enumerate(rows)])
+    if width in reduced:  # a row 0 = nonzero
         return None
-    sample = rhs[0] if rhs else mat[0][0]
-    zero = sample - sample
-    x = [zero] * ncols
-    for c, row in reduced.items():
-        x[c] = row.get(ncols, zero)
-    return x
+    return {c: row[width] for c, row in reduced.items() if width in row}
 
 
-def inverse(mat, one=Fraction(1)):
-    """The inverse of a square matrix, or None if it is singular or not square."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+def inverse(rows, one=Fraction(1)):
+    """The inverse of a square matrix, or None if it is singular or has a
+    column at or past its number of rows."""
+    n = len(rows)
+    if any(c >= n for row in rows for c in row):
         return None
-    reduced = rref([list(row) + e for row, e in zip(mat, identity(n, one))])
+    reduced = rref([{**row, n + i: one} for i, row in enumerate(rows)])
     if any(i not in reduced for i in range(n)):
         return None
-    zero = one - one
-    return [[reduced[i].get(n + j, zero) for j in range(n)] for i in range(n)]
+    return [{c - n: x for c, x in reduced[i].items() if c >= n} for i in range(n)]
 
 
-def is_nonsingular(mat) -> bool:
-    return not mat or len(mat) == len(mat[0]) == rank(mat)
+def is_nonsingular(rows, width: int) -> bool:
+    return len(rows) == width == rank(rows)

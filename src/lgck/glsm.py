@@ -38,6 +38,7 @@ from .config import MODEL, ConfigError, read
 from .exactalg import MultiPoly, exact_lp_cone_membership
 from .exactalg.linalg import rank as mat_rank
 from .exactalg.linalg import solve as lin_solve
+from .exactalg.linalg import sparse
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,8 @@ def validate(model: GlsmModel, require_tail_regime: bool = False) -> ValidationR
         # R-charges must come from a one-parameter subgroup pairing to d_w with chi
         cols = [[model.torus_weights[r][i] for r in range(model.torus_rank)]
                 for i in range(n)]
-        system = [list(col) for col in cols] + [list(model.chi)]
-        rhs = [model.r_charges[i] for i in range(n)] + [Fraction(model.d_w)]
-        sol = lin_solve(system, rhs)
+        rhs = sparse([[*model.r_charges, Fraction(model.d_w)]])[0]
+        sol = lin_solve(sparse(cols + [list(model.chi)]), rhs, model.torus_rank)
         report.add(
             "r_charge_subgroup",
             sol is not None,
@@ -328,7 +328,7 @@ def _stable_equals_semistable(model: GlsmModel, character) -> bool:
     tester = ConeTester(model, character, include_chi_line=True)
     full = frozenset(range(model.n_vars))
     # minimal semistable supports: complements of the maximal t with X - t semistable
-    return all(mat_rank([model.weight_column(i) for i in sorted(full - t)] + [list(model.chi)])
+    return all(mat_rank(sparse([model.weight_column(i) for i in sorted(full - t)] + [model.chi]))
                >= model.torus_rank
                for t in _maximal_unstable(lambda t: not tester.semistable(full - t), len(full)))
 

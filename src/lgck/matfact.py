@@ -37,7 +37,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
-from .exactalg.linalg import identity, mat_mul
+from .exactalg.linalg import identity, mat_mul, sparse, transpose
 from .exactalg.poly import accumulate
 from .forms import DiffForm, _merge_sign, d_of_poly
 from .glsm import GlsmModel, check_dagger
@@ -73,17 +73,21 @@ class Factorization:
         n, par = len(self.parities), self.parities
         if len(self.delta) != n or any(len(row) != n for row in self.delta):
             raise FactorizationError(f"delta is not a square matrix of size {n}")
-        zero = MultiPoly.zero(self.variables)
-        for i, row in enumerate(mat_mul(self.delta, self.delta)):
+        zero, rows = MultiPoly.zero(self.variables), sparse(self.delta)
+        for i, row in enumerate(mat_mul(rows, rows)):
             if par[i] not in (0, 1) or (i and par[i] < par[i - 1]):
                 raise FactorizationError(
                     f"parity {par[i]} at basis position {i}: expected 0s, then 1s")
-            for j, got in enumerate(row):
-                if par[i] == par[j] and self.delta[i][j]:
+            flips = {j for j in rows[i] if par[j] == par[i]}
+            wrong = {j for j in row if j != i}
+            if row.get(i, zero) != self.potential:
+                wrong.add(i)
+            if flips or wrong:  # report the first bad column, flip checked first
+                j = min(flips | wrong)
+                if j in flips:
                     raise FactorizationError(f"delta does not flip parity at ({i},{j})")
-                if got != (self.potential if i == j else zero):
-                    raise FactorizationError(
-                        f"delta.delta != W.Id at ({i},{j}): got {got.canonical_str()}")
+                raise FactorizationError(
+                    f"delta.delta != W.Id at ({i},{j}): got {row.get(j, zero).canonical_str()}")
 
     @property
     def factors(self) -> tuple["Factorization", ...]:
@@ -337,7 +341,8 @@ def cdga_factorization(algebra: Cdga, a) -> Factorization:
 
 def homotopy_iso(algebra: Cdga, a, a_prime, h):
     """Multiplication by exp(-h) intertwining d_a and d_{a'} when
-    a' - a = dh; returns the matrix of the isomorphism."""
+    a' - a = dh; returns the matrix of the isomorphism
+    as sparse rows."""
     dh = algebra.apply_diff(h)
     diff = algebra.add(a_prime, algebra.scale(a, MultiPoly.const(algebra.variables, -1)))
     if diff != dh:
@@ -361,11 +366,9 @@ def homotopy_iso(algebra: Cdga, a, a_prime, h):
             raise FactorizationError("h is not nilpotent")
 
     n = algebra.dimension
-    zerop = MultiPoly.zero(algebra.variables)
 
-    def op_matrix(f):
-        cols = [f(algebra.basis_element(j)) for j in range(n)]
-        return [[cols[j].get(i, zerop) for j in range(n)] for i in range(n)]
+    def op_matrix(f):  # column j is the image of basis element j
+        return transpose([f(algebra.basis_element(j)) for j in range(n)], n)
 
     mult_exp = op_matrix(lambda x: algebra.multiply(total, x))
     d_a = op_matrix(lambda x: algebra.add(algebra.apply_diff(x), algebra.multiply(a, x)))
@@ -382,23 +385,25 @@ def homotopy_iso(algebra: Cdga, a, a_prime, h):
 # form-valued matrices, supertrace, Atiyah class, Chern character
 
 
-def _twist(parities, entries):
+def _twist(parities, rows):
     """T: the odd-degree part of every entry in an odd row negated."""
-    return [[DiffForm(e.variables, {idx: -p if len(idx) % 2 else p
-                                    for idx, p in e.terms.items()}) if par else e
-             for e in row] for par, row in zip(parities, entries)]
+    return [{j: DiffForm(e.variables, {idx: -p if len(idx) % 2 else p
+                                       for idx, p in e.terms.items()})
+             for j, e in row.items()} if par else row for par, row in zip(parities, rows)]
 
 
-def supertrace(parities, entries) -> DiffForm:
-    """trace(even block) - trace(odd block) of a square form-valued matrix."""
-    return sum(-row[i] if parities[i] else row[i] for i, row in enumerate(entries))
+def supertrace(parities, rows) -> DiffForm:
+    """trace(even block) - trace(odd block) of a square form-valued matrix
+    (sparse rows); 0 when the diagonal is empty."""
+    return sum(-row[i] if parities[i] else row[i] for i, row in enumerate(rows) if i in row)
 
 
-def atiyah(fact: Factorization) -> list[list[DiffForm]]:
+def atiyah(fact: Factorization) -> list[dict[int, DiffForm]]:
     """The curvature part [nabla, delta] of the Atiyah class for the
-    trivial connection: the entrywise exterior derivative of delta.
-    The full Atiyah cocycle is the pair (identity, this)."""
-    return [[d_of_poly(e) for e in row] for row in fact.delta]
+    trivial connection: the entrywise exterior derivative of delta, as
+    sparse rows.  The full Atiyah cocycle is the pair (identity, this)."""
+    return [{j: de for j, e in enumerate(row) if e and (de := d_of_poly(e))}
+            for row in fact.delta]
 
 
 @dataclass

@@ -6,8 +6,8 @@ reduced coordinates t_1 .. t_n (t_0 and dt_0 eliminated by the relations
 sum t_i = 1, sum dt_i = 0): a form on the n-simplex is a ``DiffForm``
 over ``simplex_variables(n)``, so its level is its number of variables.
 Cosimplicial modules are finite-dimensional with explicit
-coface/codegeneracy matrices; arbitrary monotone maps act through the
-epi-mono factorization.  Thom-Sullivan elements are stored as compatible
+coface/codegeneracy matrices (sparse rows, as everywhere in ``linalg``);
+arbitrary monotone maps act through the epi-mono factorization.  Thom-Sullivan elements are stored as compatible
 families over levels 0..N, represented by Whitney-basis expansions of
 normalized cochains; compatibility is verified at construction against
 the generating maps (which suffices, both actions being functorial) with
@@ -28,7 +28,7 @@ from math import factorial
 
 from .config import POSET, ConfigError, read
 from .exactalg import MultiPoly
-from .exactalg.linalg import identity, mat_mul, nullspace, rank, solve
+from .exactalg.linalg import identity, mat_mul, nullspace, rank, solve, sparse, transpose
 from .forms import DiffForm, d_of_poly
 
 
@@ -141,7 +141,7 @@ class CosimplicialModule:
         # componentwise products with unit (1, ..., 1) at every level
         self.algebra = algebra
         self._verify_identities()
-        self._maps: dict[tuple, list] = {}  # the maps are fixed from here on
+        self._maps: dict[tuple, list[dict]] = {}  # the maps are fixed from here on
 
     def _verify_identities(self):
         N = self.top_level
@@ -178,7 +178,7 @@ class CosimplicialModule:
                             if sj_di != expect:
                                 raise ValueError("mixed identity fails (i>j+1)")
 
-    def map_into(self, f, m: int) -> list[list[Fraction]]:
+    def map_into(self, f, m: int) -> list[dict[int, Fraction]]:
         """Matrix of A(f) for monotone f: [n] -> [m] with explicit target,
         memoized per (f, m); callers must not mutate it."""
         f = tuple(f)
@@ -187,7 +187,7 @@ class CosimplicialModule:
             hit = self._maps[(f, m)] = self._build_map(f, m)
         return hit
 
-    def _build_map(self, f: tuple, m: int) -> list[list[Fraction]]:
+    def _build_map(self, f: tuple, m: int) -> list[dict[int, Fraction]]:
         if not _monotone(f):
             raise ValueError("map is not monotone")
         n = len(f) - 1
@@ -218,8 +218,8 @@ class NormalizedComplex:
     alternating coface differential."""
 
     dims: list[int]
-    bases: list[list[list[Fraction]]]       # columns: basis of N^d inside A[d]
-    differentials: list[list[list[Fraction]]]  # N^d -> N^{d+1} in N-coordinates
+    bases: list[list[dict[int, Fraction]]]  # rows: basis of N^d inside A[d]
+    differentials: list[list[dict[int, Fraction]]]  # N^d -> N^{d+1} in N-coordinates
 
     def cohomology_ranks(self) -> list[int]:
         return _betti(self.dims, self.differentials)
@@ -234,37 +234,31 @@ def _betti(dims, differentials) -> list[int]:
 
 def alternating_coface(cs: CosimplicialModule, n: int):
     """sum_i (-1)^i d^i : A[n] -> A[n+1]."""
-    rows, cols = cs.dims[n + 1], cs.dims[n]
-    total = [[Fraction(0)] * cols for _ in range(rows)]
+    total = [{} for _ in range(cs.dims[n + 1])]
     for i in range(n + 2):
-        mat = cs.cofaces[(n + 1, i)]
-        sign = 1 if i % 2 == 0 else -1
-        for a in range(rows):
-            for b in range(cols):
-                total[a][b] += sign * mat[a][b]
+        for row, face in zip(total, cs.cofaces[(n + 1, i)]):
+            for b, x in face.items():
+                y = row.pop(b, 0) + (-x if i % 2 else x)
+                if y:
+                    row[b] = y
     return total
 
 
 def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
     N = cs.top_level
-    bases = []
-    for d in range(N + 1):
-        stacked = [row for i in range(d) for row in cs.codegens[(d - 1, i)]]
-        bases.append(nullspace(stacked) if stacked else identity(cs.dims[d]))
+    bases = [nullspace([row for i in range(d) for row in cs.codegens[(d - 1, i)]], cs.dims[d])
+             for d in range(N + 1)]
     diffs = []
     for d in range(N):
-        # column j: the image of basis vector j of N^d, in the basis of N^(d+1)
-        images = mat_mul(alternating_coface(cs, d), _transpose(bases[d])) if bases[d] else []
-        target = _transpose(bases[d + 1])
-        cols = [solve(target, list(image)) for image in zip(*images)]
-        if None in cols:  # no target: [] iff the image is 0
+        # row j: the image of basis vector j of N^d, in A[d+1] and then in
+        # the basis of N^(d+1)
+        images = mat_mul(bases[d], transpose(alternating_coface(cs, d), cs.dims[d + 1]))
+        target, width = transpose(bases[d + 1], cs.dims[d + 1]), len(bases[d + 1])
+        cols = [solve(target, image, width) for image in images]
+        if None in cols:
             raise ValueError("normalized differential leaves the subcomplex")
-        diffs.append(_transpose(cols))
+        diffs.append(transpose(cols, width))
     return NormalizedComplex([len(b) for b in bases], bases, diffs)
-
-
-def _transpose(mat):
-    return [list(col) for col in zip(*mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +269,18 @@ def _transpose(mat):
 # chains out over each: at level 3 the checks on 10/11/12 discrete points take
 # 0.25/0.4/0.8 s, of which flasqueness takes 0.11/0.2/0.6 s.
 MAX_POSET_POINTS = 10
-# A stalk of dimension d makes d x d identity and restriction matrices at
-# every chain: at level 3 one point of dimension 8/10/12/16 takes
-# 0.7/1.0/1.3/2.2 s end to end (Python 3.11, one core of a 2-core x86-64 host).
+# A stalk of dimension d is read as a d-row identity and d-row restriction
+# maps before any Godement dimension is predicted; at level 3 one point of
+# dimension 8/10/12/16 takes 0.21/0.22/0.23/0.26 s end to end (Python 3.11,
+# one core of a shared 2-core x86-64 host).
 MAX_STALK_DIM = 10
 # The checks grow with the top level's dimension, a sum of stalk dimensions
-# over weak chains known before any matrix is built: in process, a discrete
-# poset of 10-dimensional stalks takes 1.0/1.7/6.1 s at level 3 (dimension
-# 50/60/100), and a chain of 10 points 4.4 s at level 2 (dimension 220).
-MAX_GODEMENT_DIM = 60
+# over weak chains known before any matrix is built.  End to end on that host,
+# a discrete poset of 10-dimensional stalks at level 3 takes 0.5-0.9 s at
+# dimension 60 and 1.1-1.8 s at 99 (1.6-2.8 s at 60 with dense matrices); a
+# chain of 10 points takes 1.3 s at level 2 (220).  At 99, one dimension more
+# still fits in MAX_POSET_POINTS stalks of MAX_STALK_DIM.
+MAX_GODEMENT_DIM = 99
 
 
 class FinitePosetSheaf:
@@ -308,7 +305,7 @@ class FinitePosetSheaf:
                             leq[i][j] = True
         self.leq = leq
         self.stalk_dims = [int(d) for d in stalk_dims]
-        self.maps: dict[tuple[int, int], list[list[Fraction]]] = {}
+        self.maps: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
         for i in range(n):
             self.maps[(i, i)] = identity(self.stalk_dims[i])
         for (a, b), mat in restriction_matrices.items():
@@ -316,7 +313,7 @@ class FinitePosetSheaf:
             if ia == ib or not self.leq[ia][ib]:
                 raise ConfigError("simplicial.poset.restriction_matrices",
                                   f"{a} -> {b} needs {a} < {b} in the order")
-            self.maps[(ia, ib)] = [[Fraction(x) for x in row] for row in mat]
+            self.maps[(ia, ib)] = sparse([[Fraction(x) for x in row] for row in mat])
         self._close_maps()
         self._check_functoriality()
 
@@ -344,7 +341,8 @@ class FinitePosetSheaf:
     def _close_maps(self):
         """From each point i, search along the maps k -> j and compose through
         the i -> k already closed; a pair no path joins is a zero map at a
-        0-dimensional stalk, or missing.  Order pairs may form a cycle."""
+        0-dimensional stalk, or missing.  Order pairs may form a cycle.  A
+        composite through a 0-dimensional stalk is empty rows, the zero map."""
         n = len(self.points)
         for i in range(n):
             reached = [i]
@@ -352,26 +350,16 @@ class FinitePosetSheaf:
                 for j in range(n):
                     if j not in reached and (k, j) in self.maps:
                         if (i, j) not in self.maps:
-                            self.maps[(i, j)] = self._compose(i, k, j)
+                            self.maps[(i, j)] = mat_mul(self.maps[(k, j)], self.maps[(i, k)])
                         reached.append(j)
         for i in range(n):
             for j in range(n):
                 if self.leq[i][j] and (i, j) not in self.maps:
                     if self.stalk_dims[i] == 0 or self.stalk_dims[j] == 0:
-                        self.maps[(i, j)] = self._zero_map(i, j)
+                        self.maps[(i, j)] = [{} for _ in range(self.stalk_dims[j])]
                     else:
                         raise ValueError(
                             f"missing restriction {self.points[i]} <= {self.points[j]}")
-
-    def _zero_map(self, i, j):
-        return [[Fraction(0)] * self.stalk_dims[i] for _ in range(self.stalk_dims[j])]
-
-    def _compose(self, i, k, j):
-        """maps[k -> j] . maps[i -> k], kept dim(j) x dim(i) when the stalk
-        at k is 0-dimensional (a [] factor carries no column count)."""
-        if self.stalk_dims[k] == 0:
-            return self._zero_map(i, j)
-        return mat_mul(self.maps[(k, j)], self.maps[(i, k)])
 
     def _check_functoriality(self):
         n = len(self.points)
@@ -379,7 +367,7 @@ class FinitePosetSheaf:
             for k in range(n):
                 for j in range(n):
                     if self.leq[i][k] and self.leq[k][j]:
-                        if self._compose(i, k, j) != self.maps[(i, j)]:
+                        if mat_mul(self.maps[(k, j)], self.maps[(i, k)]) != self.maps[(i, j)]:
                             raise ValueError("generization maps are not functorial")
 
     # -- topology ------------------------------------------------------------
@@ -435,26 +423,26 @@ class GodementResolution:
         self.module = CosimplicialModule(self.dims, cofaces, codegens,
                                          algebra=sheaf.is_unit_stalked())
 
-    def induced(self, n: int, m: int, f) -> list[list[Fraction]]:
+    def induced(self, n: int, m: int, f) -> list[dict[int, Fraction]]:
         """The matrix G[m] -> G[n] whose block at a chain c of level n is the
         generization from f(c)[-1] to c[-1], at the block of the chain f(c)."""
-        mat = [[Fraction(0)] * self.dims[m] for _ in range(self.dims[n])]
-        for c, row in self.offsets[n].items():
+        mat = []
+        for c in self.chains[n]:
             src = f(c)
             col = self.offsets[m][src]
-            for r, gen in enumerate(self.sheaf.maps[(src[-1], c[-1])]):
-                mat[row + r][col:col + len(gen)] = gen
+            mat += [{col + j: x for j, x in gen.items()}
+                    for gen in self.sheaf.maps[(src[-1], c[-1])]]
         return mat
 
     @cached_property
-    def global_sections(self) -> list[list[Fraction]]:
+    def global_sections(self) -> list[dict[int, Fraction]]:
         """A basis of F(X) inside G[0], the equalizer of d^0, d^1: G[0] -> G[1]."""
-        return nullspace(alternating_coface(self.module, 0))
+        return nullspace(alternating_coface(self.module, 0), self.dims[0])
 
     def augmentation(self, n: int):
         """Matrix F(X) -> G[n]F(X): a section maps to its germs along chains."""
-        at = self.offsets[0]
-        return [[sec[at[(c[-1],)] + r] for sec in self.global_sections]
+        at, germs = self.offsets[0], transpose(self.global_sections, self.dims[0])
+        return [germs[at[(c[-1],)] + r]
                 for c in self.chains[n] for r in range(self.sheaf.stalk_dims[c[-1]])]
 
     def flasque(self, n: int) -> bool:
@@ -490,13 +478,16 @@ class ThElement:
         if check and not self.compatible():
             raise ValueError("family violates the Thom-Sullivan equalizer")
 
+    @cached_property
+    def _columns(self) -> list[list[dict[int, DiffForm]]]:
+        """Each level c_n as a one-column matrix of sparse rows."""
+        return [sparse([[form] for form in level]) for level in self.levels]
+
     def _check_map(self, f, m: int) -> bool:
         """A(f) c_n == f^* c_m for a monotone f: [n] -> [m]."""
-        pull, source = pullback(f, m), self.levels[len(f) - 1]
-        pulled = [[pull(form)] for form in self.levels[m]]
-        if not source:  # A[n] = 0: A(f) c_n = 0, and a product with no rows has no width
-            return not any(form for (form,) in pulled)
-        return mat_mul(self.cs.map_into(f, m), [[form] for form in source]) == pulled
+        pull = pullback(f, m)
+        pulled = sparse([[form and pull(form)] for form in self.levels[m]])  # 0 pulls back to 0
+        return mat_mul(self.cs.map_into(f, m), self._columns[len(f) - 1]) == pulled
 
     def compatible(self, generators_only: bool = True) -> bool:
         """Verify the equalizer condition.  Checking cofaces and
@@ -543,16 +534,13 @@ class ThElement:
                for l1, l2 in zip(self.levels, other.levels)]
         return ThElement(self.cs, self.degree + other.degree, out, check=False)
 
-    def integrate(self) -> list[Fraction]:
-        """Integration over the degree-d simplex: lands in A[d]."""
+    def integrate(self) -> dict[int, Fraction]:
+        """Integration over the degree-d simplex: a sparse vector of A[d]."""
         d = self.degree
         if d > self.cs.top_level:
-            return []
-        out = []
-        for comp in self.levels[d]:
-            piece = comp.component(d)
-            out.append(integrate_simplex(piece) if not piece.is_zero() else Fraction(0))
-        return out
+            return {}
+        pieces = enumerate(comp.component(d) for comp in self.levels[d])
+        return {k: x for k, piece in pieces if piece and (x := integrate_simplex(piece))}
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for level in self.levels for f in level)
@@ -566,15 +554,15 @@ class ThElement:
 def whitney_extension(cs: CosimplicialModule, degree: int, vec) -> ThElement:
     """Extend a normalized cochain to a compatible family by elementary
     forms: c_n = sum over strict monotone g: [d] -> [n] of A(g)(a) w_g."""
-    column = [[x] for x in vec]
+    column = transpose([vec], cs.dims[degree])
     levels = []
     for n in range(cs.top_level + 1):
         level = [DiffForm.zero(simplex_variables(n)) for _ in range(cs.dims[n])]
         for image in combinations(range(n + 1), degree + 1):
             w = whitney_form(image, n)
-            for k, (coeff,) in enumerate(mat_mul(cs.map_into(image, n), column)):
-                if coeff:
-                    level[k] = level[k] + w.scale(coeff)
+            for k, row in enumerate(mat_mul(cs.map_into(image, n), column)):
+                if row:
+                    level[k] = level[k] + w.scale(row[0])
         levels.append(level)
     return ThElement(cs, degree, levels)
 
@@ -609,15 +597,10 @@ def order_complex_cohomology(sheaf: FinitePosetSheaf, top: int) -> list[int]:
     cob = []
     for d in range(top + 1):
         position = {face: k for k, face in enumerate(strict[d])}
-        rows = []
-        for c in strict[d + 1]:
-            row = [Fraction(0)] * len(strict[d])
-            for i in range(d + 2):
-                k = position.get(c[:i] + c[i + 1:])
-                if k is not None:
-                    row[k] += Fraction((-1) ** i)
-            rows.append(row)
-        cob.append(rows)
+        # consecutive points differ, so the faces of a strict chain are distinct
+        cob.append([{k: Fraction((-1) ** i) for i in range(d + 2)
+                     if (k := position.get(c[:i] + c[i + 1:])) is not None}
+                    for c in strict[d + 1]])
     return _betti([len(strict[d]) for d in range(top + 1)], cob)
 
 
@@ -665,22 +648,20 @@ def de_rham_triangle_check(resolution: GodementResolution,
     chain_map = True
     for d in range(N):
         de = [el.d() for el in basis[d]]
-        if not basis[d + 1]:  # N^(d+1) = 0: the product below would have no width
-            chain_map = chain_map and all(e.is_zero() for e in de)
-            continue
-        columns = _transpose(norm.differentials[d])
+        columns = transpose(norm.differentials[d], norm.dims[d])
         for n in range(N + 1):
-            combined = mat_mul(columns, [el.levels[n] for el in basis[d + 1]])
-            chain_map = chain_map and combined == [e.levels[n] for e in de]
+            combined = mat_mul(columns, sparse([el.levels[n] for el in basis[d + 1]]))
+            chain_map = chain_map and combined == sparse([e.levels[n] for e in de])
 
     # the augmentation triangle: integrate(Th(iota) v) == N(iota) v; each
     # constant family is checked compatible when it is built
     augs = [resolution.augmentation(n) for n in range(N + 1)]
     triangle = True
-    for si in range(len(augs[0][0]) if augs[0] else 0):  # one column per section
-        family = [[DiffForm.const(simplex_variables(n), row[si]) for row in aug]
+    for si in range(len(resolution.global_sections)):  # one column per section
+        family = [[DiffForm.const(simplex_variables(n), row.get(si, 0)) for row in aug]
                   for n, aug in enumerate(augs)]
-        if ThElement(cs, 0, family).integrate() != [row[si] for row in augs[0]]:
+        if ThElement(cs, 0, family).integrate() != {k: row[si] for k, row in enumerate(augs[0])
+                                                     if si in row}:
             triangle = False
 
     ranks = norm.cohomology_ranks()
@@ -699,7 +680,7 @@ def tk_point_check(tau, sigma, levels: int = 2) -> dict:
 
     kos = koszul(list(tau), list(sigma))
     # as_fraction raises ValueError on a non-rational specialization
-    delta0 = [[e.constant_term().as_fraction() for e in row] for row in kos.delta]
+    delta0 = sparse([[e.constant_term().as_fraction() for e in row] for row in kos.delta])
     w0 = kos.potential.constant_term()
     if w0:
         raise ValueError("potential does not vanish at the one-point site")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
-from .exactalg.linalg import integer_echelon, sparse_rank
+from .exactalg.linalg import integer_echelon, rank, solve, sparse
 from .glsm import GlsmModel
 from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, Sector, inertia_sectors
 
@@ -37,20 +37,16 @@ class NonIsolatedSingularityError(ValueError):
     pass
 
 
-def _poly_det(rows: list[list[MultiPoly]]) -> MultiPoly:
-    n = len(rows)
-    if n == 0:
+def _poly_det(rows: list[dict[int, MultiPoly]], zero: MultiPoly) -> MultiPoly:
+    """Cofactor expansion of sparse rows along the first row."""
+    if not rows:
         raise ValueError("empty matrix")
-    if n == 1:
-        return rows[0][0]
-    variables = rows[0][0].variables
-    out = MultiPoly.zero(variables)
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        piece = entry * _poly_det(minor)
+    if len(rows) == 1:
+        return rows[0].get(0, zero)
+    out = zero
+    for j, entry in rows[0].items():
+        minor = [{k if k < j else k - 1: x for k, x in row.items() if k != j} for row in rows[1:]]
+        piece = entry * _poly_det(minor, zero)
         out = out + (piece if j % 2 == 0 else -piece)
     return out
 
@@ -93,10 +89,8 @@ class ResidueCalculator:
         self._charges = [int(q * den) for q in self.weights]
         self._lattice = integer_echelon(w.terms)
         if self.milnor_number:
-            hess = _poly_det([
-                [w.derivative(a).derivative(b) for b in self.variables]
-                for a in self.variables
-            ])
+            hess = _poly_det(sparse([[w.derivative(a).derivative(b) for b in self.variables]
+                                     for a in self.variables]), MultiPoly.zero(w.variables))
             hess_nf = self.ideal.normal_form(hess)
             if len(hess_nf.terms) != 1:
                 raise ValueError(
@@ -158,16 +152,14 @@ def residue(p: MultiPoly, w: MultiPoly, weights=None) -> Cyclo:
 
 
 def _infer_weights(w: MultiPoly):
-    from .exactalg.linalg import solve
     exps = sorted(w.terms, key=drl_key)
     if not exps:
         raise ValueError("cannot infer weights of the zero potential")
-    system = [[Fraction(a) for a in exp] for exp in exps]
-    rhs = [Fraction(1)] * len(exps)
-    sol = solve(system, rhs)
+    n = len(w.variables)
+    sol = solve(sparse(exps), dict.fromkeys(range(len(exps)), Fraction(1)), n)
     if sol is None:
         raise ValueError("potential is not quasi-homogeneous; supply weights")
-    return sol
+    return [sol.get(i, Fraction(0)) for i in range(n)]
 
 
 @dataclass
@@ -322,7 +314,8 @@ class StateSpace:
         return self.space(self.inverse_phases[tuple(phases)]).dimension
 
     def gram_matrix(self, phases) -> list[list[Cyclo]]:
-        """The Gram block as dense rows; absent entries share one zero."""
+        """The Gram block as dense rows, absent entries sharing one zero: a
+        view for tests and benchmarks; the library reads ``gram_rows``."""
         zero, width = Cyclo.zero(), self._gram_width(phases)
         return [[row.get(j, zero) for j in range(width)] for row in self.gram_rows(phases)]
 
@@ -338,7 +331,7 @@ class StateSpace:
 
     def gram_nonsingular(self, phases) -> bool:
         rows = self.gram_rows(phases)
-        return len(rows) == self._gram_width(phases) == sparse_rank(rows)
+        return len(rows) == self._gram_width(phases) == rank(rows)
 
     # -- reporting ------------------------------------------------------------
 

@@ -24,6 +24,7 @@ from lgck.cohft import (
     virdim,
 )
 from lgck.exactalg import Cyclo, linalg
+from lgck.exactalg.linalg import sparse
 from lgck.orbifold import GroupElement
 
 
@@ -67,7 +68,7 @@ def test_dual_bases_orthonormal_toy():
     gram = [[Cyclo.one() if i == j else Cyclo.zero() for j in range(3)]
             for i in range(3)]
     basis = PairedBasis(["a", "b", "c"], ["1"] * 3, {"1": "1"},
-                        [Fraction(0)] * 3, [0] * 3, {"1": gram})
+                        [Fraction(0)] * 3, [0] * 3, {"1": sparse(gram)})
     casimir = basis.casimir
     assert [i for i, _ in casimir] == [0, 1, 2]
     for j, dual in casimir:
@@ -117,7 +118,7 @@ def test_casimir_inverts_each_gram_block_once(quintic_lg, quintic_state, monkeyp
 def test_singular_gram_rejected():
     gram = [[Cyclo.zero()]]
     basis = PairedBasis(["a"], ["1"], {"1": "1"}, [Fraction(0)], [0],
-                        {"1": gram})
+                        {"1": sparse(gram)})
     with pytest.raises(ValueError, match="singular"):
         basis.casimir
 
@@ -189,7 +190,7 @@ def test_covariance_detects_missing_sign():
              for i in range(3)]
     basis = PairedBasis(["u", "e", "f"], ["1"] * 3, {"1": "1"},
                         [Fraction(0), Fraction(1), Fraction(1)],
-                        [0, 1, 1], {"1": ident})
+                        [0, 1, 1], {"1": sparse(ident)})
     zero_unit = [Cyclo.zero()] * 3
     one = Cyclo.one()
     consistent = {
@@ -249,7 +250,7 @@ def test_tails_detects_perturbation(quintic_cohft):
 def test_one_dimensional_unit_only_theory():
     gram = [[Cyclo.one()]]
     basis = PairedBasis(["1"], ["1"], {"1": "1"}, [Fraction(0)], [0],
-                        {"1": gram})
+                        {"1": sparse(gram)})
     omega03 = {(0, 0, 0): Cyclo.one()}
     omega04 = {(0, 0, 0, 0): (Cyclo.one(), Cyclo.zero())}
     omega11 = {(0,): (Cyclo.one(), Cyclo.zero())}

@@ -14,7 +14,7 @@ from lgck.exactalg import (
     jacobian_ideal,
     zeta,
 )
-from lgck.exactalg.linalg import inverse, mat_mul, rank, solve
+from lgck.exactalg.linalg import identity, inverse, mat_mul, rank, solve, sparse
 
 from conftest import scale_variables
 
@@ -235,24 +235,22 @@ def test_linalg_roundtrip(rng):
         n = rng.randint(1, 4)
         mat = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
         d = leibniz_det(mat)
-        inv = inverse(mat)
+        inv = inverse(sparse(mat))
         if d == 0:
             assert inv is None
-            assert rank(mat) < n
+            assert rank(sparse(mat)) < n
         else:
-            prod = mat_mul(mat, inv)
-            ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            assert prod == ident
+            assert mat_mul(sparse(mat), inv) == identity(n)
             rhs = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
-            x = solve(mat, rhs)
-            assert [sum(mat[i][j] * x[j] for j in range(n)) for i in range(n)] == rhs
+            x = solve(sparse(mat), sparse([rhs])[0], n)
+            assert [sum(mat[i][j] * x.get(j, 0) for j in range(n)) for i in range(n)] == rhs
 
 
 def test_linalg_over_cyclotomics():
     z = zeta(5)
     mat = [[Cyclo.one(), z], [z ** 4, Cyclo.one()]]
     # determinant 1 - 1 = 0: singular
-    assert inverse(mat, one=Cyclo.one()) is None
+    assert inverse(sparse(mat), one=Cyclo.one()) is None
     mat2 = [[Cyclo.one(), z], [Cyclo.zero(), Cyclo.one()]]
-    inv = inverse(mat2, one=Cyclo.one())
+    inv = inverse(sparse(mat2), one=Cyclo.one())
     assert inv[0][1] == -z

@@ -8,7 +8,7 @@ import pytest
 from lgck import glsm
 from lgck.cli import main
 from lgck.exactalg import ConeResult, MultiPoly, exact_lp_cone_membership
-from lgck.exactalg.linalg import rank as mat_rank
+from lgck.exactalg.linalg import rank as mat_rank, sparse
 from lgck.glsm import (
     ConeTester,
     GlsmModel,
@@ -203,7 +203,7 @@ def test_support_walk_matches_brute_force(rng):
         maximal = sorted((s for s in unstable if not any(s < t for t in unstable)),
                          key=lambda s: (len(s), sorted(s)))
         chi_line = [list(model.chi), [-x for x in model.chi]]
-        stable_eq = all(mat_rank(cols[s] + [list(model.chi)]) >= k for s in supports
+        stable_eq = all(mat_rank(sparse(cols[s] + [list(model.chi)])) >= k for s in supports
                         if _in_cone(cols[s] + chi_line, character))
         phase = semistable_locus(model, character)
         assert list(phase.max_unstable_supports) == maximal, (model, character)

@@ -16,9 +16,12 @@ from pathlib import Path
 import pytest
 
 from lgck.cli import main
+from lgck.cohft import narrow_sector_data
+from lgck.statespace import StateSpace
 
 from conftest import make_quintic_glsm, make_quintic_lg
 from corpus import fermat_model
+from test_cohft import _tables_jsonable
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -47,11 +50,24 @@ def _configs(root: Path) -> dict:
     unit_koszul = {"variables": ["y", "x", "z"], "torus_weights": [[1, -1, 0], [0, 2, 1]],
                    "finite_generators": [], "chi": [0, 2], "nu": [0, 0],
                    "r_charges": [0, 2, 1], "d_w": 2, "potential": "x*y + z^2"}
+    # zero-dimensional stalk at b, so a -> c composes through a 0 x 2 and a 2 x 0 map
+    custom_poset = {"simplicial": {"poset": {
+        "points": ["a", "b", "c", "e"],
+        "order_pairs": [["a", "b"], ["b", "c"], ["a", "e"]],
+        "stalk_dims": [2, 0, 2, 1],
+        "restriction_matrices": [{"from": "a", "to": "b", "matrix": []},
+                                 {"from": "b", "to": "c", "matrix": [[], []]},
+                                 {"from": "a", "to": "e", "matrix": [[1, -1]]}]}}}
+    lg = make_quintic_lg()
+    user_tables = lg.to_dict()
+    user_tables["cohft"] = {"basis": "narrow", "tables": _tables_jsonable(
+        narrow_sector_data(lg, StateSpace(lg)))}
     paths = {}
     for name, data in (("quintic", quintic), ("glsm", glsm), ("koszul", koszul),
                        ("other", other), ("kunneth", main_model), ("empty", {}),
                        ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror),
-                       ("unit_koszul", unit_koszul)):
+                       ("unit_koszul", unit_koszul), ("custom_poset", custom_poset),
+                       ("user_tables", user_tables)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -70,6 +86,8 @@ def _cases(paths: dict) -> dict:
     cases["simplicial-demo-level-2"] = ["simplicial-demo", paths["empty"],
                                         "--level-bound", "2"]
     cases["simplicial-demo"] = ["simplicial-demo", paths["empty"]]
+    cases["simplicial-demo-custom-poset"] = ["simplicial-demo", paths["custom_poset"]]
+    cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
     for name in ("fermat_3_4_gmax", "mirror_quintic"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]

@@ -8,6 +8,8 @@ library multiplies: ``Fraction``, ``Cyclo`` and ``MultiPoly``.  Over
 nullspace vector is sent to 0, there are ncols - rank of them, an
 inverse is a two-sided one, and a matrix with none has a kernel vector.
 ``integer_echelon`` is checked against the ``sympy`` determinant and rank.
+The library works on sparse rows; the tests draw dense matrices, convert
+them with ``sparse`` and compare through the dense view ``dense``.
 """
 
 from fractions import Fraction
@@ -24,6 +26,8 @@ from lgck.exactalg.linalg import (
     rank,
     rref,
     solve,
+    sparse,
+    transpose,
 )
 
 pytest.importorskip("hypothesis")
@@ -70,16 +74,24 @@ def frac(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
 
+def dense(vec: dict, width: int, zero=Fraction(0)) -> list:
+    return [vec.get(j, zero) for j in range(width)]
+
+
+def width_of(mat) -> int:
+    return len(mat[0]) if mat else 0
+
+
 @settings(max_examples=120, deadline=None)
 @given(matrices())
 def test_rref_and_rank_match_sympy(mat):
-    reduced = rref(mat)
+    reduced = rref(sparse(mat))
     if not mat or not mat[0]:
-        assert reduced == {} and rank(mat) == 0
+        assert reduced == {} and rank(sparse(mat)) == 0
         return
     ref, pivots = sym(mat).rref()
     assert tuple(reduced) == pivots
-    assert rank(mat) == sym(mat).rank() == len(pivots)
+    assert rank(sparse(mat)) == sym(mat).rank() == len(pivots)
     for k, col in enumerate(pivots):
         dense = [reduced[col].get(j, Fraction(0)) for j in range(len(mat[0]))]
         assert dense == [frac(x) for x in ref.row(k)]
@@ -89,28 +101,30 @@ def test_rref_and_rank_match_sympy(mat):
 @given(matrices())
 def test_nullspace_matches_sympy(mat):
     if not mat:
-        assert nullspace(mat) == []
+        assert nullspace([], 0) == []
         return
-    ours = nullspace(mat)
+    width = width_of(mat)
+    basis = nullspace(sparse(mat), width)
+    ours = [dense(v, width) for v in basis]
     theirs = [[frac(x) for x in v] for v in sym(mat).nullspace()]
     assert ours == theirs
     if ours:
-        kernel = [list(c) for c in zip(*ours)]
-        assert all(not x for row in mat_mul(mat, kernel) for x in row)
+        assert not any(mat_mul(sparse(mat), transpose(basis, width)))
 
 
 @settings(max_examples=120, deadline=None)
 @given(matrices(), st.data())
 def test_solve_matches_sympy(mat, data):
     rhs = data.draw(st.lists(fractions, min_size=len(mat), max_size=len(mat)))
-    x = solve(mat, rhs)
+    x = solve(sparse(mat), sparse([rhs])[0], width_of(mat))
     if not mat:
-        assert x == ([] if not any(rhs) else None)
+        assert x == {}
         return
     a = sym(mat)
     consistent = a.rank() == a.row_join(sym([[b] for b in rhs])).rank()
     assert (x is not None) == consistent
     if consistent:
+        x = dense(x, width_of(mat))
         assert [sum((r[j] * x[j] for j in range(len(x))), Fraction(0))
                 for r in mat] == rhs
         pivots = set(a.rref()[1])
@@ -122,14 +136,14 @@ def test_solve_matches_sympy(mat, data):
 def test_inverse_matches_sympy(mat):
     n = len(mat)
     if n == 0:
-        assert inverse(mat) == []
+        assert inverse([]) == []
         return
-    inv = inverse(mat)
+    inv = inverse(sparse(mat))
     if sym(mat).det() == 0:
         assert inv is None
     else:
-        assert inv == [[frac(x) for x in sym(mat).inv().row(i)] for i in range(n)]
-        assert mat_mul(mat, inv) == identity(n)
+        assert inv == sparse([[frac(x) for x in sym(mat).inv().row(i)] for i in range(n)])
+        assert mat_mul(sparse(mat), inv) == identity(n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +151,12 @@ def test_inverse_matches_sympy(mat):
 def test_non_square(n, m, data):
     if n == m:
         m += 1
-    assert inverse(data.draw(matrices(rows=n, cols=m))) is None
+    mat = data.draw(matrices(rows=n, cols=m))
+    if m > n and not any(x for row in mat for x in row[n:]):
+        # sparse rows carry no width: past column n all zero, they are the n x n block
+        assert inverse(sparse(mat)) == inverse(sparse([row[:n] for row in mat]))
+    else:
+        assert inverse(sparse(mat)) is None
 
 
 # -- elimination over Cyclo, checked through products only -------------------
@@ -152,16 +171,16 @@ cyclo_sums = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(matrices(cyclo_sums))
 def test_cyclo_nullspace_is_kernel(mat):
-    basis = nullspace(mat, Cyclo.one())
+    width = width_of(mat)
+    basis = nullspace(sparse(mat), width, Cyclo.one())
     if not mat:
         assert basis == []
         return
-    assert len(basis) == len(mat[0]) - rank(mat)
+    assert len(basis) == width - rank(sparse(mat))
     for v in basis:
-        assert all(not x for row in mat_mul(mat, [[x] for x in v]) for x in row)
+        assert not any(mat_mul(sparse(mat), transpose([v], width)))
     for v in basis:  # a coordinate where v alone is nonzero: independent
-        assert any(x and all(not w[j] for w in basis if w is not v)
-                   for j, x in enumerate(v))
+        assert any(all(j not in w for w in basis if w is not v) for j in v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -170,14 +189,14 @@ def test_cyclo_inverse_is_two_sided(n, data):
     mat = data.draw(matrices(cyclo_sums, rows=n, cols=n))
     if n > 1 and data.draw(st.booleans()):  # force a dependent row
         mat[-1] = [x + y for x, y in zip(mat[0], mat[1])]
-    one = Cyclo.one()
-    inv = inverse(mat, one)
-    assert (inv is None) == (rank(mat) < n)
+    one, rows = Cyclo.one(), sparse(mat)
+    inv = inverse(rows, one)
+    assert (inv is None) == (rank(rows) < n)
     if inv is None:  # a nonzero kernel vector certifies singularity
-        v = nullspace(mat, one)[0]
-        assert any(v) and not any(x for row in mat_mul(mat, [[x] for x in v]) for x in row)
+        v = nullspace(rows, n, one)[0]
+        assert v and not any(mat_mul(rows, transpose([v], n)))
     else:
-        assert mat_mul(mat, inv) == identity(n, one) == mat_mul(inv, mat)
+        assert mat_mul(rows, inv) == identity(n, one) == mat_mul(inv, rows)
 
 
 # -- the one product ----------------------------------------------------------
@@ -209,31 +228,45 @@ def test_mat_mul_matches_triple_loop(kind, dims, data):
     b = data.draw(matrices(entries, rows=k, cols=m))
     if data.draw(st.booleans()):
         a[0] = [a[0][0] - a[0][0]] * k  # an all-zero row
-    got = mat_mul(a, b)
-    assert got == naive_mul(a, b, zero)
+    got = mat_mul(sparse(a), sparse(b))
+    assert [dense(row, m, zero) for row in got] == naive_mul(a, b, zero)
+    assert got == sparse(naive_mul(a, b, zero))  # no stored zero
     for row_a, row in zip(a, got):
         if not any(row_a):
-            assert all(type(x) is type(zero) and not x for x in row)
+            assert row == {}
 
 
 def test_mat_mul_shapes():
     one = Fraction(1)
+    with pytest.raises(ValueError, match="1 rows on the right"):
+        mat_mul([{0: one, 1: one}], [{0: one, 1: one}])
     with pytest.raises(ValueError):
-        mat_mul([[one, one]], [[one, one]])
-    with pytest.raises(ValueError):
-        mat_mul([[one], [one, one]], [[one]])
-    assert mat_mul([], [[one]]) == []
-    assert mat_mul([[one]], [[]]) == [[]]
-    assert mat_mul(identity(2), [[one, 2 * one], [3 * one, 4 * one]]) == \
-        [[1, 2], [3, 4]]
+        mat_mul([{0: one}, {0: one, 1: one}], [{0: one}])
+    assert mat_mul([], [{0: one}]) == []
+    assert mat_mul([{0: one}], [{}]) == [{}]
+    assert mat_mul(identity(2), sparse([[one, 2 * one], [3 * one, 4 * one]])) == \
+        sparse([[1, 2], [3, 4]])
+    # products that cancel leave an empty row, not a stored zero
+    assert mat_mul([{0: one, 1: one}], [{0: one, 1: one}, {0: -one}]) == [{1: one}]
+    assert mat_mul([{0: one, 1: -one}], [{0: one}, {0: one}]) == [{}]
+    # the nullspace of no rows is the standard basis of the given width
+    assert nullspace([], 3) == identity(3)
+    assert solve([], {}, 2) == {}
+    # a row with a column at or past the number of rows is not square
+    assert inverse([{0: one, 1: one}]) is None
+    assert inverse([{0: one}, {0: one}]) is None
 
 
 @pytest.mark.parametrize("m", range(4))
 def test_mat_mul_empty_inner_dimension(m):
-    """An m x 0 matrix times a 0 x p one is m rows; with no row on the
-    right the width p is unknown, so each row is empty."""
-    assert mat_mul([[] for _ in range(m)], []) == [[] for _ in range(m)]
-    assert mat_mul([[Fraction(1)]] * m, [[]]) == [[] for _ in range(m)]
+    """An m x 0 matrix times a 0 x p one is m empty rows, the m x p zero
+    map whatever p is; a column past the right factor's rows is refused."""
+    assert mat_mul([{} for _ in range(m)], []) == [{}] * m
+    assert mat_mul([{0: Fraction(1)}] * m, [{}]) == [{}] * m
+    assert mat_mul([{}] * m, [{0: Fraction(1)}, {}]) == [{}] * m
+    if m:
+        with pytest.raises(ValueError, match="0 rows on the right"):
+            mat_mul([{0: Fraction(1)}] * m, [])
 
 
 def _reduce(v, echelon):

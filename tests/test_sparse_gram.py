@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lgck.exactalg import Cyclo
-from lgck.exactalg.linalg import is_nonsingular, rank, rref, sparse_rank
+from lgck.exactalg.linalg import is_nonsingular, rank, rref, sparse
 from lgck.glsm import GlsmModel
 from lgck.orbifold import GroupElement
 from lgck.statespace import ResidueCalculator, StateSpace
@@ -56,7 +56,8 @@ def assert_grams_match(state, name):
             assert len(row_got) == len(row_exp), name
             assert all(x == y for x, y in zip(row_got, row_exp)), name
         assert state.gram_strings(phases) == [[str(x) for x in row] for row in expected]
-        assert state.gram_nonsingular(phases) == is_nonsingular(expected) is True
+        width = len(expected[0]) if expected else 0
+        assert state.gram_nonsingular(phases) == is_nonsingular(sparse(expected), width) is True
 
 
 @pytest.mark.parametrize("name,model", corpus(), ids=[n for n, _ in corpus()])
@@ -159,10 +160,6 @@ def test_fermat_partner_is_socle_minus_e1(name, model):
 
 # -- sparse exact rank --------------------------------------------------------
 
-def _sparse(mat):
-    return [{j: x for j, x in enumerate(row) if x} for row in mat]
-
-
 def dense_rref(mat):
     """Dense Gauss-Jordan elimination, kept here as a reference that shares
     no code with the library's sparse elimination: (rows, pivot columns),
@@ -188,8 +185,8 @@ def dense_rref(mat):
 
 def assert_matches_dense(mat):
     rows, pivots = dense_rref(mat)
-    assert sparse_rank(_sparse(mat)) == rank(mat) == len(pivots)
-    assert rref(mat) == {c: _sparse([row])[0] for c, row in zip(pivots, rows)}
+    assert rank(sparse(mat)) == len(pivots)
+    assert rref(sparse(mat)) == {c: sparse([row])[0] for c, row in zip(pivots, rows)}
 
 
 fractions = st.one_of(
@@ -227,9 +224,10 @@ def test_sparse_rank_matches_dense_cyclo(mat):
 
 
 def test_sparse_rank_edge_cases():
-    assert sparse_rank([]) == rank([]) == 0
+    assert rank([]) == 0
     zeros = [[Fraction(0)] * 3 for _ in range(4)]
-    assert sparse_rank(_sparse(zeros)) == rank(zeros) == 0
-    assert sparse_rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 0}]) == 1  # ints, explicit zero
-    assert is_nonsingular([]) and not is_nonsingular(zeros)
-    assert is_nonsingular([[0, 1], [1, 0]]) and not is_nonsingular([[1, 2], [2, 4]])
+    assert rank(sparse(zeros)) == 0
+    assert rank([{0: 1, 1: 2}, {0: 2, 1: 4}, {2: 0}]) == 1  # ints, explicit zero
+    assert is_nonsingular([], 0) and not is_nonsingular(sparse(zeros), 3)
+    assert is_nonsingular(sparse([[0, 1], [1, 0]]), 2)
+    assert not is_nonsingular(sparse([[1, 2], [2, 4]]), 2)
