@@ -13,7 +13,9 @@ LGCK_SEED only affects randomized test corpora, never reported values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -31,7 +33,7 @@ from .simplicial import (
     godement,
     order_complex_cohomology,
 )
-from .statespace import CONVENTIONS, StateSpace, kunneth_sum
+from .statespace import CONVENTIONS, GramBlock, StateSpace, kunneth_sum
 from .cohft import (cohft_data_from_jsonable, narrow_sector_data, paired_basis_from_state,
                     run_all_checks, virdim)
 
@@ -119,13 +121,10 @@ def _cmd_state_space(args, config):
 def _cmd_pairing(args, config):
     model = _valid_model(config)
     state = StateSpace(model, args.group_order_bound)
-    sectors = []
-    for sec in state.sectors:
-        sectors.append({
-            "sector": [str(p) for p in sec.element.phases],
-            "gram": state.gram_strings(sec.element.phases),
-            "nonsingular": state.gram_nonsingular(sec.element.phases),
-        })
+    sectors = [{"sector": [str(p) for p in sec.element.phases],
+                "gram": state.gram_block(sec.element.phases),
+                "nonsingular": state.gram_nonsingular(sec.element.phases)}
+               for sec in state.sectors]
     ok = all(s["nonsingular"] for s in sectors)
     return ({"sectors": sectors},
             f"pairing: {'nondegenerate on all sectors' if ok else 'DEGENERATE'}", ok)
@@ -268,28 +267,53 @@ _HANDLERS = {
 }
 
 
-def _json_text(obj, indent: str = "") -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``.
-    Anything but a string, int, bool, None, non-empty list or non-empty
-    str-keyed dict is json's own text, re-indented (json escapes every
-    newline inside a string)."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+def _json_write(obj, write, indent: str = "") -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)``, nested at
+    ``indent``, piece by piece; a ``GramBlock`` as its dense rows of entry
+    strings.  Anything else but a string, int, bool, None, non-empty list or
+    str-keyed dict is json's own text, re-indented (json escapes newlines)."""
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)) and obj:
-        items = [_json_text(value, inner) for value in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        items = [encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-                 for key, value in sorted(obj.items())]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, GramBlock) and obj.rows and obj.width:
+        sep = ",\n" + inner + "  "
+        zeros = '"0"' + sep  # str(Cyclo.zero()), then its separator
+        for i, row in enumerate(obj.rows):
+            col, parts = 0, [",\n" if i else "[\n", inner, "[\n", inner, "  "]
+            for j, x in sorted(row.items()):
+                parts += (zeros * (j - col), encode_basestring_ascii(str(x)), sep)
+                col = j + 1
+            parts.append(zeros * (obj.width - col))
+            write("".join(parts)[:-len(sep)] + "\n" + inner + "]")
+        write("\n" + indent + "]")
+    elif isinstance(obj, GramBlock):
+        _json_write([[]] * len(obj.rows), write, indent)
+    elif isinstance(obj, (list, tuple)) and obj:
+        for i, value in enumerate(obj):
+            write(",\n" + inner if i else "[\n" + inner)
+            _json_write(value, write, inner)
+        write("\n" + indent + "]")
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            write((",\n" if i else "{\n") + inner + encode_basestring_ascii(key) + ": ")
+            _json_write(value, write, inner)
+        write("\n" + indent + "}")
+    else:
+        write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
 
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``: ``_json_write``'s pieces."""
+    pieces: list[str] = []
+    _json_write(obj, pieces.append)
+    return "".join(pieces)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgck",
@@ -308,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for name, value in (("level-bound", args.level_bound),
                         ("group-order-bound", args.group_order_bound)):
         if value <= 0:
@@ -323,12 +346,18 @@ def main(argv=None) -> int:
         report, summary, passed = _HANDLERS[args.verb](args, _load_config(args.config))
         report["command"] = args.verb
         report.setdefault("conventions", CONVENTIONS)  # reports are self-describing
-        text = _json_text(report)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+        if args.output:  # written aside, so a failed write leaves no half report
+            partial = args.output + ".partial"
+            try:
+                with open(partial, "w", encoding="utf-8") as fh:
+                    _json_write(report, fh.write)
+                    fh.write("\n")
+                os.replace(partial, args.output)
+            finally:
+                if os.path.exists(partial):
+                    os.remove(partial)
         else:
-            print(text)
+            print(_json_text(report))
         print(summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

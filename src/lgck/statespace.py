@@ -16,6 +16,7 @@ normalization choices are reported alongside every computed pairing.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -226,11 +227,7 @@ def sector_space(model: GlsmModel, h: GroupElement,
     return SectorSpace(sector, fixed_names, invariant, deg, calc)
 
 
-def _phase_scalar(model: GlsmModel, t: Fraction) -> Cyclo:
-    """exp(pi i t / d_w) as an exact root of unity."""
-    t = Fraction(t)
-    order = 2 * model.d_w * t.denominator
-    return Cyclo.root_of_unity(order, t.numerator % order)
+GramBlock = namedtuple("GramBlock", ["rows", "width"])  # rows {column: entry}, for reports
 
 
 class StateSpace:
@@ -273,12 +270,20 @@ class StateSpace:
 
     # -- the inversion pullback and pairing --------------------------------
 
-    def _inversion_scalars(self, space: SectorSpace) -> list[Cyclo]:
-        """The factor x -> zeta.x puts on each basis class (top form included)."""
+    def _inversion_scalars(self, space: SectorSpace, factor=1) -> list[Cyclo]:
+        """The factor x -> zeta.x puts on each basis class (top form included),
+        times ``factor``: one exact root of unity per class of the phase mod 2 d_w."""
         fixed = sorted(space.sector.fixed_support)
-        charges = [self.model.r_charges[i] for i in fixed]
-        return [_phase_scalar(self.model, sum(c * (a + 1) for c, a in zip(charges, exp)))
-                for exp in space.basis]
+        den = lcm(*(self.model.r_charges[i].denominator for i in fixed))
+        charges = [int(self.model.r_charges[i] * den) for i in fixed]
+        classes = [sum(c * (a + 1) for c, a in zip(charges, exp)) % (2 * self.model.d_w * den)
+                   for exp in space.basis]
+        scalars = {}
+        for k in set(classes):  # exp(pi i t / d_w), in the field of t's reduced denominator
+            t = Fraction(k, den)
+            order = 2 * self.model.d_w * t.denominator
+            scalars[k] = Cyclo.root_of_unity(order, t.numerator % order) * factor
+        return [scalars[k] for k in classes]
 
     def gram_rows(self, phases) -> list[dict[int, Cyclo]]:
         """The sector's Gram block as sparse rows over the inverse sector's basis."""
@@ -292,8 +297,7 @@ class StateSpace:
         else:
             other = self.space(self.inverse_phases[phases])
             calc = space.calculator
-            inv_order = Fraction(1, self.group_order)
-            scalars = [s * inv_order for s in self._inversion_scalars(other)]
+            scalars = self._inversion_scalars(other, Fraction(1, self.group_order))
             index = {}
             for j, e2 in enumerate(other.basis):
                 index.setdefault(calc.symmetry_class(e2), []).append(j)
@@ -310,28 +314,20 @@ class StateSpace:
         self._gram_cache[phases] = rows
         return rows
 
-    def _gram_width(self, phases) -> int:
-        return self.space(self.inverse_phases[tuple(phases)]).dimension
+    def gram_block(self, phases) -> GramBlock:
+        """The Gram rows with their width, the inverse sector's dimension."""
+        width = self.space(self.inverse_phases[tuple(phases)]).dimension
+        return GramBlock(self.gram_rows(phases), width)
 
     def gram_matrix(self, phases) -> list[list[Cyclo]]:
         """The Gram block as dense rows, absent entries sharing one zero: a
         view for tests and benchmarks; the library reads ``gram_rows``."""
-        zero, width = Cyclo.zero(), self._gram_width(phases)
-        return [[row.get(j, zero) for j in range(width)] for row in self.gram_rows(phases)]
-
-    def gram_strings(self, phases) -> list[list[str]]:
-        """The Gram block as dense rows of entry strings, for reports."""
-        width = self._gram_width(phases)
-        out = []
-        for row in self.gram_rows(phases):
-            out.append(["0"] * width)  # str(Cyclo.zero())
-            for j, x in row.items():
-                out[-1][j] = str(x)
-        return out
+        zero, (rows, width) = Cyclo.zero(), self.gram_block(phases)
+        return [[row.get(j, zero) for j in range(width)] for row in rows]
 
     def gram_nonsingular(self, phases) -> bool:
-        rows = self.gram_rows(phases)
-        return len(rows) == self._gram_width(phases) == rank(rows)
+        rows, width = self.gram_block(phases)
+        return len(rows) == width == rank(rows)
 
     # -- reporting ------------------------------------------------------------
 
@@ -340,7 +336,7 @@ class StateSpace:
         for sec in self.sectors:
             phases = sec.element.phases
             entry = self.spaces[phases].to_jsonable(self.model.variables)
-            entry["gram"] = self.gram_strings(phases)
+            entry["gram"] = self.gram_block(phases)
             entry["gram_nonsingular"] = self.gram_nonsingular(phases)
             sectors.append(entry)
         return {

@@ -2,16 +2,21 @@
 
 import json
 import time
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from lgck.cli import _json_text, main
+from lgck import cli
+from lgck.cli import _json_text, build_parser, main
+from lgck.exactalg import Cyclo
 from lgck.glsm import GlsmModel
-from lgck.statespace import StateSpace
+from lgck.statespace import GramBlock, StateSpace
 from lgck.simplicial import (MAX_GODEMENT_DIM, MAX_POSET_POINTS, MAX_STALK_DIM,
                              GodementResolution)
 
 from conftest import make_quintic_glsm, make_quintic_lg
+from corpus import fermat_model
 
 
 @pytest.fixture()
@@ -285,6 +290,64 @@ def test_determinism_byte_for_byte(quintic_config, tmp_path):
     assert _run(["state-space", quintic_config, "--output", out1]) == 0
     assert _run(["state-space", quintic_config, "--output", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["state-space", "pairing"])
+def test_stdout_report_is_the_output_report(quintic_config, tmp_path, capsys, verb):
+    """Without --output a verb prints the bytes it writes with --output,
+    then the same summary line."""
+    assert _run([verb, quintic_config]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert _run([verb, quintic_config, "--output", out]) == 0
+    assert printed == out.read_text() + capsys.readouterr().out
+
+
+def test_report_is_streamed_to_output(tmp_path, monkeypatch):
+    """Writing the 8^4 state-space report (1.3 MB, nearly all Gram zeros)
+    takes less than half its size in memory: no whole text is built."""
+    path = tmp_path / "fermat_8_4.json"
+    path.write_text(json.dumps(fermat_model([8] * 4).to_dict()))
+    built = StateSpace.to_jsonable
+    start = []
+
+    def to_jsonable(self):  # the report is complete: measure from here on
+        report = built(self)
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return report
+
+    monkeypatch.setattr(StateSpace, "to_jsonable", to_jsonable)
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        assert _run(["state-space", path, "--output", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start[0]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 10 ** 6
+    assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize("existing", [None, "an earlier report\n"])
+def test_failed_write_leaves_output_untouched(quintic_config, tmp_path, monkeypatch, existing):
+    """A report the writer cannot encode, after a first piece that it has
+    written, leaves no new file, an earlier file unchanged, and no .partial."""
+    monkeypatch.setitem(cli._HANDLERS, "validate",
+                        lambda args, config: ({"a": "x" * 10 ** 5, "z": object()}, "", True))
+    out = tmp_path / "report.json"
+    if existing is not None:
+        out.write_text(existing)
+    with pytest.raises(TypeError):
+        _run(["validate", quintic_config, "--output", out])
+    assert (out.read_text() if out.exists() else None) == existing
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(["quintic.json"] + (["report.json"] if existing else []))
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_bad_bounds_exit_2(quintic_config):
@@ -691,7 +754,7 @@ def test_oversized_group_refused_up_front(tmp_path, capsys, model):
 
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 _scalars = (st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
             | st.text())
@@ -703,10 +766,42 @@ _json_values = st.recursive(_scalars, lambda inner: (
     | st.dictionaries(st.none(), inner, max_size=1)), max_leaves=25)
 
 
+_entries = (st.fractions().filter(bool)
+            | st.builds(Cyclo.root_of_unity, st.integers(1, 12), st.integers(0, 11)))
+
+
+@st.composite
+def _gram_blocks(draw):
+    width = draw(st.integers(0, 6))
+    row = st.dictionaries(st.integers(0, width - 1), _entries) if width else st.just({})
+    return GramBlock(draw(st.lists(row, max_size=5)), width)
+
+
+def _dense(block):
+    """A Gram block as json.dumps gets it: dense rows of entry strings."""
+    zero = str(Cyclo.zero())
+    return [[str(row[j]) if j in row else zero for j in range(block.width)]
+            for row in block.rows]
+
+
+_one, _half, _z = Cyclo.one(), Fraction(1, 2), Cyclo.root_of_unity(5, 2)
+
+
 @settings(max_examples=300, deadline=None)
-@given(_json_values)
-def test_report_writer_matches_json_dumps(obj):
+@given(_json_values, st.lists(_gram_blocks(), max_size=3))
+@example(None, [GramBlock([], 0), GramBlock([], 3), GramBlock([{}, {}], 0)])
+@example([], [GramBlock([{}, {}], 2), GramBlock([{0: _one, 1: _half, 2: _z}], 3)])
+@example({}, [GramBlock([{2: _z}, {}, {1: -_half, 0: _z}], 3), GramBlock([{0: _half}], 1)])
+def test_report_writer_matches_json_dumps(obj, grams):
     """The report writer gives the bytes of json.dumps(indent=2,
     sort_keys=True): non-ASCII strings, int/float/bool/None keys and
-    values, empty containers and tuples."""
+    values, empty containers and tuples; and Gram blocks at any depth as
+    their dense rows of entry strings (width 0, no rows, all-zero rows, full
+    rows, a nonzero in the last column)."""
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+    for block in grams:
+        assert _json_text(block) == json.dumps(_dense(block), indent=2)
+    report = {"grams": grams, "value": obj, "nested": [{"gram": b, "n": 1} for b in grams]}
+    dense = {"grams": [_dense(b) for b in grams], "value": obj,
+             "nested": [{"gram": _dense(b), "n": 1} for b in grams]}
+    assert _json_text(report) == json.dumps(dense, indent=2, sort_keys=True)

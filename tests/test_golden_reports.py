@@ -58,6 +58,8 @@ def _configs(root: Path) -> dict:
         "restriction_matrices": [{"from": "a", "to": "b", "matrix": []},
                                  {"from": "b", "to": "c", "matrix": [[], []]},
                                  {"from": "a", "to": "e", "matrix": [[1, -1]]}]}}}
+    # the Fermat sextic fourfold: a 102 MB report, almost all of it Gram zeros
+    fermat_6_6 = fermat_model([6] * 6).to_dict()
     lg = make_quintic_lg()
     user_tables = lg.to_dict()
     user_tables["cohft"] = {"basis": "narrow", "tables": _tables_jsonable(
@@ -67,7 +69,7 @@ def _configs(root: Path) -> dict:
                        ("other", other), ("kunneth", main_model), ("empty", {}),
                        ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror),
                        ("unit_koszul", unit_koszul), ("custom_poset", custom_poset),
-                       ("user_tables", user_tables)):
+                       ("user_tables", user_tables), ("fermat_6_6", fermat_6_6)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -89,7 +91,7 @@ def _cases(paths: dict) -> dict:
     cases["simplicial-demo-custom-poset"] = ["simplicial-demo", paths["custom_poset"]]
     cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
-    for name in ("fermat_3_4_gmax", "mirror_quintic"):
+    for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]
     return cases
 
@@ -97,7 +99,12 @@ def _cases(paths: dict) -> dict:
 def _digest(root: Path, args) -> str:
     out = root / "report.json"
     assert main([str(a) for a in args] + ["--output", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with out.open("rb") as fh:  # in chunks: the 6^6 report is 102 MB
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    out.unlink()
+    return digest.hexdigest()
 
 
 _GOLDEN = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}

@@ -1,10 +1,12 @@
 """The selection-rule sparse Gram blocks and the sparse exact elimination,
 each checked against a dense reference kept in this file."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from lgck.cli import _json_text
 from lgck.exactalg import Cyclo
 from lgck.exactalg.linalg import is_nonsingular, rank, rref, sparse
 from lgck.glsm import GlsmModel
@@ -55,7 +57,8 @@ def assert_grams_match(state, name):
         for row_got, row_exp in zip(got, expected):
             assert len(row_got) == len(row_exp), name
             assert all(x == y for x, y in zip(row_got, row_exp)), name
-        assert state.gram_strings(phases) == [[str(x) for x in row] for row in expected]
+        dense = [[str(x) for x in row] for row in expected]
+        assert _json_text(state.gram_block(phases)) == json.dumps(dense, indent=2)
         width = len(expected[0]) if expected else 0
         assert state.gram_nonsingular(phases) == is_nonsingular(sparse(expected), width) is True
 

@@ -169,7 +169,7 @@ def test_pairing_sector_selection(quintic_state):
     phases = (Fraction(1, 5),) * 5
     inv = GroupElement(phases).inverse().phases
     assert inv != phases
-    assert quintic_state._gram_width(phases) == quintic_state.space(inv).dimension
+    assert quintic_state.gram_block(phases).width == quintic_state.space(inv).dimension
 
 
 def test_pairing_degree_selection_all_corpus():
