@@ -26,6 +26,18 @@ def test_validate_fermat_quintic():
     assert rep.passed
 
 
+def test_finite_generator_invariance_detail():
+    """A generator with a large prime denominator fails on the first monomial
+    it moves, with that monomial named; an invariant one passes."""
+    config = make_quintic_lg().to_dict()
+    config["finite_generators"] = [["1/1009", "0", "0", "0", "0"],
+                                   ["1/5", "4/5", "0", "0", "0"]]
+    checks = {c.name: c for c in validate(GlsmModel.from_dict(config)).checks}
+    bad, good = checks["finite_generator_0_invariance"], checks["finite_generator_1_invariance"]
+    assert (bad.passed, bad.detail) == (False, "monomial (5, 0, 0, 0, 0) not invariant")
+    assert (good.passed, good.detail) == (True, "")
+
+
 def test_validate_quasi_homogeneity_failure():
     model = GlsmModel.from_dict({
         "variables": ["x", "y"],

@@ -91,6 +91,7 @@ def _cases(paths: dict) -> dict:
     cases["simplicial-demo-custom-poset"] = ["simplicial-demo", paths["custom_poset"]]
     cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
+    cases["validate-mirror_quintic"] = ["validate", paths["mirror_quintic"]]
     for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]
     return cases
