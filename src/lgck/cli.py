@@ -106,7 +106,7 @@ def _cmd_sectors(args, config):
     model = _valid_model(config)
     sectors = inertia_sectors(model, args.group_order_bound)
     report = {"count": len(sectors),
-              "sectors": [s.to_jsonable(model.variables) for s in sectors]}
+              "sectors": [h.to_jsonable(model.variables) for h in sectors]}
     return report, f"{len(sectors)} sectors", True
 
 
@@ -121,10 +121,10 @@ def _cmd_state_space(args, config):
 def _cmd_pairing(args, config):
     model = _valid_model(config)
     state = StateSpace(model, args.group_order_bound)
-    sectors = [{"sector": [str(p) for p in sec.element.phases],
-                "gram": state.gram_block(sec.element.phases),
-                "nonsingular": state.gram_nonsingular(sec.element.phases)}
-               for sec in state.sectors]
+    sectors = [{"sector": space.element.to_jsonable(),
+                "gram": state.gram_block(key),
+                "nonsingular": state.gram_nonsingular(key)}
+               for key, space in state.spaces.items()]
     ok = all(s["nonsingular"] for s in sectors)
     return ({"sectors": sectors},
             f"pairing: {'nondegenerate on all sectors' if ok else 'DEGENERATE'}", ok)
@@ -353,6 +353,10 @@ def main(argv=None) -> int:
                     _json_write(report, fh.write)
                     fh.write("\n")
                 os.replace(partial, args.output)
+            except OSError as exc:
+                print(f"error: cannot write --output {args.output}: {exc.strerror or exc}",
+                      file=sys.stderr)
+                return 2
             finally:
                 if os.path.exists(partial):
                     os.remove(partial)

@@ -97,18 +97,16 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
     labels, sector_keys, degrees, parities = [], [], [], []
     gram = {}
     inverse = {}
-    for sec in state.sectors:
-        key = sec.element.phases
-        space = state.spaces[key]
+    for key, space in state.spaces.items():
         if narrow_only and not space.narrow:
             continue
-        inverse[key] = state.inverse_phases[key]
+        inverse[key] = space.element.inverse().phases
         gram[key] = state.gram_rows(key)
         for lbl in space.basis_labels():
-            labels.append(f"{sec.element.label()}:{lbl}")
+            labels.append(f"{space.element.label()}:{lbl}")
             sector_keys.append(key)
             degrees.append(space.degree)
-            parities.append(len(space.sector.fixed_support) % 2)
+            parities.append(len(space.fixed_variables) % 2)
     return PairedBasis(labels, sector_keys, inverse, degrees, parities, gram)
 
 
@@ -458,7 +456,7 @@ def narrow_sector_data(model: GlsmModel, state) -> CohftData:
 
     basis = paired_basis_from_state(state, narrow_only=True)
     unit = unit_class(model)
-    key = tuple(unit.sector_phases)
+    key = unit.sector.phases
     if key not in basis.by_sector:
         raise ValueError("unit sector is not narrow; narrow-sector data unavailable")
     vec = [Cyclo.zero()] * basis.dimension

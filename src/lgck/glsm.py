@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .config import MODEL, ConfigError, read
 from .exactalg import MultiPoly, exact_lp_cone_membership
@@ -172,9 +174,10 @@ def validate(model: GlsmModel, require_tail_regime: bool = False) -> ValidationR
         ok = all(0 <= c <= model.d_w for c in model.r_charges)
         report.add("r_charges_within_d_w", ok)
 
-    for gi, g in enumerate(model.finite_generators):
-        bad = [exp for exp in w.terms
-               if (sum(p * a for p, a in zip(g, exp))) % 1 != 0]
+    for gi, g in enumerate(model.finite_generators):  # x^exp pairs with d g in Z/d
+        d = lcm(*(p.denominator for p in g))
+        g = [p.numerator * (d // p.denominator) for p in g]
+        bad = [exp for exp in w.terms if sum(map(mul, g, exp)) % d]
         report.add(
             f"finite_generator_{gi}_invariance",
             not bad,

@@ -41,6 +41,7 @@ from .exactalg.linalg import identity, mat_mul, sparse, transpose
 from .exactalg.poly import accumulate
 from .forms import DiffForm, _merge_sign, d_of_poly
 from .glsm import GlsmModel, check_dagger
+from .orbifold import GroupElement
 
 
 def _align_ring(polys):
@@ -562,14 +563,14 @@ def borel_serre_check(rank: int, degree_bound: int) -> bool:
 
 @dataclass
 class UnitClass:
-    sector_phases: tuple
+    sector: GroupElement
     coefficients: tuple
     degree: Fraction
     route: str
 
     def to_jsonable(self):
         return {
-            "sector": [str(p) for p in self.sector_phases],
+            "sector": self.sector.to_jsonable(),
             "coefficients": [str(c) for c in self.coefficients],
             "degree": str(self.degree),
             "route": self.route,
@@ -592,14 +593,13 @@ def unit_class(model: GlsmModel) -> UnitClass:
         raise ValueError("unit requires the R-fixed locus condition; it fails here")
 
     from .statespace import sector_space  # cycle-free at runtime
-    from .orbifold import GroupElement
 
     j = GroupElement(model.j_phases)
     fixed = sorted(j.fixed_support())
 
     if not fixed:
         degree = 2 * (j.age() - model.q)
-        return UnitClass(j.phases, (Cyclo.one(),), degree, "narrow generator")
+        return UnitClass(j, (Cyclo.one(),), degree, "narrow generator")
 
     fixed_names = tuple(model.variables[i] for i in fixed)
     moving_names = [v for v in model.variables if v not in fixed_names]
@@ -631,4 +631,4 @@ def unit_class(model: GlsmModel) -> UnitClass:
         residual = residual - MultiPoly.monomial(space.fixed_variables, exp, c)
     if not residual.is_zero():
         raise ValueError("Todd-Chern class is not invariant; cannot express in the sector basis")
-    return UnitClass(j.phases, tuple(coeffs), space.degree, "koszul todd-chern")
+    return UnitClass(j, tuple(coeffs), space.degree, "koszul todd-chern")

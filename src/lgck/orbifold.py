@@ -2,12 +2,12 @@
 
 Group elements are phase vectors in (Q/Z)^n; the element acts on the i-th
 coordinate by exp(2 pi i phase_i).  Everything is abelian, so conjugacy
-classes are singletons and centralizers are the whole group.
+classes are singletons and centralizers are the whole group, and each
+element is the record of its own inertia sector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -54,6 +54,16 @@ class GroupElement:
 
     def label(self) -> str:
         return "(" + ",".join(str(p) for p in self.phases) + ")"
+
+    def to_jsonable(self, variables=None):
+        """The phases as strings; given the variable names, the whole sector
+        record: the element, its fixed locus, narrowness and age."""
+        phases = [str(p) for p in self.phases]
+        if variables is None:
+            return phases
+        support = self.fixed_support()
+        return {"element": phases, "fixed_support": sorted(variables[i] for i in support),
+                "narrow": not support, "age": str(self.age())}
 
 
 class DiagonalGroup:
@@ -114,29 +124,6 @@ class DiagonalGroup:
         return DiagonalGroup([*rows, phases]).order == self.order
 
 
-@dataclass(frozen=True)
-class Sector:
-    """One inertia component: a group element with its fixed-locus data."""
-
-    element: GroupElement
-    fixed_support: frozenset[int]
-    narrow: bool
-    age: Fraction
-
-    @classmethod
-    def of(cls, h: GroupElement) -> "Sector":
-        support = h.fixed_support()
-        return cls(h, support, not support, h.age())
-
-    def to_jsonable(self, variables):
-        return {
-            "element": [str(p) for p in self.element.phases],
-            "fixed_support": sorted(variables[i] for i in self.fixed_support),
-            "narrow": self.narrow,
-            "age": str(self.age),
-        }
-
-
 def sector_group(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
                  group: DiagonalGroup | None = None) -> list[GroupElement]:
     """The elements of the model's group (``group``, when already built)."""
@@ -144,9 +131,9 @@ def sector_group(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
 
 
 def inertia_sectors(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
-                    group: DiagonalGroup | None = None) -> list[Sector]:
+                    group: DiagonalGroup | None = None) -> list[GroupElement]:
     """One sector per group element; requires the affine regime V^ss = V."""
     if model.torus_rank and semistable_locus(model, model.nu).max_unstable_supports:
         raise ValueError("model is not in the affine regime (V^ss != V); only "
                          "narrow-sector bookkeeping is available for geometric phases")
-    return [Sector.of(h) for h in sector_group(model, bound, group)]
+    return sector_group(model, bound, group)

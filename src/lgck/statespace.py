@@ -24,7 +24,7 @@ from math import lcm, prod
 from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
 from .exactalg.linalg import integer_echelon, rank, solve, sparse
 from .glsm import GlsmModel
-from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, Sector, inertia_sectors
+from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, inertia_sectors
 
 CONVENTIONS = {
     "residue_normalization": "res(hessian) = milnor number",
@@ -167,7 +167,7 @@ def _infer_weights(w: MultiPoly):
 class SectorSpace:
     """Basis and grading data of one inertia sector."""
 
-    sector: Sector
+    element: GroupElement
     fixed_variables: tuple[str, ...]
     basis: tuple  # exponent tuples for broad sectors; ("1",) for narrow
     degree: Fraction
@@ -179,7 +179,7 @@ class SectorSpace:
 
     @property
     def narrow(self) -> bool:
-        return self.sector.narrow
+        return self.calculator is None
 
     def basis_labels(self) -> list[str]:
         if self.narrow:
@@ -192,42 +192,47 @@ class SectorSpace:
 
     def to_jsonable(self, variables):
         return {
-            "sector": self.sector.to_jsonable(variables),
+            "sector": self.element.to_jsonable(variables),
             "dimension": self.dimension,
             "degree": str(self.degree),
             "basis": self.basis_labels(),
         }
 
 
-def sector_space(model: GlsmModel, h: GroupElement,
-                 group=None) -> SectorSpace:
+def sector_space(model: GlsmModel, h: GroupElement, group=None,
+                 calculators: dict | None = None) -> SectorSpace:
     """Invariant Jacobian-ring classes of the restricted potential: the
     x^exp dx_fixed whose character, exp + 1 on the fixed coordinates, is
     trivial on ``group``, the model's ``DiagonalGroup`` or a list of elements
-    or generators of it (by default J and the ``finite_generators``)."""
-    sector = Sector.of(h)
-    fixed = sorted(sector.fixed_support)
+    or generators of it (by default J and the ``finite_generators``).
+
+    The restricted potential depends on the fixed locus alone, so sectors
+    that share a ``calculators`` dict share one calculator per fixed support."""
+    support = h.fixed_support()
+    fixed = sorted(support)
     fixed_names = tuple(model.variables[i] for i in fixed)
-    deg = Fraction(len(fixed)) + 2 * (sector.age - model.q)
+    deg = Fraction(len(fixed)) + 2 * (h.age() - model.q)
 
     if not fixed:
-        return SectorSpace(sector, (), ("1",), deg, None)
+        return SectorSpace(h, (), ("1",), deg, None)
 
-    moving_names = [model.variables[i] for i in range(model.n_vars) if i not in fixed]
-    w_res = model.potential.restrict_zero(moving_names).drop_variables(moving_names)
-    weights = [Fraction(model.r_charges[i], model.d_w) for i in fixed]
-    try:
-        calc = ResidueCalculator(w_res, weights)
-    except ValueError as exc:
-        raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
+    calculators = {} if calculators is None else calculators
+    if (calc := calculators.get(support)) is None:
+        moving_names = [model.variables[i] for i in range(model.n_vars) if i not in fixed]
+        w_res = model.potential.restrict_zero(moving_names).drop_variables(moving_names)
+        weights = [Fraction(model.r_charges[i], model.d_w) for i in fixed]
+        try:
+            calc = calculators[support] = ResidueCalculator(w_res, weights)
+        except ValueError as exc:
+            raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
     if not isinstance(group, DiagonalGroup):
         group = DiagonalGroup.of(model) if group is None else DiagonalGroup(group)
     invariant = tuple(exp for exp in calc.standard_monomials
                       if group.fixes([a + 1 for a in exp], fixed))
-    return SectorSpace(sector, fixed_names, invariant, deg, calc)
+    return SectorSpace(h, fixed_names, invariant, deg, calc)
 
 
-GramBlock = namedtuple("GramBlock", ["rows", "width"])  # rows {column: entry}, for reports
+GramBlock = namedtuple("GramBlock", ["rows", "width"])  # rows {column: entry}
 
 
 class StateSpace:
@@ -242,21 +247,17 @@ class StateSpace:
 
     def __init__(self, model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND):
         self.model = model
-        lattice = DiagonalGroup.of(model)
-        self.sectors = inertia_sectors(model, bound, lattice)
-        self.group = [sec.element for sec in self.sectors]
-        self.group_order = len(self.group)
-        self.spaces: dict[tuple, SectorSpace] = {}
-        for sec in self.sectors:
-            self.spaces[sec.element.phases] = sector_space(model, sec.element, lattice)
-        self.inverse_phases = {s.element.phases: s.element.inverse().phases for s in self.sectors}
-        self._gram_cache: dict[tuple, list[dict[int, Cyclo]]] = {}
+        group, calculators = DiagonalGroup.of(model), {}
+        self.group_order = group.order
+        self.spaces: dict[tuple, SectorSpace] = {  # by phase vector, in sector order
+            h.phases: sector_space(model, h, group, calculators)
+            for h in inertia_sectors(model, bound, group)}
+        self._gram_cache: dict[tuple, GramBlock] = {}
 
     # -- bookkeeping -----------------------------------------------------
 
-    def space(self, h) -> SectorSpace:
-        phases = h.phases if isinstance(h, GroupElement) else tuple(h)
-        return self.spaces[phases]
+    def space(self, phases) -> SectorSpace:
+        return self.spaces[tuple(phases)]
 
     def total_dimension(self) -> int:
         return sum(s.dimension for s in self.spaces.values())
@@ -273,7 +274,7 @@ class StateSpace:
     def _inversion_scalars(self, space: SectorSpace, factor=1) -> list[Cyclo]:
         """The factor x -> zeta.x puts on each basis class (top form included),
         times ``factor``: one exact root of unity per class of the phase mod 2 d_w."""
-        fixed = sorted(space.sector.fixed_support)
+        fixed = sorted(space.element.fixed_support())
         den = lcm(*(self.model.r_charges[i].denominator for i in fixed))
         charges = [int(self.model.r_charges[i] * den) for i in fixed]
         classes = [sum(c * (a + 1) for c, a in zip(charges, exp)) % (2 * self.model.d_w * den)
@@ -285,17 +286,18 @@ class StateSpace:
             scalars[k] = Cyclo.root_of_unity(order, t.numerator % order) * factor
         return [scalars[k] for k in classes]
 
-    def gram_rows(self, phases) -> list[dict[int, Cyclo]]:
-        """The sector's Gram block as sparse rows over the inverse sector's basis."""
+    def gram_block(self, phases) -> GramBlock:
+        """The sector's Gram block: sparse rows over the inverse sector's basis,
+        whose dimension is the width."""
         phases = tuple(phases)
-        rows = self._gram_cache.get(phases)
-        if rows is not None:
-            return rows
+        block = self._gram_cache.get(phases)
+        if block is not None:
+            return block
         space = self.space(phases)
+        other = self.spaces[space.element.inverse().phases]
         if space.narrow:
             rows = [{0: Cyclo.one()}]
         else:
-            other = self.space(self.inverse_phases[phases])
             calc = space.calculator
             scalars = self._inversion_scalars(other, Fraction(1, self.group_order))
             index = {}
@@ -311,13 +313,11 @@ class StateSpace:
                     if r:
                         row[j] = r * scalars[j]
                 rows.append(row)
-        self._gram_cache[phases] = rows
-        return rows
+        block = self._gram_cache[phases] = GramBlock(rows, other.dimension)
+        return block
 
-    def gram_block(self, phases) -> GramBlock:
-        """The Gram rows with their width, the inverse sector's dimension."""
-        width = self.space(self.inverse_phases[tuple(phases)]).dimension
-        return GramBlock(self.gram_rows(phases), width)
+    def gram_rows(self, phases) -> list[dict[int, Cyclo]]:
+        return self.gram_block(phases).rows
 
     def gram_matrix(self, phases) -> list[list[Cyclo]]:
         """The Gram block as dense rows, absent entries sharing one zero: a
@@ -333,9 +333,8 @@ class StateSpace:
 
     def to_jsonable(self) -> dict:
         sectors = []
-        for sec in self.sectors:
-            phases = sec.element.phases
-            entry = self.spaces[phases].to_jsonable(self.model.variables)
+        for phases, space in self.spaces.items():
+            entry = space.to_jsonable(self.model.variables)
             entry["gram"] = self.gram_block(phases)
             entry["gram_nonsingular"] = self.gram_nonsingular(phases)
             sectors.append(entry)
@@ -408,10 +407,9 @@ def kunneth_sum(model1: GlsmModel, model2: GlsmModel):
     combined = sum_model(model1, model2)
     s1, s2, s = StateSpace(model1), StateSpace(model2), StateSpace(combined)
     pairs = []
-    for h1 in s1.group:
-        for h2 in s2.group:
-            joint = h1.phases + h2.phases
-            sp1, sp2, sp = s1.space(h1.phases), s2.space(h2.phases), s.space(joint)
+    for k1, sp1 in s1.spaces.items():
+        for k2, sp2 in s2.spaces.items():
+            h1, h2, sp = sp1.element, sp2.element, s.space(k1 + k2)
             if sp.dimension != sp1.dimension * sp2.dimension:
                 raise AssertionError(
                     f"Kunneth dimension mismatch on sectors {h1.label()} x {h2.label()}"
@@ -420,8 +418,8 @@ def kunneth_sum(model1: GlsmModel, model2: GlsmModel):
             if sp1.narrow != sp2.narrow:
                 scale /= s1.group_order if sp1.narrow else s2.group_order
             pairs.append({
-                "sector_1": [str(p) for p in h1.phases],
-                "sector_2": [str(p) for p in h2.phases],
+                "sector_1": h1.to_jsonable(),
+                "sector_2": h2.to_jsonable(),
                 "dim_1": sp1.dimension,
                 "dim_2": sp2.dimension,
                 "dim_sum": sp.dimension,

@@ -61,8 +61,7 @@ def test_criterion_01_quintic_state_space():
     from conftest import make_quintic_lg
     start = time.monotonic()
     state = StateSpace(make_quintic_lg())  # built fresh: the timing is honest
-    dims = sorted(state.spaces[s.element.phases].dimension
-                  for s in state.sectors)
+    dims = sorted(s.dimension for s in state.spaces.values())
     assert dims == [1, 1, 1, 1, 204]
     broad = state.space((Fraction(0),) * 5)
     profile = Counter(sum(e) for e in broad.basis)
@@ -109,12 +108,11 @@ def test_criterion_05_pairing_nondegeneracy_corpus():
     for name, model in models:
         state = StateSpace(model)
         target = 2 * model.central_charge
-        for sec in state.sectors:
-            phases = sec.element.phases
+        for phases, space in state.spaces.items():
             assert state.gram_nonsingular(phases), name
             gram = state.gram_matrix(phases)
             if any(x for row in gram for x in row):
-                inv = sec.element.inverse().phases
+                inv = space.element.inverse().phases
                 total = state.spaces[phases].degree + state.spaces[inv].degree
                 assert total == target, name
     _report(5, "nonsingular Gram and exact degree selection on all sectors "

@@ -346,6 +346,17 @@ def test_failed_write_leaves_output_untouched(quintic_config, tmp_path, monkeypa
         sorted(["quintic.json"] + (["report.json"] if existing else []))
 
 
+@pytest.mark.parametrize("target", ["missing_dir/report.json", "a_dir"])
+def test_unwritable_output_exits_2(quintic_config, tmp_path, capsys, target):
+    """An --output in a missing directory, or naming a directory, is refused
+    with exit 2 and a message naming --output; no .partial file is left."""
+    (tmp_path / "a_dir").mkdir()
+    assert _run(["validate", quintic_config, "--output", tmp_path / target]) == 2
+    assert f"cannot write --output {tmp_path / target}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "quintic.json"]
+    assert not any((tmp_path / "a_dir").iterdir())
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 

@@ -662,7 +662,7 @@ def test_homotopy_iso_hypothesis_checked():
 
 def test_unit_quintic_is_narrow_generator(quintic_lg):
     u = unit_class(quintic_lg)
-    assert u.sector_phases == (Fraction(1, 5),) * 5
+    assert u.sector.phases == (Fraction(1, 5),) * 5
     assert list(u.coefficients) == [Cyclo.one()]
     assert u.degree == 0
     assert u.route == "narrow generator"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from lgck.orbifold import DiagonalGroup, GroupElement, Sector, inertia_sectors
+from lgck.orbifold import DiagonalGroup, GroupElement, inertia_sectors
 
 from conftest import make_quintic_glsm
 
@@ -83,10 +83,10 @@ def test_age_inverse_sum_property():
 def test_quintic_sectors(quintic_lg):
     sectors = inertia_sectors(quintic_lg)
     assert len(sectors) == 5
-    broad = [s for s in sectors if not s.narrow]
+    broad = [s for s in sectors if s.fixed_support()]
     assert len(broad) == 1
-    assert broad[0].fixed_support == frozenset(range(5))
-    narrow_ages = sorted(s.age for s in sectors if s.narrow)
+    assert broad[0].fixed_support() == frozenset(range(5))
+    narrow_ages = sorted(s.age() for s in sectors if not s.fixed_support())
     assert narrow_ages == [1, 2, 3, 4]
 
 
@@ -103,13 +103,13 @@ def test_trivial_group_single_broad_sector():
         "potential": "x",
     })
     sectors = inertia_sectors(model)
-    assert len(sectors) == 1 and not sectors[0].narrow
+    assert len(sectors) == 1 and sectors[0].fixed_support()
 
 
 def test_z2_partial_fixed_support():
     group = _elements([GroupElement([Fraction(1, 2), 0])])
     h = [g for g in group if any(g.phases)][0]
-    assert Sector.of(h).fixed_support == frozenset({1})
+    assert h.fixed_support() == frozenset({1})
 
 
 def test_fixed_support_of_j_matches_charges(quintic_lg):

@@ -28,7 +28,7 @@ def dense_gram(state, phases):
     if space.narrow:
         return [[Cyclo.one()]]
     model = state.model
-    fixed = sorted(space.sector.fixed_support)
+    fixed = sorted(space.element.fixed_support())
     charge_sum = sum(model.r_charges[i] for i in fixed)
     scalars = []
     for exp in other.basis:
@@ -49,8 +49,7 @@ def dense_gram(state, phases):
 
 
 def assert_grams_match(state, name):
-    for sec in state.sectors:
-        phases = sec.element.phases
+    for phases in state.spaces:
         expected = dense_gram(state, phases)
         got = state.gram_matrix(phases)
         assert len(got) == len(expected), name
@@ -136,8 +135,8 @@ def test_dwork_gram_residue_calls(monkeypatch):
     monkeypatch.setattr(ResidueCalculator, "residue_of_monomial",
                         lambda calc, exp: calls.append(exp) or original(calc, exp))
     state = StateSpace(DEFORMED["dwork_-1/2"]())
-    for sec in state.sectors:
-        state.gram_rows(sec.element.phases)
+    for phases in state.spaces:
+        state.gram_rows(phases)
     assert 0 < len(calls) <= 204
 
 
@@ -148,13 +147,12 @@ FERMAT = [(n, m) for n, m in corpus()
 @pytest.mark.parametrize("name,model", FERMAT, ids=[n for n, _ in FERMAT])
 def test_fermat_partner_is_socle_minus_e1(name, model):
     state = StateSpace(model)
-    for sec in state.sectors:
-        space = state.space(sec.element.phases)
+    for phases, space in state.spaces.items():
         if space.narrow:
             continue
-        other = state.space(sec.element.inverse().phases)
+        other = state.space(space.element.inverse().phases)
         calc = space.calculator
-        for e1, row in zip(space.basis, state.gram_rows(sec.element.phases)):
+        for e1, row in zip(space.basis, state.gram_rows(phases)):
             dual = tuple(s - a for s, a in zip(calc.socle_monomial, e1))
             partners = {e2 for e2 in other.basis
                         if calc.symmetry_class(e2) == calc.symmetry_class(dual)}

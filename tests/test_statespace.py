@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from lgck.glsm import GlsmModel
 from lgck.orbifold import GroupElement
 from lgck.statespace import (
     NonIsolatedSingularityError,
+    ResidueCalculator,
     StateSpace,
     kunneth_sum,
     residue,
@@ -18,6 +20,7 @@ from lgck.statespace import (
     with_scaled_charges,
 )
 
+from conftest import make_quintic_lg
 from corpus import corpus, fermat_model, loop_model, small_corpus
 
 
@@ -87,8 +90,7 @@ def test_socle_degree_check(monkeypatch):
 # -- quintic sector spaces -----------------------------------------------------
 
 def test_quintic_sector_dimensions(quintic_state):
-    dims = sorted(quintic_state.spaces[s.element.phases].dimension
-                  for s in quintic_state.sectors)
+    dims = sorted(s.dimension for s in quintic_state.spaces.values())
     assert dims == [1, 1, 1, 1, 204]
     assert quintic_state.total_dimension() == 208
 
@@ -177,10 +179,8 @@ def test_pairing_degree_selection_all_corpus():
     for name, model in corpus():
         state = StateSpace(model)
         target = 2 * model.central_charge
-        for sec in state.sectors:
-            phases = sec.element.phases
-            space = state.spaces[phases]
-            inv = sec.element.inverse().phases
+        for phases, space in state.spaces.items():
+            inv = space.element.inverse().phases
             other = state.spaces[inv]
             gram = state.gram_matrix(phases)
             has_nonzero = any(x for row in gram for x in row)
@@ -191,18 +191,17 @@ def test_pairing_degree_selection_all_corpus():
 def test_gram_nonsingular_all_corpus():
     for name, model in corpus():
         state = StateSpace(model)
-        for sec in state.sectors:
-            assert state.gram_nonsingular(sec.element.phases), \
-                f"{name}: singular Gram on {sec.element.label()}"
+        for phases, space in state.spaces.items():
+            assert state.gram_nonsingular(phases), \
+                f"{name}: singular Gram on {space.element.label()}"
 
 
 def test_sector_dimension_symmetry():
     for name, model in corpus():
         state = StateSpace(model)
-        for sec in state.sectors:
-            inv = sec.element.inverse().phases
-            assert state.spaces[sec.element.phases].dimension == \
-                state.spaces[inv].dimension, name
+        for space in state.spaces.values():
+            inv = space.element.inverse().phases
+            assert space.dimension == state.spaces[inv].dimension, name
 
 
 def test_pairing_supersymmetry(quintic_state):
@@ -226,9 +225,9 @@ def character_sum_dimension(state, phases):
     space = state.space(phases)
     if space.narrow:
         return 1
-    fixed = sorted(space.sector.fixed_support)
+    fixed = sorted(space.element.fixed_support())
     total = Cyclo.zero()
-    for g in state.group:
+    for g in (s.element for s in state.spaces.values()):
         det_phase = sum((g.phases[i] for i in fixed), Fraction(0))
         for exp in space.calculator.standard_monomials:
             t = sum((g.phases[i] * a for i, a in zip(fixed, exp)),
@@ -243,10 +242,8 @@ def test_invariant_dimensions_match_character_sums():
              ("A3", "D4", "E6", "loop_23", "fermat_44_z2", "fermat_333")]
     for model in picks:
         state = StateSpace(model)
-        for sec in state.sectors:
-            phases = sec.element.phases
-            assert state.spaces[phases].dimension == \
-                character_sum_dimension(state, phases)
+        for phases, space in state.spaces.items():
+            assert space.dimension == character_sum_dimension(state, phases)
 
 
 def test_degree_histogram_symmetry():
@@ -266,12 +263,10 @@ def test_pairing_supersymmetry_corpus():
              ("loop_22", "E6", "fermat_44_z2", "chain_43")]
     for model in picks:
         state = StateSpace(model)
-        for sec in state.sectors:
-            phases = sec.element.phases
-            inv = sec.element.inverse().phases
-            space = state.spaces[phases]
+        for phases, space in state.spaces.items():
+            inv = space.element.inverse().phases
             other = state.spaces[inv]
-            sign = (-1) ** (len(space.sector.fixed_support) % 2)
+            sign = (-1) ** (len(space.element.fixed_support()) % 2)
             for i in range(space.dimension):
                 for j in range(other.dimension):
                     assert _eta(state, phases, i, j) == sign * _eta(state, inv, j, i)
@@ -283,9 +278,9 @@ def test_inv_pullback_is_involution():
     element: the scalars of a sector and of its inverse multiply to 1."""
     for name, model in corpus():
         state = StateSpace(model)
-        for sec in state.sectors:
-            there = state._inversion_scalars(state.space(sec.element))
-            back = state._inversion_scalars(state.space(sec.element.inverse()))
+        for space in state.spaces.values():
+            there = state._inversion_scalars(space)
+            back = state._inversion_scalars(state.space(space.element.inverse().phases))
             assert len(there) == len(back), name
             assert all(s * t == 1 for s, t in zip(there, back)), name
 
@@ -338,8 +333,25 @@ def test_state_space_enumerates_its_group_once(quintic_lg, monkeypatch):
     monkeypatch.setattr(DiagonalGroup, "elements", counted_elements)
     state = StateSpace(quintic_lg)
     assert len(built) == 1 and walks == built
-    assert state.group == [sec.element for sec in state.sectors]
+    assert [s.element for s in state.spaces.values()] == built[0].elements()
     assert state.group_order == 5
+
+
+def test_one_residue_calculator_per_fixed_support(monkeypatch):
+    """The mirror quintic with all 625 elements of SL ∩ G_max listed builds
+    one calculator per broad fixed support (26), shared by its sectors."""
+    config = make_quintic_lg().to_dict()
+    config["finite_generators"] = [[f"{a}/5" for a in v] for v in product(range(5), repeat=5)
+                                   if sum(v) % 5 == 0]
+    built = []
+    init = ResidueCalculator.__init__
+    monkeypatch.setattr(ResidueCalculator, "__init__",
+                        lambda calc, *args: built.append(calc) or init(calc, *args))
+    state = StateSpace(GlsmModel.from_dict(config))
+    broad = [s for s in state.spaces.values() if not s.narrow]
+    supports = {s.element.fixed_support() for s in broad}
+    assert len(built) == len(supports) == 26
+    assert {id(s.calculator) for s in broad} == {id(c) for c in built}
 
 
 def test_corpus_models_validate():
@@ -462,8 +474,8 @@ def _tensor_index(state, s1, s2, k1, k2, i, j):
     if sp1.narrow and sp2.narrow:
         return 0
     n1 = len(s1.model.variables)
-    fixed1 = sorted(sp1.sector.fixed_support)
-    fixed2 = sorted(sp2.sector.fixed_support)
+    fixed1 = sorted(sp1.element.fixed_support())
+    fixed2 = sorted(sp2.element.fixed_support())
     exp1 = sp1.basis[i] if not sp1.narrow else ()
     exp2 = sp2.basis[j] if not sp2.narrow else ()
     joint_fixed = sorted(GroupElement(joint).fixed_support())
