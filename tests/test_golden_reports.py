@@ -58,6 +58,10 @@ def _configs(root: Path) -> dict:
         "restriction_matrices": [{"from": "a", "to": "b", "matrix": []},
                                  {"from": "b", "to": "c", "matrix": [[], []]},
                                  {"from": "a", "to": "e", "matrix": [[1, -1]]}]}}}
+    # the Dwork quintic at psi = -1/2: a non-monomial Jacobian ideal, so Buchberger
+    # reduces S-pairs
+    dwork = make_quintic_lg().to_dict()
+    dwork["potential"] = "x1^5+x2^5+x3^5+x4^5+x5^5-1/2*x1*x2*x3*x4*x5"
     # the Fermat sextic fourfold: a 102 MB report, almost all of it Gram zeros
     fermat_6_6 = fermat_model([6] * 6).to_dict()
     lg = make_quintic_lg()
@@ -69,7 +73,8 @@ def _configs(root: Path) -> dict:
                        ("other", other), ("kunneth", main_model), ("empty", {}),
                        ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror),
                        ("unit_koszul", unit_koszul), ("custom_poset", custom_poset),
-                       ("user_tables", user_tables), ("fermat_6_6", fermat_6_6)):
+                       ("user_tables", user_tables), ("fermat_6_6", fermat_6_6),
+                       ("dwork_quintic", dwork)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -92,7 +97,7 @@ def _cases(paths: dict) -> dict:
     cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
     cases["validate-mirror_quintic"] = ["validate", paths["mirror_quintic"]]
-    for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6"):
+    for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6", "dwork_quintic"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]
     return cases
 
