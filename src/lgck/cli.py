@@ -223,8 +223,7 @@ def _cmd_simplicial_demo(args, config):
     for name, sheaf in sorted(sheaves.items()):
         resolution = godement(sheaf, levels)
         oracle = order_complex_cohomology(sheaf, levels - 1) \
-            if sheaf.is_unit_stalked() and all(d == 1 for d in sheaf.stalk_dims) \
-            else None
+            if all(d == 1 for d in sheaf.stalk_dims) else None
         rep = de_rham_triangle_check(resolution, oracle_ranks=oracle)
         flasque = [resolution.flasque(n) for n in range(levels + 1)]
         out[name] = {

@@ -349,51 +349,7 @@ def run_all_checks(data: CohftData) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# generators: Frobenius toys and axiom-forced tables
-
-
-def frobenius_toy(labels, degrees, trace, mult_table, central_charge=None) -> CohftData:
-    """A cohomological field theory from a finite commutative Frobenius
-    algebra: three/four-point tables are traces of products, the (1,1)
-    table is the handle trace.  All elements live in one self-inverse
-    sector with even parity; the first basis element is the unit."""
-    n = len(labels)
-    key = "1"
-    trace = [c if isinstance(c, Cyclo) else Cyclo.from_rational(c) for c in trace]
-
-    def mul(u, v):
-        out = [Cyclo.zero()] * n
-        for i, ci in enumerate(u):
-            if not ci:
-                continue
-            for j, cj in enumerate(v):
-                if cj:
-                    for k, s in mult_table.get((i, j), []):
-                        sc = s if isinstance(s, Cyclo) else Cyclo.from_rational(s)
-                        out[k] = out[k] + ci * cj * sc
-        return out
-
-    def eps(vec) -> Cyclo:
-        return sum((c * t for c, t in zip(vec, trace)), Cyclo.zero())
-
-    one, zero = Cyclo.one(), Cyclo.zero()
-    e = [[one if k == i else zero for k in range(n)] for i in range(n)]  # basis vectors
-    gram = [{j: v for j in range(n) if (v := eps(mul(e[i], e[j])))} for i in range(n)]
-    if central_charge is None:
-        central_charge = max(degrees) if degrees else Fraction(0)
-    basis = PairedBasis(list(labels), [key] * n, {key: key},
-                        [Fraction(d) for d in degrees], [0] * n, {key: gram})
-
-    omega03 = {(i, j, k): v for i, j, k in iproduct(range(n), repeat=3)
-               if (v := eps(mul(mul(e[i], e[j]), e[k])))}
-    omega04 = {(i, j, k, l): (v, zero) for i, j, k, l in iproduct(range(n), repeat=4)
-               if (v := eps(mul(mul(e[i], e[j]), mul(e[k], e[l]))))}
-    # handle trace via the Casimir element
-    data = CohftData(basis, list(e[0]),
-                     -2 * Fraction(central_charge), omega03, omega04, {})
-    data.omega11 = {(g,): (v, Cyclo.zero()) for g in range(n)
-                    if (v := _handle_trace(data, basis.casimir, g))}
-    return data
+# generators: axiom-forced tables
 
 
 def axiom_seeded_data(basis: PairedBasis, unit_vector,

@@ -1,8 +1,6 @@
 """Exact coefficient arithmetic and the multivariate polynomial engine."""
 
-from fractions import Fraction as Rational
-
-from .cyclo import Cyclo, cyclotomic_polynomial, euler_phi, zeta
+from .cyclo import Cyclo, cyclotomic_polynomial, euler_phi
 from .poly import MultiPoly, drl_key
 from .groebner import (
     PolyIdeal,
@@ -14,9 +12,7 @@ from .cone import ConeResult, exact_lp_cone_membership
 from . import linalg
 
 __all__ = [
-    "Rational",
     "Cyclo",
-    "zeta",
     "cyclotomic_polynomial",
     "euler_phi",
     "MultiPoly",

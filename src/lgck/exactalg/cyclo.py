@@ -275,7 +275,3 @@ class Cyclo:
     def __repr__(self):
         return f"Cyclo({self.order}, {self})"
 
-
-def zeta(order: int, power: int = 1) -> Cyclo:
-    """Convenience constructor for zeta_order^power."""
-    return Cyclo.root_of_unity(order, power)

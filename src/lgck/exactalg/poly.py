@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over cyclotomic fields.
 
 A polynomial maps exponent tuples to ``Cyclo`` coefficients, and no stored
-coefficient is zero.  Every sum of terms, here and in the forms and cdga
-elements built on top, goes through ``accumulate``, which keeps that
+coefficient is zero.  Every sum of terms, here and in the forms built on
+top, goes through ``accumulate``, which keeps that
 invariant by dropping an entry whose sum cancels.  The
 text grammar is: terms ``c*x1^a1*...*xn^an`` joined by ``+``/``-``, with
 cyclotomic coefficients written as products of a rational and a root of

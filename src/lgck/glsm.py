@@ -221,10 +221,6 @@ class PhaseDescription:
     description: str
     stable_equals_semistable: bool
 
-    def is_semistable_support(self, support) -> bool:
-        s = frozenset(support)
-        return not any(s <= u for u in self.max_unstable_supports)
-
     def to_jsonable(self, variables):
         return {
             "character": [str(x) for x in self.character],
@@ -334,14 +330,6 @@ def _stable_equals_semistable(model: GlsmModel, character) -> bool:
     return all(mat_rank(sparse([model.weight_column(i) for i in sorted(full - t)] + [model.chi]))
                >= model.torus_rank
                for t in _maximal_unstable(lambda t: not tester.semistable(full - t), len(full)))
-
-
-def r_fixed_locus(model: GlsmModel, subgroup) -> frozenset[int]:
-    """Coordinates fixed by a torus one-parameter subgroup (integer vector)."""
-    rho = [Fraction(x) for x in subgroup]
-    if len(rho) != model.torus_rank:
-        raise ValueError("subgroup vector must match the torus rank")
-    return frozenset(i for i in range(model.n_vars) if _dot(rho, model.weight_column(i)) == 0)
 
 
 @dataclass

@@ -2,11 +2,11 @@
 
 A factorization is one odd polynomial matrix delta with delta^2 = W.Id on a
 free module whose basis lists the even part first; its off-diagonal blocks
-are A (even to odd) and B (odd to even).  The Koszul construction,
-tensor products with Koszul signs, the supertrace of form-valued
-matrices, Atiyah classes for the trivial connection (entrywise
-exterior derivative), and the resulting twisted-de-Rham Chern classes
-are all implemented over exact cyclotomic coefficients.
+are A (even to odd) and B (odd to even).  The Koszul construction, the
+supertrace of form-valued matrices, Atiyah classes for the trivial
+connection (entrywise exterior derivative), and the resulting
+twisted-de-Rham Chern classes are all implemented over exact cyclotomic
+coefficients.
 
 Sign conventions (fixed once, pinned by golden tests):
 
@@ -34,11 +34,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
-from .exactalg.linalg import identity, mat_mul, sparse, transpose
-from .exactalg.poly import accumulate
+from .exactalg.linalg import identity, mat_mul, sparse
 from .forms import DiffForm, _merge_sign, d_of_poly
 from .glsm import GlsmModel, check_dagger
 from .orbifold import GroupElement
@@ -92,7 +91,7 @@ class Factorization:
 
     @property
     def factors(self) -> tuple["Factorization", ...]:
-        """Recorded tensor factors (Koszul and tensor data), else just self."""
+        """Recorded tensor factors, else just self."""
         return self._factors or (self,)
 
     @property
@@ -131,15 +130,6 @@ def _assemble(variables, basis, parity, images, potential: MultiPoly,
                 delta[row][col] = delta[row][col] + c
     return Factorization(variables, [parity(key) for key in order], delta,
                          potential, koszul_rank, factors)
-
-
-def _on_ring(fact: Factorization, variables) -> Factorization:
-    """A single factor with every entry moved to ``variables``."""
-    if fact.variables == variables:
-        return fact
-    return Factorization(variables, fact.parities,
-                         [[e.with_variables(variables) for e in row] for row in fact.delta],
-                         fact.potential.with_variables(variables), fact.koszul_rank)
 
 
 def _contractions(source: tuple[int, ...], sigma):
@@ -184,202 +174,6 @@ def koszul(tau, sigma, variables=None) -> Factorization:
     factors = [koszul([t], [s], variables) for t, s in zip(tau, sigma)] if r > 1 else ()
     return _assemble(variables, _subsets(r), lambda s: len(s) % 2, images, w,
                      koszul_rank=r, factors=factors)
-
-
-def tensor(f1: Factorization, f2: Factorization, external: bool = False) -> Factorization:
-    """Tensor product with the Koszul sign convention; W = W1 + W2."""
-    if external and set(f1.variables) & set(f2.variables):
-        raise FactorizationError("variable clash in external tensor product")
-    variables, _ = _align_ring([f1.potential, f2.potential])
-    d1, d2 = f1.delta, f2.delta
-    p1, p2 = f1.parities, f2.parities
-
-    def images(pair):  # entries of d1, d2 move to the union ring as they are added
-        i, j = pair
-        for k, row in enumerate(d1):  # delta_1 (x) 1
-            yield (k, j), row[i]
-        for l, row in enumerate(d2):  # (-1)^{|e|} 1 (x) delta_2
-            yield (i, l), -row[j] if p1[i] else row[j]
-
-    w = f1.potential.with_variables(variables) + f2.potential.with_variables(variables)
-    ranks = (f1.koszul_rank, f2.koszul_rank)
-    kr = None if None in ranks else sum(ranks)
-    pairs = [(i, j) for i in range(len(p1)) for j in range(len(p2))]
-    return _assemble(variables, pairs, lambda pr: (p1[pr[0]] + p2[pr[1]]) % 2,
-                     images, w, koszul_rank=kr,
-                     factors=[_on_ring(g, variables) for f in (f1, f2) for g in f.factors])
-
-
-# ---------------------------------------------------------------------------
-# cdga folding
-
-
-class Cdga:
-    """A finite presentation of a graded-commutative dg algebra over the
-    polynomial ring: basis with integer degrees, structure constants,
-    and a degree +1 differential.  Consistency (d^2 = 0, graded Leibniz
-    and commutativity on basis pairs) is checked at construction."""
-
-    def __init__(self, variables, degrees, unit_index, mult, diff):
-        self.variables = tuple(variables)
-        self.degrees = tuple(degrees)
-        self.unit_index = unit_index
-        self.mult = mult  # dict[(i, j)] -> list[(k, MultiPoly)]
-        self.diff = diff  # dict[i] -> list[(k, MultiPoly)]
-        self._verify()
-
-    @property
-    def dimension(self) -> int:
-        return len(self.degrees)
-
-    def basis_element(self, i):
-        return {i: MultiPoly.const(self.variables, 1)}
-
-    def add(self, x, y):
-        out = dict(x)
-        for k, c in y.items():
-            accumulate(out, k, c)
-        return out
-
-    def scale(self, x, c):
-        return {k: v * c for k, v in x.items() if not (v * c).is_zero()}
-
-    def multiply(self, x, y):
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, s in self.mult.get((i, j), []):
-                    accumulate(out, k, ci * cj * s)
-        return out
-
-    def apply_diff(self, x):
-        out = {}
-        for i, ci in x.items():
-            for k, s in self.diff.get(i, []):
-                accumulate(out, k, ci * s)
-        return out
-
-    def _verify(self):
-        n = self.dimension
-        e = [self.basis_element(i) for i in range(n)]
-        de = [self.apply_diff(x) for x in e]
-        for i in range(n):
-            if self.apply_diff(de[i]):  # d^2 = 0
-                raise ValueError(f"d^2 != 0 on basis element {i}")
-        for i in range(n):
-            sign_i = MultiPoly.const(self.variables, (-1) ** self.degrees[i])
-            for j in range(n):
-                # graded commutativity
-                xy = self.multiply(e[i], e[j])
-                yx = self.multiply(e[j], e[i])
-                sign = (-1) ** (self.degrees[i] * self.degrees[j])
-                flipped = {k: (c if sign > 0 else -c) for k, c in yx.items()}
-                if xy != flipped:
-                    raise ValueError(f"graded commutativity fails on ({i},{j})")
-                # graded Leibniz
-                rhs = self.add(self.multiply(de[i], e[j]),
-                               self.scale(self.multiply(e[i], de[j]), sign_i))
-                if self.apply_diff(xy) != rhs:
-                    raise ValueError(f"Leibniz fails on ({i},{j})")
-
-
-def koszul_cdga(sigma) -> Cdga:
-    """Exterior algebra on generators of degree -1 with differential
-    contraction by sigma."""
-    variables, sigma = _align_ring(list(sigma))
-    r = len(sigma)
-    subsets = _subsets(r)
-    index = {s: k for k, s in enumerate(subsets)}
-    degrees = [-len(s) for s in subsets]
-    one = MultiPoly.const(variables, 1)
-
-    mult = {}
-    for si, s in enumerate(subsets):
-        for ti, t in enumerate(subsets):
-            if set(s) & set(t):
-                continue
-            merged, sign = _merge_sign(s, t)
-            mult[(si, ti)] = [(index[merged], one if sign > 0 else -one)]
-
-    diff = {si: [(index[target], c) for target, c in _contractions(s, sigma)]
-            for si, s in enumerate(subsets) if s}
-    return Cdga(variables, degrees, index[()], mult, diff)
-
-
-def cdga_element_from_covector(algebra: Cdga, tau) -> dict:
-    """The degree -1 element sum tau_j e_j of a Koszul cdga, whose degree -1
-    basis elements are the singletons e_0, e_1, ... in generator order."""
-    singles = [i for i, d in enumerate(algebra.degrees) if d == -1]
-    if len(tau) > len(singles):
-        raise ValueError(
-            f"{len(tau)} coefficients for a cdga with {len(singles)} generators")
-    out = {}
-    for idx, t in zip(singles, tau):
-        tp = t.with_variables(algebra.variables)
-        if not tp.is_zero():
-            out[idx] = tp
-    return out
-
-
-def cdga_factorization(algebra: Cdga, a) -> Factorization:
-    """Fold (A, d + a.) into a Z/2-graded factorization; requires da = W.1."""
-    da = algebra.apply_diff(a)
-    keys = set(da)
-    if keys - {algebra.unit_index}:
-        raise FactorizationError("da is not a multiple of the unit")
-    w = da.get(algebra.unit_index, MultiPoly.zero(algebra.variables))
-    for i in a:
-        if algebra.degrees[i] != -1:
-            raise FactorizationError("a must be homogeneous of degree -1")
-
-    def images(i):
-        e = algebra.basis_element(i)
-        return algebra.add(algebra.apply_diff(e), algebra.multiply(a, e)).items()
-
-    return _assemble(algebra.variables, range(algebra.dimension),
-                     lambda i: algebra.degrees[i] % 2, images, w)
-
-
-def homotopy_iso(algebra: Cdga, a, a_prime, h):
-    """Multiplication by exp(-h) intertwining d_a and d_{a'} when
-    a' - a = dh; returns the matrix of the isomorphism
-    as sparse rows."""
-    dh = algebra.apply_diff(h)
-    diff = algebra.add(a_prime, algebra.scale(a, MultiPoly.const(algebra.variables, -1)))
-    if diff != dh:
-        raise FactorizationError("a' - a != dh; no homotopy between the twists")
-    for i in h:
-        if algebra.degrees[i] != -2:
-            raise FactorizationError("h must be homogeneous of degree -2")
-
-    # exp(-h) as an element; h is nilpotent in a finite cdga of negative degrees
-    term = algebra.basis_element(algebra.unit_index)
-    total = term
-    k = 1
-    while True:
-        term = algebra.scale(algebra.multiply(term, h),
-                             MultiPoly.const(algebra.variables, Fraction(-1, k)))
-        if not term:
-            break
-        total = algebra.add(total, term)
-        k += 1
-        if k > algebra.dimension + 1:
-            raise FactorizationError("h is not nilpotent")
-
-    n = algebra.dimension
-
-    def op_matrix(f):  # column j is the image of basis element j
-        return transpose([f(algebra.basis_element(j)) for j in range(n)], n)
-
-    mult_exp = op_matrix(lambda x: algebra.multiply(total, x))
-    d_a = op_matrix(lambda x: algebra.add(algebra.apply_diff(x), algebra.multiply(a, x)))
-    d_ap = op_matrix(lambda x: algebra.add(algebra.apply_diff(x), algebra.multiply(a_prime, x)))
-
-    lhs = mat_mul(mult_exp, d_a)
-    rhs = mat_mul(d_ap, mult_exp)
-    if lhs != rhs:
-        raise FactorizationError("exp(-h) does not intertwine the differentials")
-    return mult_exp
 
 
 # ---------------------------------------------------------------------------
@@ -501,60 +295,6 @@ def splitting_degree_check(ch: TwistedClass, rank: int | None) -> bool:
     Koszul factorization has form degree at least 2r."""
     rank = _bundle_rank(rank)
     return all(deg >= 2 * rank for deg in ch.form.form_degrees())
-
-
-# ---------------------------------------------------------------------------
-# Borel-Serre identity in formal Chern roots
-
-
-def _truncate(p: MultiPoly, bound: int) -> MultiPoly:
-    """The terms of p of total degree at most ``bound``."""
-    return MultiPoly(p.variables, {e: c for e, c in p.terms.items() if sum(e) <= bound})
-
-
-def _bernoulli_plus(n: int) -> Fraction:
-    """Bernoulli numbers with B_1 = +1/2 (the Todd convention)."""
-    b = [Fraction(0)] * (n + 1)
-    b[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = sum((Fraction(comb(m + 1, j)) * b[j] for j in range(m)), Fraction(0))
-        b[m] = -acc / (m + 1)
-    return -b[1] if n == 1 else b[n]
-
-
-def borel_serre_check(rank: int, degree_bound: int) -> bool:
-    """Compare sum_p (-1)^p ch(wedge^p F*) with c_r(F) td(F)^{-1} in formal
-    Chern roots, exactly, up to the given total degree.
-
-    The left side is assembled from exponentials; the right side goes
-    through the Bernoulli-number expansion of the Todd series and an
-    honest series inversion, so the two routes are independent.
-    """
-    if rank < 0 or degree_bound < 0:
-        raise ValueError("rank and degree bound must be nonnegative")
-    if rank == 0:
-        return True
-    roots = tuple(f"a{i}" for i in range(rank))
-    one = MultiPoly.const(roots, 1)
-
-    def series(i, coefficient):  # sum over k <= degree_bound of coefficient(k) a_i^k
-        return MultiPoly(roots, {tuple(k if j == i else 0 for j in range(rank)): coefficient(k)
-                                 for k in range(degree_bound + 1)})
-
-    lhs = rhs = one
-    for i, a in enumerate(roots):
-        # LHS: product over roots of (1 - e^{-a_i})
-        lhs = _truncate(lhs * series(i, lambda k: Fraction((-1) ** (k + 1), factorial(k))
-                                     if k else 0), degree_bound)
-        # RHS: product over roots of a_i / td(a_i), td from Bernoulli numbers,
-        # inverted as the geometric series of 1 - td (no constant term)
-        rest = one - series(i, lambda k: _bernoulli_plus(k) / factorial(k))
-        td_inv = term = one
-        for _ in range(degree_bound):
-            term = _truncate(term * rest, degree_bound)
-            td_inv = td_inv + term
-        rhs = _truncate(rhs * MultiPoly.var(roots, a) * td_inv, degree_bound)
-    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------

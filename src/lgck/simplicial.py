@@ -10,8 +10,7 @@ coface/codegeneracy matrices (sparse rows, as everywhere in ``linalg``);
 arbitrary monotone maps act through the epi-mono factorization.  Thom-Sullivan elements are stored as compatible
 families over levels 0..N, represented by Whitney-basis expansions of
 normalized cochains; compatibility is verified at construction against
-the generating maps (which suffices, both actions being functorial) with
-an exhaustive all-monotone-maps variant available.
+the generating maps, which suffices, both actions being functorial.
 
 Finite posets carry the Alexandrov topology whose opens are the up-closed
 subsets; the points of the topos are the poset elements, which makes the
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import factorial
 
 from .config import POSET, ConfigError, read
@@ -83,11 +82,6 @@ def pullback(f, m: int):
     return pull
 
 
-def omega_pullback(f, omega: DiffForm) -> DiffForm:
-    """Pullback of one form on the m-simplex along a monotone f: [n] -> [m]."""
-    return pullback(f, len(omega.variables))(omega)
-
-
 def integrate_simplex(omega: DiffForm) -> Fraction:
     """Integral over the standard simplex with dt_1 ^ ... ^ dt_n positive,
     via int t^a dt = (prod a_i!) / (n + sum a_i)!."""
@@ -133,13 +127,11 @@ def whitney_form(indices, n: int) -> DiffForm:
 class CosimplicialModule:
     """Finite-dimensional cosimplicial vector space, levels 0..N."""
 
-    def __init__(self, dims, cofaces, codegens, algebra: bool = False):
+    def __init__(self, dims, cofaces, codegens):
         self.dims = list(dims)
         self.top_level = len(self.dims) - 1
         self.cofaces = cofaces      # (n, i): matrix A[n-1] -> A[n], 0 <= i <= n
         self.codegens = codegens    # (n, i): matrix A[n+1] -> A[n], 0 <= i <= n
-        # componentwise products with unit (1, ..., 1) at every level
-        self.algebra = algebra
         self._verify_identities()
         self._maps: dict[tuple, list[dict]] = {}  # the maps are fixed from here on
 
@@ -203,13 +195,6 @@ class CosimplicialModule:
         j = missed[-1]
         inner = tuple(v if v < j else v - 1 for v in f)
         return mat_mul(self.cofaces[(m, j)], self.map_into(inner, m - 1))
-
-
-def constant_cosimplicial(dim: int, levels: int, algebra: bool = False) -> CosimplicialModule:
-    ident = identity(dim)
-    cofaces = {(n, i): ident for n in range(1, levels + 1) for i in range(n + 1)}
-    codegens = {(n, i): ident for n in range(0, levels) for i in range(n + 1)}
-    return CosimplicialModule([dim] * (levels + 1), cofaces, codegens, algebra=algebra)
 
 
 @dataclass
@@ -381,9 +366,6 @@ class FinitePosetSheaf:
                 out.append(s)
         return sorted(out, key=lambda s: (len(s), sorted(s)))
 
-    def is_unit_stalked(self) -> bool:
-        return all(d <= 1 for d in self.stalk_dims)
-
 
 def _weak_chains(sheaf: FinitePosetSheaf, length: int) -> list[tuple[int, ...]]:
     n = len(sheaf.points)
@@ -420,8 +402,7 @@ class GodementResolution:
                    for n in range(1, levels + 1) for i in range(n + 1)}
         codegens = {(n, i): self.induced(n, n + 1, lambda c: c[:i + 1] + c[i:])
                     for n in range(levels) for i in range(n + 1)}
-        self.module = CosimplicialModule(self.dims, cofaces, codegens,
-                                         algebra=sheaf.is_unit_stalked())
+        self.module = CosimplicialModule(self.dims, cofaces, codegens)
 
     def induced(self, n: int, m: int, f) -> list[dict[int, Fraction]]:
         """The matrix G[m] -> G[n] whose block at a chain c of level n is the
@@ -489,50 +470,28 @@ class ThElement:
         pulled = sparse([[form and pull(form)] for form in self.levels[m]])  # 0 pulls back to 0
         return mat_mul(self.cs.map_into(f, m), self._columns[len(f) - 1]) == pulled
 
-    def compatible(self, generators_only: bool = True) -> bool:
+    def compatible(self) -> bool:
         """Verify the equalizer condition.  Checking cofaces and
         codegeneracies suffices since both actions are functorial by
-        construction; the exhaustive variant walks every monotone map
-        between represented levels."""
+        construction."""
         N = self.cs.top_level
-        if generators_only:
-            for n in range(1, N + 1):
-                for i in range(n + 1):
-                    face = tuple(v for v in range(n + 1) if v != i)
-                    if not self._check_map(face, n):
-                        return False
-            for n in range(0, N):
-                for i in range(n + 1):
-                    degen = tuple(min(v, i) if v <= i + 1 else v - 1
-                                  for v in range(n + 2))
-                    if not self._check_map(degen, n):
-                        return False
-            return True
-        for n in range(N + 1):
-            for m in range(N + 1):
-                for f in combinations_with_replacement(range(m + 1), n + 1):
-                    if not self._check_map(f, m):
-                        return False
+        for n in range(1, N + 1):
+            for i in range(n + 1):
+                face = tuple(v for v in range(n + 1) if v != i)
+                if not self._check_map(face, n):
+                    return False
+        for n in range(0, N):
+            for i in range(n + 1):
+                degen = tuple(min(v, i) if v <= i + 1 else v - 1
+                              for v in range(n + 2))
+                if not self._check_map(degen, n):
+                    return False
         return True
 
     def d(self) -> "ThElement":
         return ThElement(self.cs, self.degree + 1,
                          [[f.exterior_derivative() for f in level]
                           for level in self.levels], check=False)
-
-    def scale(self, c) -> "ThElement":
-        return ThElement(self.cs, self.degree,
-                         [[f.scale(c) for f in level] for level in self.levels],
-                         check=False)
-
-    def multiply(self, other: "ThElement") -> "ThElement":
-        """Product for a cosimplicial algebra with componentwise stalk
-        products (the only case the corpus needs)."""
-        if not self.cs.algebra:
-            raise ValueError("underlying cosimplicial module carries no product")
-        out = [[a.wedge(b) for a, b in zip(l1, l2)]
-               for l1, l2 in zip(self.levels, other.levels)]
-        return ThElement(self.cs, self.degree + other.degree, out, check=False)
 
     def integrate(self) -> dict[int, Fraction]:
         """Integration over the degree-d simplex: a sparse vector of A[d]."""
@@ -541,9 +500,6 @@ class ThElement:
             return {}
         pieces = enumerate(comp.component(d) for comp in self.levels[d])
         return {k: x for k, piece in pieces if piece and (x := integrate_simplex(piece))}
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for level in self.levels for f in level)
 
     def __eq__(self, other):
         return isinstance(other, ThElement) and all(
@@ -557,7 +513,7 @@ def whitney_extension(cs: CosimplicialModule, degree: int, vec) -> ThElement:
     column = transpose([vec], cs.dims[degree])
     levels = []
     for n in range(cs.top_level + 1):
-        level = [DiffForm.zero(simplex_variables(n)) for _ in range(cs.dims[n])]
+        level = [DiffForm.zero(simplex_variables(n))] * cs.dims[n]  # shared: never changed in place
         for image in combinations(range(n + 1), degree + 1):
             w = whitney_form(image, n)
             for k, row in enumerate(mat_mul(cs.map_into(image, n), column)):
@@ -565,13 +521,6 @@ def whitney_extension(cs: CosimplicialModule, degree: int, vec) -> ThElement:
                     level[k] = level[k] + w.scale(row[0])
         levels.append(level)
     return ThElement(cs, degree, levels)
-
-
-def unit_element(cs: CosimplicialModule) -> ThElement:
-    if not cs.algebra:
-        raise ValueError("no unit: module is not an algebra")
-    return ThElement(cs, 0, [[DiffForm.const(simplex_variables(n), 1)] * dim
-                             for n, dim in enumerate(cs.dims)])
 
 
 def th_complex(cs: CosimplicialModule) -> tuple[NormalizedComplex, list[list[ThElement]]]:
@@ -583,7 +532,7 @@ def th_complex(cs: CosimplicialModule) -> tuple[NormalizedComplex, list[list[ThE
 
 
 # ---------------------------------------------------------------------------
-# the de Rham triangle and the one-point TK comparison
+# the de Rham triangle
 
 
 def order_complex_cohomology(sheaf: FinitePosetSheaf, top: int) -> list[int]:
@@ -671,41 +620,3 @@ def de_rham_triangle_check(resolution: GodementResolution,
     return TriangleReport(True, chain_map, left_inverse, triangle,
                           ranks, oracle_ranks, matches)
 
-
-def tk_point_check(tau, sigma, levels: int = 2) -> dict:
-    """One-point-site comparison: the Koszul factorization specialized at
-    the origin versus its tensor with the truncated Thom-Sullivan-Godement
-    resolution of the structure sheaf of the point."""
-    from .matfact import koszul  # local import to avoid a cycle
-
-    kos = koszul(list(tau), list(sigma))
-    # as_fraction raises ValueError on a non-rational specialization
-    delta0 = sparse([[e.constant_term().as_fraction() for e in row] for row in kos.delta])
-    w0 = kos.potential.constant_term()
-    if w0:
-        raise ValueError("potential does not vanish at the one-point site")
-
-    point = FinitePosetSheaf(["pt"], [], [1], {})
-    resolution = godement(point, levels)
-    norm, _ = th_complex(resolution.module)  # builds and checks the Whitney extensions
-    th_ranks = norm.cohomology_ranks()
-    # folded 2-periodically, the truncated resolution contributes its
-    # even/odd cohomology
-    t_even = sum(r for d, r in enumerate(th_ranks) if d % 2 == 0)
-    t_odd = sum(r for d, r in enumerate(th_ranks) if d % 2 == 1)
-
-    # delta0 is odd, so rank delta0 = rank A0 + rank B0, and both
-    # H_even = ker A0 / im B0 and H_odd = ker B0 / im A0 lose that rank
-    rank0 = rank(delta0)
-    h_even, h_odd = kos.even_rank - rank0, kos.odd_rank - rank0
-    # tensor with the folded resolution: Kunneth over a point
-    tensored_even = h_even * t_even + h_odd * t_odd
-    tensored_odd = h_even * t_odd + h_odd * t_even
-
-    result = {
-        "koszul_ranks": [h_even, h_odd],
-        "resolution_ranks": [t_even, t_odd],
-        "tensor_ranks": [tensored_even, tensored_odd],
-        "quasi_isomorphism": (tensored_even, tensored_odd) == (h_even, h_odd),
-    }
-    return result

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .exactalg import Cyclo, MultiPoly, drl_key, jacobian_ideal
-from .exactalg.linalg import integer_echelon, rank, solve, sparse
+from .exactalg import Cyclo, MultiPoly, jacobian_ideal
+from .exactalg.linalg import integer_echelon, is_nonsingular, sparse
 from .glsm import GlsmModel
 from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, inertia_sectors
 
@@ -124,16 +124,6 @@ class ResidueCalculator:
                     v[c] -= k * x
         return (*v, sum(c * a for c, a in zip(self._charges, exp)))
 
-    def residue(self, p: MultiPoly) -> Cyclo:
-        """res[p dx / (dw_1 ... dw_n)], normalized so res(hessian) = mu."""
-        if self.milnor_number == 0:
-            return Cyclo.zero()
-        nf = self.ideal.normal_form(p)
-        c = nf.terms.get(self.socle_monomial)
-        if c is None:
-            return Cyclo.zero()
-        return c * self.milnor_number / self.socle_coeff
-
     def residue_of_monomial(self, exp: tuple) -> Cyclo:
         exp = tuple(exp)
         hit = self._cache.get(exp)
@@ -143,24 +133,6 @@ class ResidueCalculator:
             hit = c * self.milnor_number / self.socle_coeff if c else Cyclo.zero()
             self._cache[exp] = hit
         return hit
-
-
-def residue(p: MultiPoly, w: MultiPoly, weights=None) -> Cyclo:
-    """Standalone residue; weights are inferred from quasi-homogeneity if omitted."""
-    if weights is None:
-        weights = _infer_weights(w)
-    return ResidueCalculator(w, weights).residue(p)
-
-
-def _infer_weights(w: MultiPoly):
-    exps = sorted(w.terms, key=drl_key)
-    if not exps:
-        raise ValueError("cannot infer weights of the zero potential")
-    n = len(w.variables)
-    sol = solve(sparse(exps), dict.fromkeys(range(len(exps)), Fraction(1)), n)
-    if sol is None:
-        raise ValueError("potential is not quasi-homogeneous; supply weights")
-    return [sol.get(i, Fraction(0)) for i in range(n)]
 
 
 @dataclass
@@ -200,14 +172,15 @@ class SectorSpace:
 
 
 def sector_space(model: GlsmModel, h: GroupElement, group=None,
-                 calculators: dict | None = None) -> SectorSpace:
+                 memo: dict | None = None) -> SectorSpace:
     """Invariant Jacobian-ring classes of the restricted potential: the
     x^exp dx_fixed whose character, exp + 1 on the fixed coordinates, is
     trivial on ``group``, the model's ``DiagonalGroup`` or a list of elements
     or generators of it (by default J and the ``finite_generators``).
 
-    The restricted potential depends on the fixed locus alone, so sectors
-    that share a ``calculators`` dict share one calculator per fixed support."""
+    The restricted potential and its invariant classes depend on the fixed
+    locus alone, so sectors that share a ``memo`` dict, and one ``group``,
+    share one calculator and one invariant basis per fixed support."""
     support = h.fixed_support()
     fixed = sorted(support)
     fixed_names = tuple(model.variables[i] for i in fixed)
@@ -216,19 +189,20 @@ def sector_space(model: GlsmModel, h: GroupElement, group=None,
     if not fixed:
         return SectorSpace(h, (), ("1",), deg, None)
 
-    calculators = {} if calculators is None else calculators
-    if (calc := calculators.get(support)) is None:
+    memo = {} if memo is None else memo
+    if (hit := memo.get(support)) is None:
         moving_names = [model.variables[i] for i in range(model.n_vars) if i not in fixed]
         w_res = model.potential.restrict_zero(moving_names).drop_variables(moving_names)
         weights = [Fraction(model.r_charges[i], model.d_w) for i in fixed]
         try:
-            calc = calculators[support] = ResidueCalculator(w_res, weights)
+            calc = ResidueCalculator(w_res, weights)
         except ValueError as exc:
             raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
-    if not isinstance(group, DiagonalGroup):
-        group = DiagonalGroup.of(model) if group is None else DiagonalGroup(group)
-    invariant = tuple(exp for exp in calc.standard_monomials
-                      if group.fixes([a + 1 for a in exp], fixed))
+        if not isinstance(group, DiagonalGroup):
+            group = DiagonalGroup.of(model) if group is None else DiagonalGroup(group)
+        hit = memo[support] = (calc, tuple(exp for exp in calc.standard_monomials
+                                           if group.fixes([a + 1 for a in exp], fixed)))
+    calc, invariant = hit
     return SectorSpace(h, fixed_names, invariant, deg, calc)
 
 
@@ -247,10 +221,10 @@ class StateSpace:
 
     def __init__(self, model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND):
         self.model = model
-        group, calculators = DiagonalGroup.of(model), {}
+        group, memo = DiagonalGroup.of(model), {}
         self.group_order = group.order
         self.spaces: dict[tuple, SectorSpace] = {  # by phase vector, in sector order
-            h.phases: sector_space(model, h, group, calculators)
+            h.phases: sector_space(model, h, group, memo)
             for h in inertia_sectors(model, bound, group)}
         self._gram_cache: dict[tuple, GramBlock] = {}
 
@@ -326,8 +300,7 @@ class StateSpace:
         return [[row.get(j, zero) for j in range(width)] for row in rows]
 
     def gram_nonsingular(self, phases) -> bool:
-        rows, width = self.gram_block(phases)
-        return len(rows) == width == rank(rows)
+        return is_nonsingular(*self.gram_block(phases))
 
     # -- reporting ------------------------------------------------------------
 
@@ -348,22 +321,6 @@ class StateSpace:
 
 # ---------------------------------------------------------------------------
 # sums of singularities
-
-
-def with_scaled_charges(model: GlsmModel, factor: int) -> GlsmModel:
-    """Rescale (r_charges, d_w) by an integer factor; the theory is unchanged."""
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
-    return GlsmModel(
-        variables=model.variables,
-        torus_weights=model.torus_weights,
-        finite_generators=model.finite_generators,
-        chi=tuple(x * factor for x in model.chi),
-        nu=model.nu,
-        r_charges=tuple(c * factor for c in model.r_charges),
-        d_w=model.d_w * factor,
-        potential=model.potential,
-    )
 
 
 def sum_model(model1: GlsmModel, model2: GlsmModel) -> GlsmModel:

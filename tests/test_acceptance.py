@@ -16,12 +16,10 @@ from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal
 from lgck.glsm import check_dagger, semistable_locus
 from lgck.matfact import (
     TwistedClass,
-    borel_serre_check,
     chern_char,
     chern_character_form,
     koszul,
     splitting_degree_check,
-    tensor,
 )
 from lgck.orbifold import sector_group
 from lgck.simplicial import (
@@ -29,10 +27,10 @@ from lgck.simplicial import (
     de_rham_triangle_check,
     godement,
     integrate_simplex,
-    omega_pullback,
     order_complex_cohomology,
+    pullback,
 )
-from lgck.statespace import StateSpace, kunneth_sum, with_scaled_charges
+from lgck.statespace import StateSpace, kunneth_sum
 from lgck.cohft import (
     check_forgetting_tails,
     check_loop_gluing,
@@ -40,7 +38,6 @@ from lgck.cohft import (
     check_selection_rules,
     check_sr_covariance,
     check_tree_gluing,
-    frobenius_toy,
     narrow_sector_data,
     run_all_checks,
     virdim,
@@ -48,6 +45,7 @@ from lgck.cohft import (
 
 from conftest import make_quintic_glsm
 from corpus import corpus, small_corpus
+from witnesses import borel_serre_check, frobenius_toy, tensor, with_scaled_charges
 from test_matfact import oracle_rank1_chern_form, random_transverse_pair
 from test_simplicial import random_polyform
 from test_cohft import paper_virdim_oracle
@@ -202,7 +200,7 @@ def test_criterion_08_simplicial_suite(rng):
         rhs = Fraction(0)
         for i in range(n + 1):
             face = tuple(v for v in range(n + 1) if v != i)
-            rhs += (-1) ** i * integrate_simplex(omega_pullback(face, omega))
+            rhs += (-1) ** i * integrate_simplex(pullback(face, n)(omega))
         assert lhs == rhs
         checked += 1
 

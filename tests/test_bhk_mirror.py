@@ -76,9 +76,9 @@ def _dual_group(a, group: DiagonalGroup) -> DiagonalGroup:
 def _table(model: GlsmModel, group: DiagonalGroup) -> Counter:
     """dim H^{p,q}, summed over the sectors of ``group``."""
     weights = [Fraction(c, model.d_w) for c in model.r_charges]
-    table, calculators = Counter(), {}
+    table, memo = Counter(), {}
     for h in group.elements():
-        space = sector_space(model, h, group, calculators)
+        space = sector_space(model, h, group, memo)
         fixed, age = sorted(h.fixed_support()), h.age()
         for exp in [()] if space.narrow else space.basis:
             w = sum(((e + 1) * weights[i] for i, e in zip(fixed, exp)), Fraction(0))

@@ -22,7 +22,6 @@ from lgck.cohft import (
     _handle_trace,
     axiom_seeded_data,
     casimir_check,
-    frobenius_toy,
     narrow_sector_data,
 )
 from lgck.exactalg import Cyclo
@@ -30,6 +29,7 @@ from lgck.exactalg.linalg import inverse, sparse
 from lgck.statespace import StateSpace
 
 from corpus import corpus, fermat_model
+from witnesses import frobenius_toy
 
 
 def dense_pairs(basis):

@@ -14,17 +14,14 @@ from lgck.glsm import GlsmModel
 from lgck.matfact import (
     Factorization,
     FactorizationError,
-    cdga_element_from_covector,
-    cdga_factorization,
     chern_char,
     chern_character_form,
     koszul,
-    koszul_cdga,
-    tensor,
     unit_class,
 )
 
 from corpus import corpus
+from witnesses import cdga_element_from_covector, cdga_factorization, koszul_cdga, tensor
 
 
 def plain(f):

@@ -16,7 +16,6 @@ from lgck.cohft import (
     check_selection_rules,
     check_sr_covariance,
     check_tree_gluing,
-    frobenius_toy,
     homogeneity_shift,
     narrow_sector_data,
     paired_basis_from_state,
@@ -26,6 +25,8 @@ from lgck.cohft import (
 from lgck.exactalg import Cyclo, linalg
 from lgck.exactalg.linalg import sparse
 from lgck.orbifold import GroupElement
+
+from witnesses import frobenius_toy
 
 
 @pytest.fixture(scope="module")

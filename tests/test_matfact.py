@@ -8,7 +8,6 @@ from math import factorial
 
 import pytest
 
-from lgck import matfact
 from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal
 from lgck.exactalg.linalg import identity, mat_mul, sparse
 from lgck.forms import DiffForm, d_of_poly
@@ -18,21 +17,19 @@ from lgck.matfact import (
     TwistedClass,
     _twist,
     atiyah,
-    borel_serre_check,
-    cdga_element_from_covector,
-    cdga_factorization,
     chern_char,
     chern_character_form,
-    homotopy_iso,
     koszul,
-    koszul_cdga,
     splitting_degree_check,
     supertrace,
-    tensor,
     todd_chern,
     twisted_class,
     unit_class,
 )
+
+import witnesses
+from witnesses import (borel_serre_check, cdga_element_from_covector, cdga_factorization,
+                       homotopy_iso, koszul_cdga, tensor)
 
 
 def poly(text, variables=None):
@@ -529,8 +526,8 @@ def test_borel_serre():
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_borel_serre_fails_with_wrong_todd_convention(monkeypatch, rank):
     """With B_1 = -1/2 the Todd series is the wrong one and the check fails."""
-    bernoulli = matfact._bernoulli_plus
-    monkeypatch.setattr(matfact, "_bernoulli_plus",
+    bernoulli = witnesses._bernoulli_plus
+    monkeypatch.setattr(witnesses, "_bernoulli_plus",
                         lambda n: Fraction(-1, 2) if n == 1 else bernoulli(n))
     assert not borel_serre_check(rank, 6)
 

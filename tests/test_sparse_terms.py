@@ -6,7 +6,8 @@ import pytest
 
 from lgck.exactalg import MultiPoly
 from lgck.forms import DiffForm
-from lgck.matfact import koszul_cdga
+
+from witnesses import koszul_cdga
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")

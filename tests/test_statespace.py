@@ -6,22 +6,21 @@ from itertools import product
 
 import pytest
 
-from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal, zeta
+from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal
 from lgck.glsm import GlsmModel
-from lgck.orbifold import GroupElement
+from lgck.orbifold import DiagonalGroup, GroupElement
 from lgck.statespace import (
     NonIsolatedSingularityError,
     ResidueCalculator,
     StateSpace,
     kunneth_sum,
-    residue,
     sector_space,
     sum_model,
-    with_scaled_charges,
 )
 
 from conftest import make_quintic_lg
 from corpus import corpus, fermat_model, loop_model, small_corpus
+from witnesses import residue, with_scaled_charges
 
 
 # -- residues ------------------------------------------------------------------
@@ -155,7 +154,7 @@ def test_inv_pullback_broad_socle(quintic_state):
     assert scalars[space.basis.index((3, 3, 3, 3, 3))] == 1
     # a degree-5 monomial picks up zeta^{5 + 5} = zeta^10 = e^{2 pi i} = 1
     i5 = next(i for i, e in enumerate(space.basis) if sum(e) == 5)
-    assert scalars[i5] == zeta(10, 10)  # = 1
+    assert scalars[i5] == Cyclo.root_of_unity(10, 10)  # = 1
 
 
 def test_pairing_narrow_duals(quintic_state):
@@ -337,21 +336,39 @@ def test_state_space_enumerates_its_group_once(quintic_lg, monkeypatch):
     assert state.group_order == 5
 
 
-def test_one_residue_calculator_per_fixed_support(monkeypatch):
-    """The mirror quintic with all 625 elements of SL ∩ G_max listed builds
-    one calculator per broad fixed support (26), shared by its sectors."""
+def _listed_mirror_quintic() -> GlsmModel:
+    """The quintic with all 625 elements of SL ∩ G_max listed as generators."""
     config = make_quintic_lg().to_dict()
     config["finite_generators"] = [[f"{a}/5" for a in v] for v in product(range(5), repeat=5)
                                    if sum(v) % 5 == 0]
+    return GlsmModel.from_dict(config)
+
+
+def test_one_residue_calculator_per_fixed_support(monkeypatch):
+    """The mirror quintic with all 625 elements of SL ∩ G_max listed builds
+    one calculator per broad fixed support (26), shared by its sectors."""
     built = []
     init = ResidueCalculator.__init__
     monkeypatch.setattr(ResidueCalculator, "__init__",
                         lambda calc, *args: built.append(calc) or init(calc, *args))
-    state = StateSpace(GlsmModel.from_dict(config))
+    state = StateSpace(_listed_mirror_quintic())
     broad = [s for s in state.spaces.values() if not s.narrow]
     supports = {s.element.fixed_support() for s in broad}
     assert len(built) == len(supports) == 26
     assert {id(s.calculator) for s in broad} == {id(c) for c in built}
+
+
+def test_one_invariant_basis_per_fixed_support(monkeypatch):
+    """The listed mirror quintic filters each broad fixed support's standard
+    monomials through the group once, not once per sector (6,544 calls)."""
+    calls = []
+    fixes = DiagonalGroup.fixes
+    monkeypatch.setattr(DiagonalGroup, "fixes",
+                        lambda group, *args: calls.append(args) or fixes(group, *args))
+    state = StateSpace(_listed_mirror_quintic())
+    calcs = {s.element.fixed_support(): s.calculator for s in state.spaces.values()
+             if not s.narrow}
+    assert len(calls) == sum(len(c.standard_monomials) for c in calcs.values())
 
 
 def test_corpus_models_validate():
