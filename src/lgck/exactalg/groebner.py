@@ -1,21 +1,20 @@
 """Groebner bases over Q(zeta_N) and Jacobian-ring utilities.
 
 The monomial order is fixed degree-reverse-lexicographic throughout.
-Buchberger's algorithm with normal-strategy pair selection is enough at
-this scale (at most a dozen variables, small degrees); the coprimality
-and chain criteria prune the pair queue, a heap keyed by
-(drl_key(lcm), i, j).  Under degrevlex an element's total degree is the
-degree of its leading term, so the sugar of every pair is deg lcm, the
-first component of drl_key(lcm).
+Buchberger's algorithm pops pairs from a heap keyed by (drl_key(lcm), i, j):
+under degrevlex the sugar of a pair is deg lcm, so this is the normal strategy.
+The coprimality and chain criteria prune it; the chain criterion looks for k
+only in settled[i] & settled[j], the partners already popped with both i and j
+(Gebauer-Moller 1988), which are exactly the k a scan of the basis accepts.
 
 Basis elements are monic, so ``reduce_full`` needs no inverse: it reduces
 in place in one dict, taking terms from a heap of degrevlex keys.
 ``PolyIdeal.monomial_normal_form`` memoizes NF(x^e) = NF(x_i NF(x^(e - e_i))),
 the multiplication-matrix idea of FGLM (Faugere-Gianni-Lazard-Mora 1993).
 
-``quotient_basis`` returns the standard monomials below the leading-term
-staircase, or ``None`` when the quotient ring is infinite-dimensional
-(non-isolated singularity in the Jacobian-ideal case).
+``quotient_basis`` walks the staircase (Cox-Little-O'Shea ch. 5 section 3)
+with no divisibility test per node: the leads alive at a node bound the next
+exponent.  It returns ``None`` when the quotient is infinite-dimensional.
 """
 
 from __future__ import annotations
@@ -117,19 +116,17 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
 
     for j in range(len(basis)):
         queue_pairs(j)
-    processed: set[tuple[int, int]] = set()
+    settled: list[set[int]] = [set() for _ in basis]  # settled[k]: partners popped with k
     while pairs:
         _, i, j, lcm = heapq.heappop(pairs)
-        processed.add((i, j))
+        settled[i].add(j)
+        settled[j].add(i)
         ei, ej = leads[i], leads[j]
         # coprimality criterion
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
         # chain criterion: some k with lt_k | lcm and both pairs settled
-        if any(k != i and k != j and _divides(leads[k], lcm)
-               and (min(i, k), max(i, k)) in processed
-               and (min(j, k), max(j, k)) in processed
-               for k in range(len(basis))):
+        if any(_divides(leads[k], lcm) for k in settled[i] & settled[j]):
             continue
         r = reduce_full(_spoly(basis[i], basis[j]), basis, divisors)
         if r:
@@ -137,6 +134,7 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
             basis.append(r)
             divisors += _divisors([r])
             leads.append(r.leading()[0])
+            settled.append(set())
             queue_pairs(len(basis) - 1)
 
     # inter-reduce to the unique reduced basis
@@ -237,23 +235,22 @@ class PolyIdeal:
         leads = self.leading_exponents()
         if any(exp == (0,) * n for exp in leads):
             return []  # unit ideal: zero ring
-        bounds = self.pure_power_bounds()
-        if bounds is None:
+        if self.pure_power_bounds() is None:
             return None
         out: list[tuple[int, ...]] = []
+        last = {l: max(k for k, a in enumerate(l) if a) for l in leads}
 
-        def rec(prefix, i):
+        def rec(prefix, alive, i):
             if i == n:
                 out.append(prefix)
                 return
-            for a in range(bounds[i]):
-                if any(_divides(l, prefix + (a,) + (0,) * (n - i - 1)) for l in leads):
-                    break  # and so are all its multiples
-                rec(prefix + (a,), i + 1)
+            # alive: the leads l with l[:i] <= prefix; those ending at i bound a
+            stop = min(l[i] for l in alive if last[l] == i)
+            for a in range(stop):
+                rec(prefix + (a,), [l for l in alive if l[i] <= a], i + 1)
 
-        rec((), 0)
-        out.sort(key=drl_key)
-        return out
+        rec((), leads, 0)
+        return sorted(out, key=drl_key)
 
 
 def jacobian_ideal(w: MultiPoly) -> PolyIdeal:

@@ -134,6 +134,7 @@ class CosimplicialModule:
         self.codegens = codegens    # (n, i): matrix A[n+1] -> A[n], 0 <= i <= n
         self._verify_identities()
         self._maps: dict[tuple, list[dict]] = {}  # the maps are fixed from here on
+        self._pulls: dict[tuple, object] = {}  # pullback(f, m) of forms, per (f, m)
 
     def _verify_identities(self):
         N = self.top_level
@@ -466,7 +467,7 @@ class ThElement:
 
     def _check_map(self, f, m: int) -> bool:
         """A(f) c_n == f^* c_m for a monotone f: [n] -> [m]."""
-        pull = pullback(f, m)
+        pull = self.cs._pulls.get((f, m)) or self.cs._pulls.setdefault((f, m), pullback(f, m))
         pulled = sparse([[form and pull(form)] for form in self.levels[m]])  # 0 pulls back to 0
         return mat_mul(self.cs.map_into(f, m), self._columns[len(f) - 1]) == pulled
 
@@ -605,10 +606,11 @@ def de_rham_triangle_check(resolution: GodementResolution,
     # the augmentation triangle: integrate(Th(iota) v) == N(iota) v; each
     # constant family is checked compatible when it is built
     augs = [resolution.augmentation(n) for n in range(N + 1)]
+    zeros = [DiffForm.zero(simplex_variables(n)) for n in range(N + 1)]  # shared
     triangle = True
     for si in range(len(resolution.global_sections)):  # one column per section
-        family = [[DiffForm.const(simplex_variables(n), row.get(si, 0)) for row in aug]
-                  for n, aug in enumerate(augs)]
+        family = [[DiffForm.const(simplex_variables(n), row[si]) if si in row else zeros[n]
+                   for row in aug] for n, aug in enumerate(augs)]
         if ThElement(cs, 0, family).integrate() != {k: row[si] for k, row in enumerate(augs[0])
                                                      if si in row}:
             triangle = False

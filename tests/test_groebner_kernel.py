@@ -1,9 +1,13 @@
 """The Groebner kernel: reduced bases against sympy, memoized monomial
-normal forms against direct reduction, and the heap pair queue against
-the min-over-all-pairs selection it replaced."""
+normal forms against direct reduction, the staircase walk against the
+box below the pure powers and the Poincare series, and the heap pair
+queue with its criteria against the min-over-all-pairs selection and
+the chain scan over every k that it replaced."""
 
 import heapq
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -116,11 +120,83 @@ def test_monomial_normal_form_deep_chain():
     assert ideal.monomial_normal_form((4999,)) == {(1,): 1}
 
 
+# -- the staircase walk -------------------------------------------------------
+
+def box_reference(ideal: PolyIdeal):
+    """Every exponent below the pure-power bounds that no lead divides."""
+    bounds = ideal.pure_power_bounds()
+    if bounds is None:
+        return None
+    leads = ideal.leading_exponents()
+    box = product(*(range(b) for b in bounds))
+    return sorted((e for e in box if not any(groebner._divides(l, e) for l in leads)),
+                  key=drl_key)
+
+
+exponent = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(terms, max_size=2), st.lists(exponent, max_size=4),
+       st.lists(st.integers(0, 5), min_size=3, max_size=3))
+def test_quotient_basis_is_the_box_below_the_pure_powers(polys, monos, powers):
+    """Random ideals in x, y, z: random polynomials, random monomials (leads
+    that are not pure powers) and a pure power x_i^a of each variable, where
+    a = 0 leaves it out so that the quotient can be infinite."""
+    gens = [MultiPoly(XYZ, t) for t in polys]
+    gens += [MultiPoly.monomial(XYZ, e) for e in monos]
+    gens += [MultiPoly.monomial(XYZ, tuple(a if k == i else 0 for k in range(3)))
+             for i, a in enumerate(powers) if a]
+    ideal = PolyIdeal(gens or [MultiPoly.zero(XYZ)])
+    assert ideal.quotient_basis() == box_reference(ideal)
+
+
+def test_quotient_basis_unit_ideal_and_missing_pure_power():
+    unit = PolyIdeal([MultiPoly.parse(t, XYZ) for t in ("x*y - 1", "x")])
+    assert unit.quotient_basis() == [] == box_reference(unit)
+    no_z = PolyIdeal([MultiPoly.parse(t, XYZ) for t in ("x^2", "x*z", "y^3 - x*z^2")])
+    assert no_z.pure_power_bounds() is None
+    assert no_z.quotient_basis() is None
+
+
+def poincare_polynomial(charges, degree) -> dict:
+    """Coefficients of prod (1 - t^(d - w_i)) / (1 - t^(w_i)), the Poincare
+    series of the Jacobian ring of a quasi-homogeneous isolated singularity
+    with integer charges w_i and degree d (q_i = w_i / d), up to its top degree."""
+    top = sum(degree - 2 * w for w in charges)
+    series = [1] + [0] * top
+    for w in charges:
+        for k in range(top, degree - w - 1, -1):  # times 1 - t^(d - w)
+            series[k] -= series[k - degree + w]
+        for k in range(w, top + 1):  # divided by 1 - t^w
+            series[k] += series[k - w]
+    return {k: c for k, c in enumerate(series) if c}
+
+
+def assert_histogram_is_poincare(w: MultiPoly, charges, degree):
+    std = jacobian_ideal(w).quotient_basis()
+    histogram = Counter(sum(a * e for a, e in zip(charges, exp)) for exp in std)
+    assert dict(histogram) == poincare_polynomial(charges, degree)
+
+
+@pytest.mark.parametrize("name,model", corpus(), ids=[n for n, _ in corpus()])
+def test_standard_monomials_follow_the_poincare_series_corpus(name, model):
+    charges = [int(c) for c in model.r_charges]  # integral in the corpus: q_i = w_i / d
+    assert_histogram_is_poincare(model.potential, charges, int(model.d_w))
+
+
+def test_standard_monomials_follow_the_poincare_series_dwork_and_quartic():
+    assert_histogram_is_poincare(dwork_quintic(Fraction(-1, 2)), [1] * 5, 5)
+    assert_histogram_is_poincare(quartic_fourfold(Fraction(3)), [1] * 6, 4)
+
+
 # -- the heap pair queue ------------------------------------------------------
 
-def min_selection_order(generators) -> list:
-    """The pair loop Buchberger had before the heap: each step takes
-    min(pairs.items(), key=...) over a dict of every pending pair."""
+def min_selection_order(generators) -> tuple[list, list]:
+    """The pair loop Buchberger had before the heap and before the settled
+    partner sets: each step takes min(pairs.items(), key=...) over a dict of
+    every pending pair, and the chain criterion scans every k.  Returns the
+    pairs popped and the pairs reduced, in order."""
     basis = [groebner._monic(g) for g in generators if g]
     sugars = [max(map(sum, g.terms)) for g in basis]
 
@@ -131,7 +207,7 @@ def min_selection_order(generators) -> list:
         return (sugar, sum(lcm), drl_key(lcm), i, j), lcm
 
     pairs = {(j, i): pair_data(j, i) for i in range(len(basis)) for j in range(i)}
-    processed, order = set(), []
+    processed, order, reduced = set(), [], []
     while pairs:
         (i, j), (_, lcm) = min(pairs.items(), key=lambda kv: kv[1][0])
         del pairs[(i, j)]
@@ -144,18 +220,20 @@ def min_selection_order(generators) -> list:
                and (min(i, k), max(i, k)) in processed
                and (min(j, k), max(j, k)) in processed for k in range(len(basis))):
             continue
+        reduced.append((i, j))
         r = groebner.reduce_full(groebner._spoly(basis[i], basis[j]), basis)
         if r:
             basis.append(groebner._monic(r))
             sugars.append(max(map(sum, r.terms)))
             new = len(basis) - 1
             pairs.update({(k, new): pair_data(k, new) for k in range(new)})
-    return order
+    return order, reduced
 
 
-def heap_order(monkeypatch, generators) -> list:
-    """The pairs ``buchberger`` pops from its heap, in order."""
-    popped, pop = [], heapq.heappop
+def heap_order(monkeypatch, generators) -> tuple[list, list]:
+    """The pairs ``buchberger`` pops from its heap and the pairs whose
+    S-polynomial it forms (the last pair popped at each ``_spoly`` call)."""
+    popped, reduced, pop, spoly = [], [], heapq.heappop, groebner._spoly
 
     def heappop(heap):
         item = pop(heap)
@@ -163,10 +241,15 @@ def heap_order(monkeypatch, generators) -> list:
             popped.append(item[1:3])
         return item
 
+    def recording_spoly(f, g):
+        reduced.append(popped[-1])
+        return spoly(f, g)
+
     monkeypatch.setattr(groebner.heapq, "heappop", heappop)
+    monkeypatch.setattr(groebner, "_spoly", recording_spoly)
     buchberger(generators)
     monkeypatch.undo()
-    return popped
+    return popped, reduced
 
 
 def jacobian(w: MultiPoly) -> list:
@@ -180,8 +263,10 @@ def jacobian(w: MultiPoly) -> list:
     [MultiPoly.parse(t, XYZ) for t in ("x^3 - y*z + 1", "y^2*x - z", "z^3 + x*y^2 - x")],
 ], ids=["dwork", "quartic_fourfold", "loop_4", "inhomogeneous"])
 def test_heap_pops_in_min_selection_order(monkeypatch, gens):
-    order = heap_order(monkeypatch, gens)
-    assert order and order == min_selection_order(gens)
+    popped, reduced = heap_order(monkeypatch, gens)
+    order, want_reduced = min_selection_order(gens)
+    assert popped and popped == order
+    assert reduced == want_reduced
 
 
 @settings(max_examples=30, deadline=None)
@@ -189,4 +274,12 @@ def test_heap_pops_in_min_selection_order(monkeypatch, gens):
 def test_heap_pops_in_min_selection_order_random(gens):
     polys = [MultiPoly(XYZ, t) for t in gens]
     with pytest.MonkeyPatch.context() as mp:
-        assert heap_order(mp, polys) == min_selection_order(polys)
+        popped, reduced = heap_order(mp, polys)
+    order, want_reduced = min_selection_order(polys)
+    assert popped == order
+    assert reduced == want_reduced
+
+
+def test_dwork_quintic_reduces_378_s_polynomials(monkeypatch):
+    _, reduced = heap_order(monkeypatch, jacobian(dwork_quintic(Fraction(-1, 2))))
+    assert len(reduced) == 378
