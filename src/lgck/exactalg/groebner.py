@@ -9,8 +9,6 @@ only in settled[i] & settled[j], the partners already popped with both i and j
 
 Basis elements are monic, so ``reduce_full`` needs no inverse: it reduces
 in place in one dict, taking terms from a heap of degrevlex keys.
-``PolyIdeal.monomial_normal_form`` memoizes NF(x^e) = NF(x_i NF(x^(e - e_i))),
-the multiplication-matrix idea of FGLM (Faugere-Gianni-Lazard-Mora 1993).
 
 ``quotient_basis`` walks the staircase (Cox-Little-O'Shea ch. 5 section 3)
 with no divisibility test per node: the leads alive at a node bound the next
@@ -23,7 +21,7 @@ import heapq
 from operator import le
 
 from .cyclo import Cyclo
-from .poly import MultiPoly, accumulate, drl_key
+from .poly import MultiPoly, drl_key
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -53,13 +51,9 @@ def _divisors(basis: list[MultiPoly]) -> list:
     return out
 
 
-def reduce_full(p: MultiPoly, basis: list[MultiPoly], divisors=None) -> MultiPoly:
-    """Canonical remainder of p modulo a list of polynomials (tail-reduced).
-
-    Callers reducing many polynomials pass ``divisors = _divisors(basis)``.
-    """
-    if divisors is None:
-        divisors = _divisors(basis)
+def reduce_full(p: MultiPoly, divisors: list) -> MultiPoly:
+    """Canonical remainder of p modulo the polynomials ``divisors`` describes
+    (``_divisors(basis)``), tail-reduced."""
     work = dict(p.terms)
     heap = [(-sum(e), e[::-1], e) for e in work]  # minimum = degrevlex maximum
     heapq.heapify(heap)
@@ -128,7 +122,7 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
         # chain criterion: some k with lt_k | lcm and both pairs settled
         if any(_divides(leads[k], lcm) for k in settled[i] & settled[j]):
             continue
-        r = reduce_full(_spoly(basis[i], basis[j]), basis, divisors)
+        r = reduce_full(_spoly(basis[i], basis[j]), divisors)
         if r:
             r = _monic(r)
             basis.append(r)
@@ -144,8 +138,7 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
     divisors = _divisors(reduced)
     final = []
     for idx, g in enumerate(reduced):
-        r = reduce_full(g, reduced[:idx] + reduced[idx + 1:],
-                        divisors[:idx] + divisors[idx + 1:])
+        r = reduce_full(g, divisors[:idx] + divisors[idx + 1:])
         if r:
             final.append(_monic(r))
     final.sort(key=lambda g: drl_key(g.leading()[0]))
@@ -163,60 +156,9 @@ class PolyIdeal:
         self.basis = tuple(buchberger([g.with_variables(variables) for g in generators]))
         self._divisors = _divisors(self.basis)
         self._leads = tuple(lead for lead, _, _ in self._divisors)
-        self._monomial_nf: dict[tuple[int, ...], dict] = {}
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
-        return reduce_full(p.with_variables(self.variables), list(self.basis), self._divisors)
-
-    def monomial_normal_form(self, exp) -> dict:
-        """Normal form of x^exp as {standard exponent: coefficient}, memoized.
-
-        For a non-standard x^e with some x^(e - e_i) non-standard,
-        NF(x^e) = sum_s c_s NF(x^(s + e_i)) over NF(x^(e - e_i)) = sum_s c_s x^s;
-        every monomial asked for is smaller than e in degrevlex.  Only a
-        border monomial (each x^(e - e_i) standard) goes to ``normal_form``.
-        """
-        memo, leads = self._monomial_nf, self._leads
-
-        def standard(e):
-            nf = memo.get(e)
-            return e in nf if nf is not None else not any(_divides(l, e) for l in leads)
-
-        steps = {}  # e -> (i, e - e_i) with e - e_i non-standard; None on the border
-        stack = [tuple(exp)]
-        while stack:
-            e = stack[-1]
-            if e in memo:
-                stack.pop()
-                continue
-            if e not in steps:
-                if standard(e):
-                    memo[e] = {e: Cyclo.one()}
-                    continue
-                steps[e] = None
-                for i, a in enumerate(e):
-                    prev = e[:i] + (a - 1,) + e[i + 1:]
-                    if a and not standard(prev):
-                        steps[e] = i, prev
-                        break
-            if steps[e] is None:
-                memo[e] = self.normal_form(MultiPoly.monomial(self.variables, e)).terms
-                continue
-            i, prev = steps[e]
-            if prev not in memo:
-                stack.append(prev)
-                continue
-            up = [(s[:i] + (s[i] + 1,) + s[i + 1:], c) for s, c in memo[prev].items()]
-            missing = [t for t, _ in up if t not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            out: dict[tuple[int, ...], Cyclo] = {}
-            for t, c in up:
-                for s, d in memo[t].items():
-                    accumulate(out, s, c * d)
-            memo[e] = out
-        return memo[tuple(exp)]
+        return reduce_full(p.with_variables(self.variables), self._divisors)
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
         return list(self._leads)

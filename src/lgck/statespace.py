@@ -19,10 +19,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
-from .exactalg.linalg import integer_echelon, is_nonsingular, sparse
+from .exactalg.linalg import integer_echelon, is_nonsingular
+from .forms import DiffForm, d_of_poly
 from .glsm import GlsmModel
 from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, inertia_sectors
 
@@ -38,20 +40,6 @@ class NonIsolatedSingularityError(ValueError):
     pass
 
 
-def _poly_det(rows: list[dict[int, MultiPoly]], zero: MultiPoly) -> MultiPoly:
-    """Cofactor expansion of sparse rows along the first row."""
-    if not rows:
-        raise ValueError("empty matrix")
-    if len(rows) == 1:
-        return rows[0].get(0, zero)
-    out = zero
-    for j, entry in rows[0].items():
-        minor = [{k if k < j else k - 1: x for k, x in row.items() if k != j} for row in rows[1:]]
-        piece = entry * _poly_det(minor, zero)
-        out = out + (piece if j % 2 == 0 else -piece)
-    return out
-
-
 class ResidueCalculator:
     """Grothendieck residue for one isolated quasi-homogeneous singularity.
 
@@ -59,7 +47,9 @@ class ResidueCalculator:
     singularity is one-dimensional, so there is exactly one standard
     monomial of top weighted degree and the hessian class is a scalar
     multiple of it.  The residue of p is then the coefficient of that
-    monomial in the normal form of p, rescaled so res(hessian) = mu.
+    monomial in the normal form of p, rescaled so res(hessian) = mu.  The
+    hessian is the top coefficient of d(dw/dx_1) ^ ... ^ d(dw/dx_n), which is
+    det(d^2 w / dx_i dx_j) dx_1 ^ ... ^ dx_n.
 
     Each partial dw/dx_i is homogeneous for the grading of Z^n by Z^n / L,
     L the lattice spanned by the exponents of w (the characters that the
@@ -90,8 +80,8 @@ class ResidueCalculator:
         self._charges = [int(q * den) for q in self.weights]
         self._lattice = integer_echelon(w.terms)
         if self.milnor_number:
-            hess = _poly_det(sparse([[w.derivative(a).derivative(b) for b in self.variables]
-                                     for a in self.variables]), MultiPoly.zero(w.variables))
+            hess = reduce(DiffForm.wedge, (d_of_poly(w.derivative(a)) for a in self.variables),
+                          DiffForm.const(w.variables, 1)).top_coefficient()
             hess_nf = self.ideal.normal_form(hess)
             if len(hess_nf.terms) != 1:
                 raise ValueError(
@@ -128,8 +118,8 @@ class ResidueCalculator:
         exp = tuple(exp)
         hit = self._cache.get(exp)
         if hit is None:
-            c = self.symmetry_class(exp) == self.socle_class and \
-                self.ideal.monomial_normal_form(exp).get(self.socle_monomial)
+            c = self.symmetry_class(exp) == self.socle_class and self.ideal.normal_form(
+                MultiPoly.monomial(self.variables, exp)).terms.get(self.socle_monomial)
             hit = c * self.milnor_number / self.socle_coeff if c else Cyclo.zero()
             self._cache[exp] = hit
         return hit

@@ -3,11 +3,12 @@ each checked against a dense reference kept in this file."""
 
 import json
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from lgck.cli import _json_text
-from lgck.exactalg import Cyclo
+from lgck.exactalg import Cyclo, MultiPoly, PolyIdeal
 from lgck.exactalg.linalg import is_nonsingular, rank, rref, sparse
 from lgck.glsm import GlsmModel
 from lgck.orbifold import GroupElement
@@ -40,7 +41,8 @@ def dense_gram(state, phases):
     for e1 in space.basis:
         row = []
         for e2, s in zip(other.basis, scalars):
-            nf = calc.ideal.monomial_normal_form(tuple(a + b for a, b in zip(e1, e2)))
+            e = tuple(a + b for a, b in zip(e1, e2))
+            nf = calc.ideal.normal_form(MultiPoly.monomial(calc.variables, e)).terms
             c = nf.get(calc.socle_monomial)
             row.append(c * calc.milnor_number / calc.socle_coeff * s
                        * Fraction(1, state.group_order) if c else Cyclo.zero())
@@ -122,22 +124,65 @@ def test_nonzero_residues_lie_in_the_socle_class(name):
     sums = {tuple(a + b for a, b in zip(e1, e2))
             for deg, left in by_degree.items() for e1 in left
             for e2 in by_degree.get(calc.socle_degree - deg, ())}
-    nonzero = [e for e in sums
-               if calc.ideal.monomial_normal_form(e).get(calc.socle_monomial)]
+    nonzero = [e for e in sums if calc.ideal.normal_form(
+        MultiPoly.monomial(calc.variables, e)).terms.get(calc.socle_monomial)]
     assert calc.socle_monomial in nonzero
     assert all(calc.symmetry_class(e) == calc.socle_class for e in nonzero)
 
 
 def test_dwork_gram_residue_calls(monkeypatch):
-    """20,404 residue_of_monomial calls with weighted-degree partners alone."""
-    calls = []
-    original = ResidueCalculator.residue_of_monomial
+    """20,404 residue_of_monomial calls with weighted-degree partners alone;
+    the partner index leaves 17 distinct exponents, each reduced once, and
+    the hessian is the one other normal form."""
+    calls, normal_forms = [], []
+    residue, normal_form = ResidueCalculator.residue_of_monomial, PolyIdeal.normal_form
     monkeypatch.setattr(ResidueCalculator, "residue_of_monomial",
-                        lambda calc, exp: calls.append(exp) or original(calc, exp))
+                        lambda calc, exp: calls.append(exp) or residue(calc, exp))
+    monkeypatch.setattr(PolyIdeal, "normal_form",
+                        lambda ideal, p: normal_forms.append(p) or normal_form(ideal, p))
     state = StateSpace(DEFORMED["dwork_-1/2"]())
     for phases in state.spaces:
         state.gram_rows(phases)
     assert 0 < len(calls) <= 204
+    assert len(state.space((Fraction(0),) * 5).calculator._cache) == 17
+    assert len(normal_forms) == 18
+
+
+# -- residues against sympy ---------------------------------------------------
+
+def _sympy_expr(sympy, gens, p):
+    return sum((sympy.Rational(c.as_fraction().numerator, c.as_fraction().denominator)
+                * sympy.prod([g ** a for g, a in zip(gens, e)])
+                for e, c in p.terms.items()), sympy.Integer(0))
+
+
+@pytest.mark.parametrize("name", ["chain_4", "dwork_-1/2", "loop_5", "quintic_x1cube"])
+def test_residues_match_sympy(name):
+    """Every residue a Gram block asks for, recomputed in sympy: the socle
+    coefficient of NF(x^e) over a sympy grevlex basis, normalized by
+    sympy's hessian determinant so that res(hessian) = mu."""
+    sympy = pytest.importorskip("sympy")
+    state = StateSpace(DEFORMED[name]())
+    for phases in state.spaces:
+        state.gram_rows(phases)
+    calcs = {id(s.calculator): s.calculator for s in state.spaces.values() if not s.narrow}
+    assert any(calc._cache for calc in calcs.values())
+    for calc in calcs.values():
+        gens = sympy.symbols(calc.variables)
+        w = _sympy_expr(sympy, gens, calc.w)
+        basis = sympy.groebner([w.diff(g) for g in gens], *gens, order="grevlex")
+
+        def socle_coeff(expr):
+            poly = sympy.Poly(basis.reduce(expr)[1], *gens)
+            return Fraction(str(poly.coeff_monomial(calc.socle_monomial)))
+
+        hess = sympy.hessian(w, gens).det(method="berkowitz")
+        assert sympy.Poly(basis.reduce(hess)[1], *gens).monoms() == [calc.socle_monomial]
+        assert calc.socle_coeff.as_fraction() == socle_coeff(hess)
+        mu = prod(1 / q - 1 for q in calc.weights)
+        for e, value in calc._cache.items():
+            x_e = sympy.prod([g ** a for g, a in zip(gens, e)])
+            assert value.as_fraction() == socle_coeff(x_e) * mu / socle_coeff(hess), (name, e)
 
 
 FERMAT = [(n, m) for n, m in corpus()
