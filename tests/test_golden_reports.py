@@ -64,6 +64,12 @@ def _configs(root: Path) -> dict:
     dwork["potential"] = "x1^5+x2^5+x3^5+x4^5+x5^5-1/2*x1*x2*x3*x4*x5"
     # the Fermat sextic fourfold: a 102 MB report, almost all of it Gram zeros
     fermat_6_6 = fermat_model([6] * 6).to_dict()
+    # a deformed quartic fourfold: a non-monomial Groebner basis in six variables
+    quartic_fourfold = fermat_model([4] * 6).to_dict()
+    quartic_fourfold["potential"] = "x1^4+x2^4+x3^4+x4^4+x5^4+x6^4-2/3*x1*x2*x3*x4"
+    # a quartic with a coefficient in Q(zeta_8): the Groebner basis leaves Q
+    quartic_z8 = fermat_model([4] * 4).to_dict()
+    quartic_z8["potential"] = "x1^4+x2^4+x3^4+x4^4+z8^3*x1^2*x2^2"
     lg = make_quintic_lg()
     user_tables = lg.to_dict()
     user_tables["cohft"] = {"basis": "narrow", "tables": _tables_jsonable(
@@ -74,7 +80,8 @@ def _configs(root: Path) -> dict:
                        ("fermat_3_4_gmax", gmax), ("mirror_quintic", mirror),
                        ("unit_koszul", unit_koszul), ("custom_poset", custom_poset),
                        ("user_tables", user_tables), ("fermat_6_6", fermat_6_6),
-                       ("dwork_quintic", dwork)):
+                       ("dwork_quintic", dwork), ("quartic_fourfold", quartic_fourfold),
+                       ("quartic_z8", quartic_z8)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -97,8 +104,10 @@ def _cases(paths: dict) -> dict:
     cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
     cases["validate-mirror_quintic"] = ["validate", paths["mirror_quintic"]]
-    for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6", "dwork_quintic"):
+    for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6", "dwork_quintic",
+                 "quartic_fourfold"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]
+    cases["pairing-quartic_z8"] = ["pairing", paths["quartic_z8"]]
     return cases
 
 
