@@ -1,7 +1,7 @@
 """Groebner bases over Q(zeta_N) and Jacobian-ring utilities.
 
 The monomial order is fixed degree-reverse-lexicographic throughout.
-Buchberger's algorithm pops pairs from a heap keyed by (drl_key(lcm), i, j):
+Buchberger's algorithm pops pairs from a heap keyed by (lcm, i, j):
 under degrevlex the sugar of a pair is deg lcm, so this is the normal strategy.
 The coprimality and chain criteria prune it; the chain criterion looks for k
 only in settled[i] & settled[j], the partners already popped with both i and j
@@ -9,6 +9,12 @@ only in settled[i] & settled[j], the partners already popped with both i and j
 
 Basis elements are monic, so ``reduce_full`` needs no inverse: it reduces
 in place in one dict, taking terms from a heap of degrevlex keys.
+
+An exponent vector is one int here (Monagan-Pearce 2007): 32-bit fields of
+M - e_i, M = 2^31 - 1, x_n's most significant, each under a guard bit kept 0,
+and the total degree on top, so integer order is degrevlex.  With the guards
+G set in a, no field of (a | G) - b borrows: x^a | x^b iff
+((a | G) - b) & G == G.  A total degree above M raises ``ValueError``.
 
 ``quotient_basis`` walks the staircase (Cox-Little-O'Shea ch. 5 section 3)
 with no divisibility test per node: the leads alive at a node bound the next
@@ -18,18 +24,39 @@ exponent.  It returns ``None`` when the quotient is infinite-dimensional.
 from __future__ import annotations
 
 import heapq
-from operator import le
+from functools import lru_cache
+from struct import Struct
 
-from .cyclo import Cyclo
 from .poly import MultiPoly, drl_key
 
-
-def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(map(le, a, b))
+_M = (1 << 31) - 1  # largest packed total degree; a field is 32 bits, guard on top
 
 
-def _lcm_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple:
+    """(guard bits, value bits, field codec, degree shift) in n variables."""
+    return (sum(1 << 32 * i + 31 for i in range(n)), sum(_M << 32 * i for i in range(n)),
+            Struct(f"<{n}I"), 32 * n)
+
+
+def _pack(exp: tuple[int, ...], layout: tuple) -> int:
+    deg = sum(exp)
+    if deg > _M:
+        raise ValueError(f"monomial degree {deg} exceeds the bound {_M}")
+    return deg << layout[3] | int.from_bytes(layout[2].pack(*exp), "little") ^ layout[1]
+
+
+def _lcm(a: int, b: int, layout: tuple) -> int:
+    """Packed lcm; its degree, the fields' sum (their value mod 2^32 - 1), is unbounded."""
+    guards, values, _, shift = layout
+    ge = ((a | guards) - (b & values)) & guards  # fields where a's complement >= b's
+    m = ge - (ge >> 31)
+    c = (b & m | a & ~m) & values
+    return (values & ~c) % ((1 << 32) - 1) << shift | c
+
+
+def _support(a: int, layout: tuple) -> int:
+    return ((layout[1] & ~a) + layout[1]) & layout[0]
 
 
 def _monic(p: MultiPoly) -> MultiPoly:
@@ -37,60 +64,58 @@ def _monic(p: MultiPoly) -> MultiPoly:
     if c == 1:
         return p
     inv = c.inverse()
-    return MultiPoly(p.variables, {e: k * inv for e, k in p.terms.items()})
+    return MultiPoly._make(p.variables, {e: k * inv for e, k in p.terms.items()})
 
 
 def _divisors(basis: list[MultiPoly]) -> list:
-    """(lead exponent, inverse lead coefficient or None if it is 1, negated tail) per g."""
+    """(packed lead with its guard bits set, packed negated tail) per monic g."""
     out = []
     for g in basis:
-        if g:
-            lexp, lc = g.leading()
-            out.append((lexp, None if lc == 1 else lc.inverse(),
-                        [(e, -c) for e, c in g.terms.items() if e != lexp]))
+        layout = _layout(len(g.variables))
+        lead = g.leading()[0]
+        out.append((_pack(lead, layout) | layout[0],
+                    [(_pack(e, layout), -c) for e, c in g.terms.items() if e != lead]))
     return out
 
 
 def reduce_full(p: MultiPoly, divisors: list) -> MultiPoly:
-    """Canonical remainder of p modulo the polynomials ``divisors`` describes
-    (``_divisors(basis)``), tail-reduced."""
-    work = dict(p.terms)
-    heap = [(-sum(e), e[::-1], e) for e in work]  # minimum = degrevlex maximum
+    """Canonical remainder of p modulo ``divisors`` (``_divisors(basis)``), tail-reduced."""
+    layout = guards, values, fields, _ = _layout(len(p.variables))
+    work = {_pack(e, layout): c for e, c in p.terms.items()}
+    heap = [-k for k in work]  # minimum = degrevlex maximum
     heapq.heapify(heap)
-    remainder: dict[tuple[int, ...], Cyclo] = {}
+    remainder = {}
     while heap:
-        exp = heapq.heappop(heap)[2]
-        coef = work.pop(exp, None)
+        key = -heapq.heappop(heap)
+        coef = work.pop(key, None)
         if coef is None:  # cancelled after it was queued
             continue
-        for lexp, inv, tail in divisors:
-            if _divides(lexp, exp):
-                if inv is not None:
-                    coef = coef * inv
-                shift = tuple(a - b for a, b in zip(exp, lexp))
+        for lead, tail in divisors:
+            if (lead - key) & guards == guards:
+                shift = key + guards - lead
                 for e, c in tail:
-                    e = tuple(a + b for a, b in zip(e, shift))
+                    e += shift
                     if e not in work:
                         work[e] = coef * c
-                        heapq.heappush(heap, (-sum(e), e[::-1], e))
+                        heapq.heappush(heap, -e)
                     elif s := work[e] + coef * c:
                         work[e] = s
                     else:
                         del work[e]
                 break
         else:
-            remainder[exp] = coef
-    return MultiPoly(p.variables, remainder)
+            remainder[fields.unpack((values & ~key).to_bytes(fields.size, "little"))] = coef
+    return MultiPoly._make(p.variables, remainder)
 
 
 def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S-polynomial of two monic polynomials: no coefficient is scaled."""
+    """S-polynomial of two monic polynomials from their tails: no coefficient is scaled."""
     ef, eg = f.leading()[0], g.leading()[0]
-    lcm = _lcm_exp(ef, eg)
-    up_f, up_g = (MultiPoly(p.variables, {tuple(a + c - b for a, b, c in zip(e, lead, lcm)): k
-                                          for e, k in p.terms.items()})
-                  for p, lead in ((f, ef), (g, eg)))
-    return up_f - up_g
+    lcm = tuple(map(max, ef, eg))
+    uf, ug = (MultiPoly._make(p.variables, {tuple(a + c - b for a, b, c in zip(e, lead, lcm)): k
+                                            for e, k in p.terms.items() if e != lead})
+              for p, lead in ((f, ef), (g, eg)))
+    return uf - ug
 
 
 def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
@@ -98,51 +123,49 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
     basis = [_monic(g) for g in generators if g]
     if not basis:
         return []
-    leads = [g.leading()[0] for g in basis]
+    layout = guards, _, _, _ = _layout(len(basis[0].variables))
     divisors = _divisors(basis)
-    pairs: list = []  # heap of (drl_key(lcm), i, j, lcm), i < j
+    leads = [lead for lead, _ in divisors]  # packed, guard bits set
+    supports: list[int] = []
+    pairs: list = []  # heap of (lcm, i, j, coprime), i < j: the packed lcm is the key
 
     def queue_pairs(j):
-        ej = leads[j]
+        supports.append(_support(leads[j], layout))
         for i in range(j):
-            lcm = _lcm_exp(leads[i], ej)
-            heapq.heappush(pairs, (drl_key(lcm), i, j, lcm))
+            heapq.heappush(pairs, (_lcm(leads[i], leads[j], layout), i, j,
+                                   not supports[i] & supports[j]))
 
     for j in range(len(basis)):
         queue_pairs(j)
-    settled: list[set[int]] = [set() for _ in basis]  # settled[k]: partners popped with k
+    settled = [0] * len(basis)  # bit k of settled[i]: the pair (i, k) was popped
     while pairs:
-        _, i, j, lcm = heapq.heappop(pairs)
-        settled[i].add(j)
-        settled[j].add(i)
-        ei, ej = leads[i], leads[j]
-        # coprimality criterion
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+        lcm, i, j, coprime = heapq.heappop(pairs)
+        settled[i] |= 1 << j
+        settled[j] |= 1 << i
+        if coprime:
             continue
-        # chain criterion: some k with lt_k | lcm and both pairs settled
-        if any(_divides(leads[k], lcm) for k in settled[i] & settled[j]):
+        # chain criterion: some k with lt_k | lcm and both pairs settled; newest k first
+        common = settled[i] & settled[j]
+        while common and (leads[(k := common.bit_length() - 1)] - lcm) & guards != guards:
+            common ^= 1 << k
+        if common:
             continue
         r = reduce_full(_spoly(basis[i], basis[j]), divisors)
         if r:
-            r = _monic(r)
-            basis.append(r)
-            divisors += _divisors([r])
-            leads.append(r.leading()[0])
-            settled.append(set())
+            basis.append(_monic(r))
+            divisors += _divisors(basis[-1:])
+            leads.append(divisors[-1][0])
+            settled.append(0)
             queue_pairs(len(basis) - 1)
 
-    # inter-reduce to the unique reduced basis
-    reduced = [g for idx, g in enumerate(basis)
-               if not any(_divides(leads[k], leads[idx]) for k in range(len(basis))
-                          if k != idx and not (leads[k] == leads[idx] and k > idx))]
-    divisors = _divisors(reduced)
-    final = []
-    for idx, g in enumerate(reduced):
-        r = reduce_full(g, divisors[:idx] + divisors[idx + 1:])
-        if r:
-            final.append(_monic(r))
-    final.sort(key=lambda g: drl_key(g.leading()[0]))
-    return final
+    # inter-reduce: a kept lead, divisible by no other, stays with coefficient 1
+    keep = [t for t, lead in enumerate(leads)
+            if not any((other - lead + guards) & guards == guards for k, other in enumerate(leads)
+                       if k != t and (k < t or other != lead))]
+    divisors = [divisors[t] for t in keep]
+    final = [(d[0], reduce_full(basis[idx], divisors[:t] + divisors[t + 1:]))
+             for t, (idx, d) in enumerate(zip(keep, divisors))]
+    return [g for _, g in sorted(final)]
 
 
 class PolyIdeal:
@@ -155,7 +178,7 @@ class PolyIdeal:
         self.variables = variables
         self.basis = tuple(buchberger([g.with_variables(variables) for g in generators]))
         self._divisors = _divisors(self.basis)
-        self._leads = tuple(lead for lead, _, _ in self._divisors)
+        self._leads = tuple(g.leading()[0] for g in self.basis)
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         return reduce_full(p.with_variables(self.variables), self._divisors)
@@ -198,7 +221,4 @@ class PolyIdeal:
 def jacobian_ideal(w: MultiPoly) -> PolyIdeal:
     """Ideal of the partial derivatives of w."""
     parts = [w.derivative(v) for v in w.variables]
-    nonzero = [p for p in parts if p]
-    if not nonzero:
-        nonzero = [MultiPoly.zero(w.variables)]
-    return PolyIdeal(nonzero)
+    return PolyIdeal([p for p in parts if p] or [MultiPoly.zero(w.variables)])

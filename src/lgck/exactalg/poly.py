@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import neg
 
 from .cyclo import Cyclo
 
@@ -30,7 +31,7 @@ MAX_CYCLO_ORDER = 1024  # largest N of a parsed root of unity zN
 
 def drl_key(exp: tuple[int, ...]):
     """Sort key realizing degree-reverse-lexicographic order (larger = bigger)."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 def accumulate(out: dict, key, c) -> None:
@@ -66,6 +67,12 @@ class MultiPoly:
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _make(cls, variables: tuple, terms: dict) -> "MultiPoly":  # unchecked: clean terms
+        out = object.__new__(cls)
+        out.variables, out.terms = variables, terms
+        return out
 
     @classmethod
     def zero(cls, variables) -> "MultiPoly":
@@ -140,7 +147,7 @@ class MultiPoly:
             for p, a in zip(pos, exp):
                 e[p] = a
             out[tuple(e)] = c
-        return MultiPoly(new_vars, out)
+        return MultiPoly._make(new_vars, out)
 
     # -- ring operations ---------------------------------------------------
 
@@ -151,12 +158,12 @@ class MultiPoly:
         out = dict(a.terms)
         for exp, c in b.terms.items():
             accumulate(out, exp, c)
-        return MultiPoly(a.variables, out)
+        return MultiPoly._make(a.variables, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._align(other)
@@ -175,7 +182,7 @@ class MultiPoly:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 accumulate(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return MultiPoly(a.variables, out)
+        return MultiPoly._make(a.variables, out)
 
     __rmul__ = __mul__
 
@@ -207,7 +214,7 @@ class MultiPoly:
                 e = list(exp)
                 e[i] -= 1
                 out[tuple(e)] = c * exp[i]
-        return MultiPoly(self.variables, out)
+        return MultiPoly._make(self.variables, out)
 
     def substitute(self, mapping: dict) -> "MultiPoly":
         """Substitute variables by polynomials (all sharing one target ring)."""

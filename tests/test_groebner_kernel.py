@@ -1,6 +1,7 @@
-"""The Groebner kernel: reduced bases against sympy, a normal form deep
-past the recursion limit, the staircase walk against the box below the
-pure powers and the Poincare series, and the heap pair queue with its
+"""The Groebner kernel: reduced bases against sympy, the packed exponent
+layout against the tuple definitions and its width guard, a normal form
+deep past the recursion limit, the staircase walk against the box below
+the pure powers and the Poincare series, and the heap pair queue with its
 criteria against the min-over-all-pairs selection and the chain scan
 over every k that it replaced."""
 
@@ -8,6 +9,7 @@ import heapq
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import le
 
 import pytest
 
@@ -32,6 +34,14 @@ def quartic_fourfold(c) -> MultiPoly:
     names = [f"x{i}" for i in range(1, 7)]
     w = MultiPoly.parse(" + ".join(f"{v}^4" for v in names), names)
     return w + MultiPoly.monomial(names, (1, 1, 1, 1, 0, 0), c)
+
+
+def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(map(le, a, b))
+
+
+def lcm_exp(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def as_rational_terms(p: MultiPoly) -> frozenset:
@@ -76,6 +86,77 @@ def test_buchberger_matches_sympy_dwork_quintic():
     assert {as_rational_terms(g) for g in basis} == sympy_reduced_basis(parts, w.variables)
 
 
+def test_buchberger_matches_sympy_quartic_fourfold():
+    """Six packed fields: sum x_i^4 - 2/3 x1x2x3x4."""
+    w = quartic_fourfold(Fraction(-2, 3))
+    basis = jacobian_ideal(w).basis
+    assert len(basis) == 22
+    assert {as_rational_terms(g) for g in basis} == sympy_reduced_basis(jacobian(w), w.variables)
+
+
+def test_buchberger_matches_sympy_cubic_in_eight_variables():
+    """Eight packed fields: sum x_i^3 + 2 x1x2x3."""
+    names = [f"x{i}" for i in range(1, 9)]
+    w = MultiPoly.parse(" + ".join(f"{v}^3" for v in names) + " + 2*x1*x2*x3", names)
+    basis = jacobian_ideal(w).basis
+    assert len(basis) == 11
+    assert {as_rational_terms(g) for g in basis} == sympy_reduced_basis(jacobian(w), w.variables)
+
+
+# -- the packed exponent layout -----------------------------------------------
+
+@st.composite
+def packed_case(draw):
+    """n in 1..8 and three exponent vectors in n variables, each exponent small
+    or up to M // n, so that every vector and every lcm fits the layout."""
+    n = draw(st.integers(1, 8))
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, groebner._M // n))
+    return n, [draw(st.tuples(*[exponent] * n)) for _ in range(3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_case())
+def test_packed_layout_matches_the_tuple_definitions(case):
+    """Packed keys sort as drl_key and unpack to their vectors, and the packed
+    lcm, support and divisibility agree with the tuple definitions above."""
+    n, vectors = case
+    layout = groebner._layout(n)
+    a, b, c = vectors
+    vectors.append(lcm_exp(a, c))  # one vector that a divides
+    packed = [groebner._pack(e, layout) for e in vectors]
+    assert sorted(range(4), key=packed.__getitem__) == sorted(range(4), key=lambda t: drl_key(vectors[t]))
+    for (x, px), (y, py) in product(zip(vectors, packed), repeat=2):
+        assert (px < py, px == py) == (drl_key(x) < drl_key(y), x == y)
+        assert groebner._lcm(px, py, layout) == groebner._pack(lcm_exp(x, y), layout)
+        coprime = not groebner._support(px, layout) & groebner._support(py, layout)
+        assert coprime == all(s == 0 or t == 0 for s, t in zip(x, y))
+    names = tuple(f"x{i}" for i in range(n))
+    divisor = groebner._divisors([MultiPoly.monomial(names, a)])
+    for e in vectors:  # x^e reduces to zero modulo x^a exactly when a divides e
+        x_e = MultiPoly.monomial(names, e)
+        assert groebner.reduce_full(x_e, []) == x_e  # packed and unpacked
+        assert (not groebner.reduce_full(x_e, divisor)) == divides(a, e)
+
+
+def test_packed_width_guard():
+    """The total degree M = 2^31 - 1 still packs and reduces; M + 1, in one
+    exponent, in a sum of two or in an S-polynomial, raises instead of
+    wrapping.  An lcm's degree sits above the fields, so a coprime pair whose
+    lcm has degree M + 1 is no error."""
+    m = groebner._M
+    names = ("x", "y")
+    ideal = PolyIdeal([MultiPoly.parse(f"x^{m} - 2*y", names)])
+    assert ideal.normal_form(MultiPoly.monomial(names, (m, 0))).terms == {(0, 1): 2}
+    assert ideal.normal_form(MultiPoly.monomial(names, (m - 1, 1))).terms == {(m - 1, 1): 1}
+    for exp in ((m + 1, 0), (m, 1)):
+        with pytest.raises(ValueError, match=f"bound {m}"):
+            ideal.normal_form(MultiPoly.monomial(names, exp))
+    coprime = [MultiPoly.parse(t, names) for t in (f"x^{m} - 1", "y - 1")]
+    assert {as_rational_terms(g) for g in buchberger(coprime)} == set(map(as_rational_terms, coprime))
+    with pytest.raises(ValueError, match=f"bound {m}"):  # S = x^(M-1)*y^2 - y
+        buchberger([MultiPoly.parse(t, names) for t in (f"x^{m} - 1", "x*y - y^2")])
+
+
 # -- normal forms -------------------------------------------------------------
 
 def test_monomial_normal_form_deep_chain():
@@ -94,7 +175,7 @@ def box_reference(ideal: PolyIdeal):
         return None
     leads = ideal.leading_exponents()
     box = product(*(range(b) for b in bounds))
-    return sorted((e for e in box if not any(groebner._divides(l, e) for l in leads)),
+    return sorted((e for e in box if not any(divides(l, e) for l in leads)),
                   key=drl_key)
 
 
@@ -167,7 +248,7 @@ def min_selection_order(generators) -> tuple[list, list]:
 
     def pair_data(i, j):
         ei, ej = basis[i].leading()[0], basis[j].leading()[0]
-        lcm = groebner._lcm_exp(ei, ej)
+        lcm = lcm_exp(ei, ej)
         sugar = max(sugars[i] - sum(ei), sugars[j] - sum(ej)) + sum(lcm)
         return (sugar, sum(lcm), drl_key(lcm), i, j), lcm
 
@@ -181,7 +262,7 @@ def min_selection_order(generators) -> tuple[list, list]:
         ei, ej = basis[i].leading()[0], basis[j].leading()[0]
         if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
-        if any(k not in (i, j) and groebner._divides(basis[k].leading()[0], lcm)
+        if any(k not in (i, j) and divides(basis[k].leading()[0], lcm)
                and (min(i, k), max(i, k)) in processed
                and (min(j, k), max(j, k)) in processed for k in range(len(basis))):
             continue
@@ -203,7 +284,7 @@ def heap_order(monkeypatch, generators) -> tuple[list, list]:
 
     def heappop(heap):
         item = pop(heap)
-        if len(item) == 4:  # (drl_key(lcm), i, j, lcm)
+        if isinstance(item, tuple) and len(item) == 4:  # (lcm, i, j, coprime)
             popped.append(item[1:3])
         return item
 
