@@ -164,8 +164,6 @@ class Cyclo:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.nums[0] == other * self.den and self.is_rational()
-        if isinstance(other, Cyclo) and self.order == other.order == 1:  # rationals
-            return self.nums == other.nums and self.den == other.den
         a, b = self._pair(other)
         if b is None:
             return NotImplemented
@@ -189,9 +187,6 @@ class Cyclo:
         return _make(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
-        if isinstance(other, Cyclo) and self.order == other.order == 1:  # rationals
-            return _make(1, (self.nums[0] * other.den - other.nums[0] * self.den,),
-                         self.den * other.den)
         return self + -other
 
     def __rsub__(self, other):

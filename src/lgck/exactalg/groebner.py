@@ -7,8 +7,8 @@ The coprimality and chain criteria prune it; the chain criterion looks for k
 only in settled[i] & settled[j], the partners already popped with both i and j
 (Gebauer-Moller 1988), which are exactly the k a scan of the basis accepts.
 
-Basis elements are monic, so ``reduce_full`` needs no inverse: it reduces
-in place in one dict, taking terms from a heap of degrevlex keys.
+``_divisors`` makes each divisor monic, so ``reduce_full`` needs no inverse:
+it reduces in place in one dict, taking terms from a heap of degrevlex keys.
 
 An exponent vector is one int here (Monagan-Pearce 2007): 32-bit fields of
 M - e_i, M = 2^31 - 1, x_n's most significant, each under a guard bit kept 0,
@@ -68,9 +68,9 @@ def _monic(p: MultiPoly) -> MultiPoly:
 
 
 def _divisors(basis: list[MultiPoly]) -> list:
-    """(packed lead with its guard bits set, packed negated tail) per monic g."""
+    """(packed lead with its guard bits set, packed negated tail) per g, made monic."""
     out = []
-    for g in basis:
+    for g in map(_monic, basis):
         layout = _layout(len(g.variables))
         lead = g.leading()[0]
         out.append((_pack(lead, layout) | layout[0],
@@ -221,4 +221,7 @@ class PolyIdeal:
 def jacobian_ideal(w: MultiPoly) -> PolyIdeal:
     """Ideal of the partial derivatives of w."""
     parts = [w.derivative(v) for v in w.variables]
-    return PolyIdeal([p for p in parts if p] or [MultiPoly.zero(w.variables)])
+    nonzero = [p for p in parts if p]
+    if not nonzero:
+        nonzero = [MultiPoly.zero(w.variables)]
+    return PolyIdeal(nonzero)

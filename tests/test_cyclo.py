@@ -152,8 +152,9 @@ def test_rational_fast_path(p, q, order):
 def test_ring_operations_match_sympy(order, data):
     """a + b, a - b, a * b and a == b in Q(zeta_N) against sympy: the
     coefficient polynomials combined and reduced modulo the N-th cyclotomic
-    polynomial.  Order 1 takes the rational fast paths.  b is drawn apart
-    from a, equal to it, or a / 2, whose numerators often match a's."""
+    polynomial.  sympy's reduction shares no code with ``Cyclo`` or the
+    reference copy.  b is drawn apart from a, equal to it, or a / 2, whose
+    numerators often match a's."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     phi = sympy.Poly(sympy.cyclotomic_poly(order, x), x, domain="QQ")

@@ -137,6 +137,15 @@ def test_packed_layout_matches_the_tuple_definitions(case):
         assert (not groebner.reduce_full(x_e, divisor)) == divides(a, e)
 
 
+def test_reduce_full_makes_divisors_monic():
+    """A divisor whose leading coefficient is not 1 reduces as its monic
+    multiple does: modulo 3xy - y, xy = y/3 and x^2y^2 = y^2/9."""
+    names = ("x", "y")
+    divisors = groebner._divisors([MultiPoly.parse("3*x*y - y", names)])
+    got = groebner.reduce_full(MultiPoly.parse("x^2*y^2", names), divisors)
+    assert got == MultiPoly.parse("1/9*y^2", names)
+
+
 def test_packed_width_guard():
     """The total degree M = 2^31 - 1 still packs and reduces; M + 1, in one
     exponent, in a sum of two or in an S-polynomial, raises instead of
