@@ -108,6 +108,7 @@ def _cases(paths: dict) -> dict:
                  "quartic_fourfold"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]
     cases["pairing-quartic_z8"] = ["pairing", paths["quartic_z8"]]
+    cases["pairing-mirror_quintic"] = ["pairing", paths["mirror_quintic"]]
     return cases
 
 
