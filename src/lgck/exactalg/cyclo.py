@@ -193,8 +193,14 @@ class Cyclo:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, Cyclo) and self.order == other.order == 1:  # rationals
-            return _make(1, (self.nums[0] * other.nums[0],), self.den * other.den)
+        # a rational operand (an int, a Fraction or an order-1 value) scales the other
+        if isinstance(other, Cyclo) and self.order == 1 < other.order:
+            return other * self
+        if isinstance(other, Cyclo) and other.order == 1:
+            return _make(self.order, [x * other.nums[0] for x in self.nums], self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return _make(self.order, [x * other.numerator for x in self.nums],
+                         self.den * other.denominator)
         a, b = self._pair(other)
         if b is None:
             return NotImplemented

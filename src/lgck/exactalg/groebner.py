@@ -18,12 +18,16 @@ G set in a, no field of (a | G) - b borrows: x^a | x^b iff
 
 ``quotient_basis`` walks the staircase (Cox-Little-O'Shea ch. 5 section 3)
 with no divisibility test per node: the leads alive at a node bound the next
-exponent.  It returns ``None`` when the quotient is infinite-dimensional.
+exponent, and the bounds at the last level sum to the dimension (mu).  Given
+group rows mod d, a node carries its prefix's sums r.(e + 1) mod d and the last
+exponent comes from a residue table, so only invariant leaves are built and
+sorted (Krawitz 2010).  It returns ``None`` when the quotient is infinite.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from functools import lru_cache
 from struct import Struct
 
@@ -108,9 +112,9 @@ def reduce_full(p: MultiPoly, divisors: list) -> MultiPoly:
     return MultiPoly._make(p.variables, remainder)
 
 
-def _spoly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """S-polynomial of two monic polynomials from their tails: no coefficient is scaled."""
-    ef, eg = f.leading()[0], g.leading()[0]
+def _spoly(f: MultiPoly, g: MultiPoly, ef: tuple, eg: tuple) -> MultiPoly:
+    """S-polynomial of two monic polynomials with leading exponents ef and eg,
+    from their tails: no coefficient is scaled."""
     lcm = tuple(map(max, ef, eg))
     uf, ug = (MultiPoly._make(p.variables, {tuple(a + c - b for a, b, c in zip(e, lead, lcm)): k
                                             for e, k in p.terms.items() if e != lead})
@@ -126,6 +130,7 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
     layout = guards, _, _, _ = _layout(len(basis[0].variables))
     divisors = _divisors(basis)
     leads = [lead for lead, _ in divisors]  # packed, guard bits set
+    exps = [g.leading()[0] for g in basis]
     supports: list[int] = []
     pairs: list = []  # heap of (lcm, i, j, coprime), i < j: the packed lcm is the key
 
@@ -150,9 +155,10 @@ def buchberger(generators: list[MultiPoly]) -> list[MultiPoly]:
             common ^= 1 << k
         if common:
             continue
-        r = reduce_full(_spoly(basis[i], basis[j]), divisors)
+        r = reduce_full(_spoly(basis[i], basis[j], exps[i], exps[j]), divisors)
         if r:
             basis.append(_monic(r))
+            exps.append(basis[-1].leading()[0])
             divisors += _divisors(basis[-1:])
             leads.append(divisors[-1][0])
             settled.append(0)
@@ -194,27 +200,37 @@ class PolyIdeal:
                 for i in range(len(self.variables))]
         return [min(p) for p in pure] if all(pure) else None
 
-    def quotient_basis(self):
-        """Standard monomials of the quotient, or None when infinite."""
-        n = len(self.variables)
-        leads = self.leading_exponents()
-        if any(exp == (0,) * n for exp in leads):
-            return []  # unit ideal: zero ring
+    def quotient_basis(self, rows=(), d=1):
+        """Standard monomials of the quotient, or None when infinite; given
+        ``rows`` and their modulus d, only the x^e with sum_i r_i (e_i + 1) = 0
+        mod d for every row r.  Sets ``dimension``, the number of them all."""
+        n, leads = len(self.variables), self.leading_exponents()
+        if not n or any(not any(exp) for exp in leads):  # the field, or the zero ring
+            self.dimension = 0 if leads else 1
+            return [()] * self.dimension
         if self.pure_power_bounds() is None:
             return None
-        out: list[tuple[int, ...]] = []
         last = {l: max(k for k, a in enumerate(l) if a) for l in leads}
+        # the last exponents a, by the residues sum_r r_n (a + 1) must cancel:
+        # up to the largest bound any node at the last level can have
+        table: dict[tuple, list] = {}
+        for a in range(max(l[-1] for l in leads if last[l] == n - 1)):
+            table.setdefault(tuple(-r[-1] * (a + 1) % d for r in rows), []).append(a)
+        out: list[tuple[int, ...]] = []
 
-        def rec(prefix, alive, i):
-            if i == n:
-                out.append(prefix)
-                return
+        def walk(prefix, alive, sums, i):
+            """Put the invariant leaves below prefix in ``out``; count all of them."""
             # alive: the leads l with l[:i] <= prefix; those ending at i bound a
             stop = min(l[i] for l in alive if last[l] == i)
-            for a in range(stop):
-                rec(prefix + (a,), [l for l in alive if l[i] <= a], i + 1)
+            if i == n - 1:
+                last_exps = table.get(sums, ())
+                out.extend(prefix + (a,) for a in last_exps[:bisect_left(last_exps, stop)])
+                return stop
+            return sum(walk(prefix + (a,), [l for l in alive if l[i] <= a],
+                            tuple((s + r[i] * (a + 1)) % d for s, r in zip(sums, rows)), i + 1)
+                       for a in range(stop))
 
-        rec((), leads, 0)
+        self.dimension = walk((), leads, (0,) * len(rows), 0)
         return sorted(out, key=drl_key)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 
 from .exactalg.linalg import integer_echelon
 from .glsm import GlsmModel, semistable_locus
@@ -88,7 +87,6 @@ class DiagonalGroup:
                      for col, pivot, tail in integer_echelon(lattice)]
         self.ranges = [range(d // (row[k] or d)) for k, row in enumerate(self.rows)]
         self.order = prod(map(len, self.ranges))
-        self._restricted: dict[tuple, set] = {}
 
     @classmethod
     def of(cls, model: GlsmModel) -> "DiagonalGroup":
@@ -109,14 +107,10 @@ class DiagonalGroup:
             h.phases = tuple(map(phase.__getitem__, v))
         return out
 
-    def fixes(self, character, support=None) -> bool:
-        """Whether x^character, given on ``support`` (default all coordinates),
-        pairs to 0 mod d with every row restricted there (memoized per support)."""
-        support = tuple(range(len(self.rows)) if support is None else support)
-        if (rows := self._restricted.get(support)) is None:
-            rows = {tuple(row[i] for i in support) for row in self.rows} - {(0,) * len(support)}
-            self._restricted[support] = rows
-        return all(sum(map(mul, row, character)) % self.d == 0 for row in rows)
+    def restricted(self, support) -> tuple:
+        """The distinct nonzero rows restricted to ``support``: x^c there is
+        G-invariant iff c pairs to 0 mod d with each."""
+        return tuple({tuple(row[i] for i in support) for row in self.rows} - {(0,) * len(support)})
 
     def contains(self, phases) -> bool:
         """Whether the phase vector lies in G: adjoining it keeps the order."""

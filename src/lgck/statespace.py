@@ -58,7 +58,7 @@ class ResidueCalculator:
     ``symmetry_class`` is that of the socle (the selection rule).
     """
 
-    def __init__(self, w: MultiPoly, weights):
+    def __init__(self, w: MultiPoly, weights, rows=(), d=1):
         self.w = w
         self.variables = w.variables
         self.weights = [Fraction(x) for x in weights]
@@ -68,13 +68,12 @@ class ResidueCalculator:
                     f"potential {w.canonical_str()} is not quasi-homogeneous "
                     f"of degree 1 under weights ({', '.join(map(str, self.weights))})")
         self.ideal = jacobian_ideal(w)
-        std = self.ideal.quotient_basis()
-        if std is None:
+        self.basis = self.ideal.quotient_basis(rows, d)  # only G-invariant ones, given rows
+        if self.basis is None:
             raise NonIsolatedSingularityError(
                 f"potential {w.canonical_str()} has a non-isolated singularity"
             )
-        self.standard_monomials = std
-        self.milnor_number = len(std)
+        self.milnor_number = self.ideal.dimension  # the same walk counts them all
         self._cache: dict[tuple, Cyclo] = {}
         den = lcm(*(q.denominator for q in self.weights))
         self._charges = [int(q * den) for q in self.weights]
@@ -131,7 +130,7 @@ class SectorSpace:
 
     element: GroupElement
     fixed_variables: tuple[str, ...]
-    basis: tuple  # exponent tuples for broad sectors; ("1",) for narrow
+    basis: list | tuple  # exponent tuples, one list per fixed locus; ("1",) if narrow
     degree: Fraction
     calculator: ResidueCalculator | None  # None on narrow sectors
 
@@ -146,11 +145,8 @@ class SectorSpace:
     def basis_labels(self) -> list[str]:
         if self.narrow:
             return ["1"]
-        out = []
-        for exp in self.basis:
-            mono = MultiPoly.monomial(self.fixed_variables, exp, 1)
-            out.append(mono.canonical_str())
-        return out
+        return ["*".join(v if a == 1 else f"{v}^{a}" for v, a in zip(self.fixed_variables, exp)
+                         if a) or "1" for exp in self.basis]
 
     def to_jsonable(self, variables):
         return {
@@ -180,20 +176,18 @@ def sector_space(model: GlsmModel, h: GroupElement, group=None,
         return SectorSpace(h, (), ("1",), deg, None)
 
     memo = {} if memo is None else memo
-    if (hit := memo.get(support)) is None:
+    if (calc := memo.get(support)) is None:
         moving_names = [model.variables[i] for i in range(model.n_vars) if i not in fixed]
         w_res = model.potential.restrict_zero(moving_names).drop_variables(moving_names)
         weights = [Fraction(model.r_charges[i], model.d_w) for i in fixed]
-        try:
-            calc = ResidueCalculator(w_res, weights)
-        except ValueError as exc:
-            raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
         if not isinstance(group, DiagonalGroup):
             group = DiagonalGroup.of(model) if group is None else DiagonalGroup(group)
-        hit = memo[support] = (calc, tuple(exp for exp in calc.standard_monomials
-                                           if group.fixes([a + 1 for a in exp], fixed)))
-    calc, invariant = hit
-    return SectorSpace(h, fixed_names, invariant, deg, calc)
+        try:
+            calc = memo[support] = ResidueCalculator(w_res, weights, group.restricted(fixed),
+                                                     group.d)
+        except ValueError as exc:
+            raise type(exc)(f"sector {h.label()}: restricted {exc}") from None
+    return SectorSpace(h, fixed_names, calc.basis, deg, calc)
 
 
 GramBlock = namedtuple("GramBlock", ["rows", "width"])  # rows {column: entry}

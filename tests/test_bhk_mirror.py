@@ -27,6 +27,8 @@ from lgck.glsm import GlsmModel
 from lgck.orbifold import DiagonalGroup
 from lgck.statespace import sector_space
 
+from witnesses import fixes
+
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -68,7 +70,7 @@ def _dual_group(a, group: DiagonalGroup) -> DiagonalGroup:
     for theta in _gmax(transposed).elements():
         character = [sum(row[i] * theta.phases[i] for i in range(len(a))) for row in transposed]
         assert all(c.denominator == 1 for c in character)
-        if group.fixes([int(c) for c in character]):
+        if fixes(group, [int(c) for c in character]):
             members.append(theta)
     return DiagonalGroup(members)
 

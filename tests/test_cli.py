@@ -726,11 +726,17 @@ def _koszul_rank(r):
 
 
 def test_wrong_milnor_number_refused(quintic_config, capsys, monkeypatch):
-    """A quotient basis one monomial short breaks mu = prod(1/q_i - 1)
+    """A staircase walk that counts one monomial short breaks mu = prod(1/q_i - 1)
     (Milnor-Orlik): the state space is refused with the check named."""
     from lgck.exactalg.groebner import PolyIdeal
     original = PolyIdeal.quotient_basis
-    monkeypatch.setattr(PolyIdeal, "quotient_basis", lambda ideal: original(ideal)[:-1])
+
+    def short_walk(ideal, *args):
+        basis = original(ideal, *args)
+        ideal.dimension -= 1
+        return basis
+
+    monkeypatch.setattr(PolyIdeal, "quotient_basis", short_walk)
     assert _run(["state-space", quintic_config]) == 1
     assert "milnor_orlik check fails" in capsys.readouterr().err
     with pytest.raises(ValueError, match="milnor_orlik"):

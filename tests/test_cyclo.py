@@ -129,18 +129,35 @@ def test_str_matches_items(value):
         assert str(y) == _items_str(y)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rationals, rationals, st.integers(2, 12))
-def test_rational_fast_path(p, q, order):
-    """Two order-1 operands take the rational fast path of ``*`` and ``+``; a
-    Fraction operand goes through ``_pair`` and the general path, which must
-    store the same value.  An operand promoted to a higher order must not
-    take the fast path, so its result keeps that order."""
+def _stored(x: Cyclo) -> tuple:
+    return x.order, x.nums, x.den
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals, st.integers(2, 24).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(rationals, max_size=euler_phi(n)))))
+def test_rational_fast_path(p, q, value):
+    """A rational operand of ``*`` (an int, a Fraction or an order-1 value)
+    scales the other operand's coefficients, skipping ``_pair`` and the
+    product modulo Phi_N; two order-1 operands of ``+`` take its rational
+    fast path.  Each result must print as the reference value, keep the
+    other operand's order, and store what the constructor stores for the
+    reference's coefficients.  ``+`` with a Fraction operand goes through
+    ``_pair`` and the general path, which must store the same value as
+    ``+``'s fast path."""
     a, b = Cyclo.from_rational(p), Cyclo.from_rational(q)
-    for fast, general in ((a * b, a * q), (a + b, a + q), (b * a, b * p), (b + a, b + p)):
-        assert (fast.order, fast.nums, fast.den) == (general.order, general.nums, general.den)
+    for fast, general in ((a + b, a + q), (b + a, b + p)):
+        assert _stored(fast) == _stored(general)
+    order, coeffs = value
+    c, rc = Cyclo(order, coeffs), ref.Cyclo(order, coeffs)
     ra, rb = ref.Cyclo.from_rational(p), ref.Cyclo.from_rational(q)
+    k = p.numerator  # an int operand
+    cases = [(a * b, ra * rb), (b * a, rb * ra), (a * q, ra * q), (q * a, ra * q),
+             (a * c, ra * rc), (c * a, rc * ra), (c * q, rc * q), (q * c, rc * q),
+             (c * k, rc * k), (k * c, rc * k)]
     for x, y, rx, ry in ((a, b, ra, rb), (a.promote(order), b, ra.promote(order), rb),
                          (a, b.promote(order), ra, rb.promote(order))):
-        for got, want in ((x * y, rx * ry), (x + y, rx + ry), (y * x, ry * rx), (y + x, ry + rx)):
-            assert (str(got), got.order) == (str(want), want.order)
+        cases += [(x * y, rx * ry), (x + y, rx + ry), (y * x, ry * rx), (y + x, ry + rx)]
+    for got, want in cases:
+        assert (str(got), got.order) == (str(want), want.order)
+        assert _stored(got) == _stored(Cyclo(want.order, want.coeffs))

@@ -275,7 +275,7 @@ def min_selection_order(generators) -> tuple[list, list]:
                and (min(j, k), max(j, k)) in processed for k in range(len(basis))):
             continue
         reduced.append((i, j))
-        r = groebner.reduce_full(groebner._spoly(basis[i], basis[j]),
+        r = groebner.reduce_full(groebner._spoly(basis[i], basis[j], ei, ej),
                                   groebner._divisors(basis))
         if r:
             basis.append(groebner._monic(r))
@@ -296,9 +296,9 @@ def heap_order(monkeypatch, generators) -> tuple[list, list]:
             popped.append(item[1:3])
         return item
 
-    def recording_spoly(f, g):
+    def recording_spoly(*args):
         reduced.append(popped[-1])
-        return spoly(f, g)
+        return spoly(*args)
 
     monkeypatch.setattr(groebner.heapq, "heappop", heappop)
     monkeypatch.setattr(groebner, "_spoly", recording_spoly)

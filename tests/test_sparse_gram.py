@@ -119,7 +119,7 @@ def test_nonzero_residues_lie_in_the_socle_class(name):
     calc = ResidueCalculator(model.potential,
                              [Fraction(c, model.d_w) for c in model.r_charges])
     by_degree = {}
-    for e in calc.standard_monomials:
+    for e in calc.ideal.quotient_basis():
         by_degree.setdefault(calc.weighted_degree(e), []).append(e)
     sums = {tuple(a + b for a, b in zip(e1, e2))
             for deg, left in by_degree.items() for e1 in left

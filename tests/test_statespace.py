@@ -6,9 +6,9 @@ from itertools import product
 
 import pytest
 
-from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal
+from lgck.exactalg import Cyclo, MultiPoly, PolyIdeal, jacobian_ideal
 from lgck.glsm import GlsmModel
-from lgck.orbifold import DiagonalGroup, GroupElement
+from lgck.orbifold import GroupElement
 from lgck.statespace import (
     NonIsolatedSingularityError,
     ResidueCalculator,
@@ -228,7 +228,7 @@ def character_sum_dimension(state, phases):
     total = Cyclo.zero()
     for g in (s.element for s in state.spaces.values()):
         det_phase = sum((g.phases[i] for i in fixed), Fraction(0))
-        for exp in space.calculator.standard_monomials:
+        for exp in space.calculator.ideal.quotient_basis():
             t = sum((g.phases[i] * a for i, a in zip(fixed, exp)),
                     det_phase) % 1
             total = total + Cyclo.root_of_unity(t.denominator, t.numerator)
@@ -359,16 +359,18 @@ def test_one_residue_calculator_per_fixed_support(monkeypatch):
 
 
 def test_one_invariant_basis_per_fixed_support(monkeypatch):
-    """The listed mirror quintic filters each broad fixed support's standard
-    monomials through the group once, not once per sector (6,544 calls)."""
+    """The listed mirror quintic walks each broad fixed support's staircase
+    once, with the group's rows mod 5, not once per sector; the walk's
+    invariant monomials are the basis of every sector on that support."""
     calls = []
-    fixes = DiagonalGroup.fixes
-    monkeypatch.setattr(DiagonalGroup, "fixes",
-                        lambda group, *args: calls.append(args) or fixes(group, *args))
+    original = PolyIdeal.quotient_basis
+    monkeypatch.setattr(PolyIdeal, "quotient_basis",
+                        lambda ideal, *args: calls.append(args) or original(ideal, *args))
     state = StateSpace(_listed_mirror_quintic())
-    calcs = {s.element.fixed_support(): s.calculator for s in state.spaces.values()
-             if not s.narrow}
-    assert len(calls) == sum(len(c.standard_monomials) for c in calcs.values())
+    broad = [s for s in state.spaces.values() if not s.narrow]
+    assert len(calls) == len({s.element.fixed_support() for s in broad}) == 26
+    assert all(rows and d == 5 for rows, d in calls)
+    assert all(s.basis is s.calculator.basis for s in broad)
 
 
 def test_corpus_models_validate():

@@ -1,13 +1,15 @@
 """Paper identities that the tests check and no CLI verb computes: cdga folding,
 exp(-h) homotopy isomorphisms, tensor products, Borel-Serre, Frobenius toys, the
 Thom-Sullivan product and unit, the one-point Thom-Sullivan/Koszul comparison,
-residue closed forms, rescaled charges and R-fixed loci."""
+residue closed forms, group-invariant characters, rescaled charges and R-fixed
+loci."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial
+from operator import mul
 
 from lgck.cohft import CohftData, PairedBasis, _handle_trace
 from lgck.exactalg import Cyclo, MultiPoly, drl_key
@@ -17,6 +19,7 @@ from lgck.forms import DiffForm, _merge_sign
 from lgck.glsm import GlsmModel, PhaseDescription, _dot
 from lgck.matfact import (Factorization, FactorizationError, _align_ring, _assemble,
                           _contractions, _subsets, koszul)
+from lgck.orbifold import DiagonalGroup
 from lgck.simplicial import (CosimplicialModule, FinitePosetSheaf, ThElement, godement,
                              simplex_variables, th_complex)
 from lgck.statespace import ResidueCalculator
@@ -426,6 +429,14 @@ def _infer_weights(w: MultiPoly):
     if sol is None:
         raise ValueError("potential is not quasi-homogeneous; supply weights")
     return [sol.get(i, Fraction(0)) for i in range(n)]
+
+
+def fixes(group: DiagonalGroup, character, support=None) -> bool:
+    """Whether x^character, given on ``support`` (default all coordinates),
+    pairs to 0 mod d with every row restricted there."""
+    support = tuple(range(len(group.rows)) if support is None else support)
+    rows = {tuple(row[i] for i in support) for row in group.rows} - {(0,) * len(support)}
+    return all(sum(map(mul, row, character)) % group.d == 0 for row in rows)
 
 
 def with_scaled_charges(model: GlsmModel, factor: int) -> GlsmModel:
