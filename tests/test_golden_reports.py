@@ -70,6 +70,10 @@ def _configs(root: Path) -> dict:
     # a quartic with a coefficient in Q(zeta_8): the Groebner basis leaves Q
     quartic_z8 = fermat_model([4] * 4).to_dict()
     quartic_z8["potential"] = "x1^4+x2^4+x3^4+x4^4+z8^3*x1^2*x2^2"
+    # rational R-charges and torus weights: validate scales both to integers
+    half_charges = {"variables": ["x", "y"], "torus_weights": [["1/2", "1/2"]],
+                    "chi": ["1"], "nu": ["0"], "r_charges": ["1/2", "1/2"], "d_w": 1,
+                    "potential": "x^2 + y^2"}
     lg = make_quintic_lg()
     user_tables = lg.to_dict()
     user_tables["cohft"] = {"basis": "narrow", "tables": _tables_jsonable(
@@ -81,7 +85,7 @@ def _configs(root: Path) -> dict:
                        ("unit_koszul", unit_koszul), ("custom_poset", custom_poset),
                        ("user_tables", user_tables), ("fermat_6_6", fermat_6_6),
                        ("dwork_quintic", dwork), ("quartic_fourfold", quartic_fourfold),
-                       ("quartic_z8", quartic_z8)):
+                       ("quartic_z8", quartic_z8), ("half_charges", half_charges)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -104,6 +108,9 @@ def _cases(paths: dict) -> dict:
     cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
     cases["validate-mirror_quintic"] = ["validate", paths["mirror_quintic"]]
+    cases["validate-glsm_quintic"] = ["validate", paths["glsm"]]
+    cases["validate-half_charges"] = ["validate", paths["half_charges"]]
+    cases["sectors-mirror_quintic"] = ["sectors", paths["mirror_quintic"]]
     for name in ("fermat_3_4_gmax", "mirror_quintic", "fermat_6_6", "dwork_quintic",
                  "quartic_fourfold"):
         cases[f"state-space-{name}"] = ["state-space", paths[name]]
