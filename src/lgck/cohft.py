@@ -100,7 +100,7 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
     for key, space in state.spaces.items():
         if narrow_only and not space.narrow:
             continue
-        inverse[key] = space.element.inverse().phases
+        inverse[key] = state.inverse[key]
         gram[key] = state.gram_rows(key)
         for lbl in space.basis_labels():
             labels.append(f"{space.element.label()}:{lbl}")

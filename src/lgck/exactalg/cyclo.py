@@ -258,7 +258,7 @@ class Cyclo:
 
     def __str__(self):
         if not any(self.nums[1:]):  # rational: most report entries are "0"
-            return str(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
+            return str(self.nums[0]) if self.den == 1 else f"{self.nums[0]}/{self.den}"
         parts = []
         for k, c in self.items():
             if k == 0:

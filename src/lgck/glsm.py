@@ -11,6 +11,11 @@ Conventions baked in here:
 
 * Finite generators are supplied as elements of the kernel of chi (the
   sector group); the superpotential must be invariant under them.
+* ``validate`` scans w's monomials in integers: R-charges, each finite
+  generator, and each torus row with its chi entry are scaled over their
+  common denominator.  Euler's identity sum (c_i/d_w) x_i dw/dx_i = w holds
+  for a polynomial exactly when every monomial has R-weight d_w, so that
+  entry is read off the R-weight scan.
 * The continuous dimension of Ker(chi) is (torus rank - 1) when the
   torus is present, else 0; the central charge uses that dimension.
 * Semistability of a coordinate support S under a character is the cone
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -69,7 +75,7 @@ class GlsmModel:
         """Continuous dimension of Ker(chi); chi kills one torus direction."""
         return max(self.torus_rank - 1, 0)
 
-    @property
+    @cached_property
     def q(self) -> Fraction:
         return sum(self.r_charges, Fraction(0)) / self.d_w
 
@@ -117,6 +123,12 @@ class GlsmModel:
         }
 
 
+def integral(values) -> tuple[tuple[int, ...], int]:
+    """A sequence of rationals as integer numerators over their least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -149,60 +161,39 @@ class ValidationReport:
 def validate(model: GlsmModel, require_tail_regime: bool = False) -> ValidationReport:
     """Check every structural invariant; failures become report entries."""
     report = ValidationReport()
-    w = model.potential
-    n = model.n_vars
+    terms = model.potential.terms
 
-    bad = [exp for exp in w.terms
-           if sum(c * a for c, a in zip(model.r_charges, exp)) != model.d_w]
-    report.add(
-        "quasi_homogeneous",
-        not bad,
-        "" if not bad else f"monomial exponents {bad[0]} have the wrong R-weight",
-    )
+    charges, den = integral(model.r_charges)  # c_i = charges_i / den
+    bad = [exp for exp in terms if sum(map(mul, charges, exp)) != model.d_w * den]
+    report.add("quasi_homogeneous", not bad,
+               "" if not bad else f"monomial exponents {bad[0]} have the wrong R-weight")
+    # sum (c_i/d_w) x_i dw/dx_i sends each term a x^e of w to (c.e / d_w) a x^e, so
+    # it equals w exactly when every term has R-weight d_w: the scan above decides it
+    report.add("euler_identity", not bad,
+               "" if not bad else "sum (c_i/d_w) x_i dw/dx_i != w")
 
-    euler = MultiPoly.zero(w.variables)
-    for i, v in enumerate(model.variables):
-        euler = euler + MultiPoly.var(w.variables, v) * w.derivative(v) * (
-            Fraction(model.r_charges[i], model.d_w)
-        )
-    report.add("euler_identity", euler == w,
-               "" if euler == w else "sum (c_i/d_w) x_i dw/dx_i != w")
-
-    ok = all(c >= 0 for c in model.r_charges)
-    report.add("r_charges_nonnegative", ok)
+    report.add("r_charges_nonnegative", all(c >= 0 for c in charges))
     if require_tail_regime:
-        ok = all(0 <= c <= model.d_w for c in model.r_charges)
-        report.add("r_charges_within_d_w", ok)
+        report.add("r_charges_within_d_w", all(0 <= c <= model.d_w * den for c in charges))
 
     for gi, g in enumerate(model.finite_generators):  # x^exp pairs with d g in Z/d
-        d = lcm(*(p.denominator for p in g))
-        g = [p.numerator * (d // p.denominator) for p in g]
-        bad = [exp for exp in w.terms if sum(map(mul, g, exp)) % d]
-        report.add(
-            f"finite_generator_{gi}_invariance",
-            not bad,
-            "" if not bad else f"monomial {bad[0]} not invariant",
-        )
+        g, d = integral(g)
+        bad = [exp for exp in terms if sum(map(mul, g, exp)) % d]
+        report.add(f"finite_generator_{gi}_invariance", not bad,
+                   "" if not bad else f"monomial {bad[0]} not invariant")
 
     if model.torus_rank:
-        bad = [exp for exp in w.terms
-               if any(sum(row[i] * exp[i] for i in range(n)) != model.chi[r]
-                      for r, row in enumerate(model.torus_weights))]
-        report.add(
-            "chi_weight_of_potential",
-            not bad,
-            "" if not bad else f"monomial {bad[0]} has torus weight != chi",
-        )
+        # each torus row scaled together with its chi entry, kept last: map stops before it
+        rows = [integral((*row, x))[0] for row, x in zip(model.torus_weights, model.chi)]
+        bad = [exp for exp in terms if any(sum(map(mul, row, exp)) != row[-1] for row in rows)]
+        report.add("chi_weight_of_potential", not bad,
+                   "" if not bad else f"monomial {bad[0]} has torus weight != chi")
         # R-charges must come from a one-parameter subgroup pairing to d_w with chi
-        cols = [[model.torus_weights[r][i] for r in range(model.torus_rank)]
-                for i in range(n)]
+        cols = [model.weight_column(i) for i in range(model.n_vars)]
         rhs = sparse([[*model.r_charges, Fraction(model.d_w)]])[0]
         sol = lin_solve(sparse(cols + [list(model.chi)]), rhs, model.torus_rank)
-        report.add(
-            "r_charge_subgroup",
-            sol is not None,
-            "" if sol is not None else "no torus one-parameter subgroup realizes the R-charges",
-        )
+        report.add("r_charge_subgroup", sol is not None, "" if sol is not None
+                   else "no torus one-parameter subgroup realizes the R-charges")
 
     report.add("geometric_properness", True,
                "unchecked outside the affine regime; affine criterion is "

@@ -3,7 +3,9 @@
 Group elements are phase vectors in (Q/Z)^n; the element acts on the i-th
 coordinate by exp(2 pi i phase_i).  Everything is abelian, so conjugacy
 classes are singletons and centralizers are the whole group, and each
-element is the record of its own inertia sector.
+element is the record of its own inertia sector.  An element also holds
+its phases as integer numerators over one modulus d: ages, fixed loci and
+inverses are integer sums, and the ``Fraction`` phases are printed or keys.
 """
 
 from __future__ import annotations
@@ -12,32 +14,31 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .exactalg.linalg import integer_echelon
-from .glsm import GlsmModel, semistable_locus
+from .glsm import ConeTester, GlsmModel, _maximal_unstable, integral
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 
 
 class GroupElement:
-    """Diagonal symmetry, stored as a reduced phase vector."""
+    """Diagonal symmetry, stored as a reduced phase vector and as the
+    numerators ``nums`` of its phases over a modulus ``d``."""
 
-    __slots__ = ("phases",)
+    __slots__ = ("phases", "nums", "d")
 
     def __init__(self, phases):
         self.phases = tuple(Fraction(p) % 1 for p in phases)
+        self.nums, self.d = integral(self.phases)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if len(self.phases) != len(other.phases):
             raise ValueError("phase vectors of different lengths")
         return GroupElement(a + b for a, b in zip(self.phases, other.phases))
 
-    def inverse(self) -> "GroupElement":
-        return GroupElement(-p for p in self.phases)
-
     def fixed_support(self) -> frozenset[int]:
-        return frozenset(i for i, p in enumerate(self.phases) if p == 0)
+        return frozenset(i for i, a in enumerate(self.nums) if not a)
 
     def age(self) -> Fraction:
-        return sum(self.phases, Fraction(0))
+        return Fraction(sum(self.nums), self.d)
 
     def __eq__(self, other):
         return isinstance(other, GroupElement) and self.phases == other.phases
@@ -104,7 +105,7 @@ class DiagonalGroup:
         phase = [Fraction(a, d) for a in range(d)]  # shared; d <= order
         out = [GroupElement.__new__(GroupElement) for _ in vectors]  # phases reduced already
         for h, v in zip(out, sorted(vectors)):
-            h.phases = tuple(map(phase.__getitem__, v))
+            h.phases, h.nums, h.d = tuple(map(phase.__getitem__, v)), v, d
         return out
 
     def restricted(self, support) -> tuple:
@@ -118,6 +119,13 @@ class DiagonalGroup:
         return DiagonalGroup([*rows, phases]).order == self.order
 
 
+def inverses(elements) -> dict[tuple, tuple]:
+    """Each phase vector to its inverse's, for elements that share one
+    modulus d, as ``DiagonalGroup.elements`` builds them."""
+    by_nums = {h.nums: h.phases for h in elements}
+    return {h.phases: by_nums[tuple(-a % h.d for a in h.nums)] for h in elements}
+
+
 def sector_group(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
                  group: DiagonalGroup | None = None) -> list[GroupElement]:
     """The elements of the model's group (``group``, when already built)."""
@@ -126,8 +134,10 @@ def sector_group(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
 
 def inertia_sectors(model: GlsmModel, bound: int = DEFAULT_GROUP_BOUND,
                     group: DiagonalGroup | None = None) -> list[GroupElement]:
-    """One sector per group element; requires the affine regime V^ss = V."""
-    if model.torus_rank and semistable_locus(model, model.nu).max_unstable_supports:
+    """One sector per group element; requires the affine regime V^ss = V:
+    no maximal unstable support at nu."""
+    if model.torus_rank and _maximal_unstable(ConeTester(model, model.nu).semistable,
+                                              model.n_vars):
         raise ValueError("model is not in the affine regime (V^ss != V); only "
                          "narrow-sector bookkeeping is available for geometric phases")
     return sector_group(model, bound, group)

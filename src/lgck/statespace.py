@@ -20,13 +20,14 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm, prod
+from math import prod
+from operator import mul
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
 from .exactalg.linalg import integer_echelon, is_nonsingular
 from .forms import DiffForm, d_of_poly
-from .glsm import GlsmModel
-from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, inertia_sectors
+from .glsm import GlsmModel, integral
+from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, inertia_sectors, inverses
 
 CONVENTIONS = {
     "residue_normalization": "res(hessian) = milnor number",
@@ -62,8 +63,9 @@ class ResidueCalculator:
         self.w = w
         self.variables = w.variables
         self.weights = [Fraction(x) for x in weights]
+        self._charges, den = integral(self.weights)  # q_i = charges_i / den
         for exp in w.terms:
-            if self.weighted_degree(exp) != 1:
+            if sum(map(mul, self._charges, exp)) != den:
                 raise ValueError(
                     f"potential {w.canonical_str()} is not quasi-homogeneous "
                     f"of degree 1 under weights ({', '.join(map(str, self.weights))})")
@@ -75,8 +77,6 @@ class ResidueCalculator:
             )
         self.milnor_number = self.ideal.dimension  # the same walk counts them all
         self._cache: dict[tuple, Cyclo] = {}
-        den = lcm(*(q.denominator for q in self.weights))
-        self._charges = [int(q * den) for q in self.weights]
         self._lattice = integer_echelon(w.terms)
         if self.milnor_number:
             hess = reduce(DiffForm.wedge, (d_of_poly(w.derivative(a)) for a in self.variables),
@@ -88,19 +88,16 @@ class ResidueCalculator:
                     "standard monomial; no quasi-homogeneous 1-dim socle"
                 )
             (self.socle_monomial, self.socle_coeff), = hess_nf.terms.items()
-            self.socle_degree = self.weighted_degree(self.socle_monomial)
             self.socle_class = self.symmetry_class(self.socle_monomial)
-            if self.socle_degree != sum(1 - 2 * q for q in self.weights):
+            # the socle's weighted degree (the class's last entry) is sum (1 - 2 q_i), times den
+            if self.socle_class[-1] != len(self.weights) * den - 2 * sum(self._charges):
                 raise ValueError(f"potential {w.canonical_str()}: socle_degree check fails")
         else:
-            self.socle_monomial = self.socle_coeff = None
-            self.socle_degree = self.socle_class = None
-        if all(q > 0 for q in self.weights) and \
-                self.milnor_number != prod(1 / q - 1 for q in self.weights):
+            self.socle_monomial = self.socle_coeff = self.socle_class = None
+        # Milnor-Orlik: mu = prod (1/q_i - 1) = prod (den - c_i) / prod c_i
+        if all(c > 0 for c in self._charges) and \
+                self.milnor_number * prod(self._charges) != prod(den - c for c in self._charges):
             raise ValueError(f"potential {w.canonical_str()}: milnor_orlik check fails")
-
-    def weighted_degree(self, exp) -> Fraction:
-        return sum((w_ * a for w_, a in zip(self.weights, exp)), Fraction(0))
 
     def symmetry_class(self, exp) -> tuple:
         """The canonical representative of exp modulo L, then its weighted
@@ -170,7 +167,9 @@ def sector_space(model: GlsmModel, h: GroupElement, group=None,
     support = h.fixed_support()
     fixed = sorted(support)
     fixed_names = tuple(model.variables[i] for i in fixed)
-    deg = Fraction(len(fixed)) + 2 * (h.age() - model.q)
+    q = model.q  # deg = |fixed| + 2 (sum(nums) / d - q), over d * den(q)
+    deg = Fraction((len(fixed) * h.d + 2 * sum(h.nums)) * q.denominator - 2 * q.numerator * h.d,
+                   h.d * q.denominator)
 
     if not fixed:
         return SectorSpace(h, (), ("1",), deg, None)
@@ -207,9 +206,10 @@ class StateSpace:
         self.model = model
         group, memo = DiagonalGroup.of(model), {}
         self.group_order = group.order
+        sectors = inertia_sectors(model, bound, group)
         self.spaces: dict[tuple, SectorSpace] = {  # by phase vector, in sector order
-            h.phases: sector_space(model, h, group, memo)
-            for h in inertia_sectors(model, bound, group)}
+            h.phases: sector_space(model, h, group, memo) for h in sectors}
+        self.inverse = inverses(sectors)  # phase vector -> its inverse's
         self._gram_cache: dict[tuple, GramBlock] = {}
 
     # -- bookkeeping -----------------------------------------------------
@@ -233,8 +233,7 @@ class StateSpace:
         """The factor x -> zeta.x puts on each basis class (top form included),
         times ``factor``: one exact root of unity per class of the phase mod 2 d_w."""
         fixed = sorted(space.element.fixed_support())
-        den = lcm(*(self.model.r_charges[i].denominator for i in fixed))
-        charges = [int(self.model.r_charges[i] * den) for i in fixed]
+        charges, den = integral([self.model.r_charges[i] for i in fixed])
         classes = [sum(c * (a + 1) for c, a in zip(charges, exp)) % (2 * self.model.d_w * den)
                    for exp in space.basis]
         scalars = {}
@@ -252,7 +251,7 @@ class StateSpace:
         if block is not None:
             return block
         space = self.space(phases)
-        other = self.spaces[space.element.inverse().phases]
+        other = self.spaces[self.inverse[phases]]
         if space.narrow:
             rows = [{0: Cyclo.one()}]
         else:

@@ -45,7 +45,7 @@ from lgck.cohft import (
 
 from conftest import make_quintic_glsm
 from corpus import corpus, small_corpus
-from witnesses import borel_serre_check, frobenius_toy, tensor, with_scaled_charges
+from witnesses import borel_serre_check, frobenius_toy, inverse, tensor, with_scaled_charges
 from test_matfact import oracle_rank1_chern_form, random_transverse_pair
 from test_simplicial import random_polyform
 from test_cohft import paper_virdim_oracle
@@ -110,7 +110,7 @@ def test_criterion_05_pairing_nondegeneracy_corpus():
             assert state.gram_nonsingular(phases), name
             gram = state.gram_matrix(phases)
             if any(x for row in gram for x in row):
-                inv = space.element.inverse().phases
+                inv = inverse(space.element).phases
                 total = state.spaces[phases].degree + state.spaces[inv].degree
                 assert total == target, name
     _report(5, "nonsingular Gram and exact degree selection on all sectors "

@@ -64,6 +64,16 @@ def test_matches_fraction_reference(pair, q, integral):
     assert observe(new, q) == observe(old, q)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+       st.integers(1, 24))
+def test_rational_prints_as_its_fraction(q, order):
+    """A rational value prints from its numerator and denominator as
+    ``Fraction`` prints it, in every field."""
+    assert str(Cyclo.from_rational(q)) == str(q)
+    assert str(Cyclo.from_rational(q, order)) == str(q)
+
+
 def test_cyclotomic_polynomial_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from lgck.glsm import (
 )
 
 from conftest import make_quintic_glsm, make_quintic_lg, scale_variables
-from witnesses import is_semistable_support, r_fixed_locus
+from witnesses import is_semistable_support, r_fixed_locus, weight_checks
 
 
 def test_validate_fermat_quintic():
@@ -288,3 +289,48 @@ def test_cone_answer_is_reverified(monkeypatch, flip):
     model = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
     with pytest.raises(ValueError, match="support"):
         semistable_locus(model, [1, 0])
+
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+_rationals = st.builds(Fraction, st.integers(-4, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def weighted_models(draw):
+    """Rational R-charges, one or two rational torus rows, and a potential
+    that mixes monomials of R-weight d_w with others; chi is the torus
+    weight of one of the monomials or drawn at random."""
+    n = draw(st.integers(1, 3))
+    names = tuple(f"x{i}" for i in range(1, n + 1))
+    charges = draw(st.lists(_rationals, min_size=n, max_size=n))
+    box = list(product(range(5), repeat=n))
+    r_weight = {e: sum(c * a for c, a in zip(charges, e)) for e in box}
+    degrees = sorted({int(r) for r in r_weight.values() if r.denominator == 1 and r > 0})
+    d_w = draw(st.sampled_from(degrees or [1, 2, 3]))
+    on = [e for e in box if r_weight[e] == d_w]
+    exps = draw(st.lists(st.sampled_from(on), max_size=3, unique=True)) if on else []
+    exps += draw(st.lists(st.sampled_from([e for e in box if e not in on]),
+                          max_size=2, unique=True))
+    exps = draw(st.permutations(exps))
+    k = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(_rationals, min_size=n, max_size=n), min_size=k, max_size=k))
+    if exps and draw(st.booleans()):
+        chi = [sum(x * a for x, a in zip(row, exps[0])) for row in rows]
+    else:
+        chi = draw(st.lists(_rationals, min_size=k, max_size=k))
+    coefficients = draw(st.lists(st.integers(-4, 4).filter(bool),
+                                 min_size=len(exps), max_size=len(exps)))
+    return GlsmModel(names, tuple(map(tuple, rows)), (), tuple(chi), (Fraction(0),) * k,
+                     tuple(charges), d_w, MultiPoly(names, dict(zip(exps, coefficients))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_models())
+def test_integer_weight_scans_match_fraction_witnesses(model):
+    """validate's integer R-weight and chi-weight scans, and its euler_identity
+    entry, read as the Fraction scans and the MultiPoly Euler sum do."""
+    got = {c.name: (c.name, c.passed, c.detail) for c in validate(model).checks}
+    for entry in weight_checks(model):
+        assert got[entry[0]] == entry

@@ -1,14 +1,18 @@
 """The group lattice, its elements, sectors, ages."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from lgck.orbifold import DiagonalGroup, GroupElement, inertia_sectors
+from lgck.cli import main
+from lgck.glsm import semistable_locus
+from lgck.orbifold import DiagonalGroup, GroupElement, inertia_sectors, inverses
 
 from conftest import make_quintic_glsm
-from witnesses import fixes
+from corpus import corpus
+from witnesses import fixes, inverse
 
 
 def _elements(generators, bound=10 ** 6):
@@ -77,8 +81,8 @@ def test_age_inverse_sum_property():
     gens = [GroupElement([Fraction(1, 5), Fraction(2, 5), 0, Fraction(1, 2)])]
     for h in _elements(gens):
         moving = sum(1 for p in h.phases if p != 0)
-        assert h.age() + h.inverse().age() == moving
-        assert h.fixed_support() == h.inverse().fixed_support()
+        assert h.age() + inverse(h).age() == moving
+        assert h.fixed_support() == inverse(h).fixed_support()
 
 
 def test_quintic_sectors(quintic_lg):
@@ -114,7 +118,6 @@ def test_z2_partial_fixed_support():
 
 
 def test_fixed_support_of_j_matches_charges(quintic_lg):
-    from corpus import corpus
     for name, model in [("quintic", quintic_lg)] + corpus():
         j = GroupElement(model.j_phases)
         expect = frozenset(i for i, c in enumerate(model.r_charges)
@@ -196,3 +199,45 @@ def test_contains_matches_membership():
             (gens, phases)
         h = rng.choice(sorted(elements))
         assert group.contains(h) and group.contains([p + 1 for p in h])
+
+
+def test_integer_element_data_matches_the_phases(quintic_state):
+    """Ages, fixed loci and inverses read off the integer numerators agree
+    with the Fraction phases, on random groups and on the quintic's sectors."""
+    rng = random.Random(29)
+    for _ in range(200):
+        n, d = rng.randint(1, 4), rng.randint(1, 12)
+        gens = [[Fraction(rng.randrange(2 * d), d) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        elements = _elements(gens)
+        for h in elements + [GroupElement(g) for g in gens]:
+            assert h.age() == sum(h.phases), gens
+            assert h.fixed_support() == {i for i, p in enumerate(h.phases) if p == 0}, gens
+        inv = inverses(elements)
+        assert all(inv[h.phases] == tuple((-p) % 1 for p in h.phases) for h in elements), gens
+    assert all(back == tuple((-p) % 1 for p in key)
+               for key, back in quintic_state.inverse.items())
+
+
+def test_affine_test_matches_semistable_locus():
+    """inertia_sectors refuses a model exactly when semistable_locus at nu
+    has a maximal unstable support: never on the corpus, on the GLSM quintic."""
+    glsm = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
+    for name, model in corpus() + [("glsm quintic", glsm)]:
+        affine = semistable_locus(model, model.nu).max_unstable_supports == ()
+        try:
+            inertia_sectors(model)
+        except ValueError:
+            assert not affine, name
+        else:
+            assert affine, name
+    assert len(corpus()) == 20
+
+
+def test_sectors_refuses_the_glsm_quintic(tmp_path, capsys):
+    path = tmp_path / "glsm.json"
+    path.write_text(json.dumps(make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1).to_dict()))
+    assert main(["sectors", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: model is not in the affine regime (V^ss != V); only narrow-sector "
+        "bookkeeping is available for geometric phases\n")

@@ -15,6 +15,7 @@ from lgck.orbifold import GroupElement
 from lgck.statespace import ResidueCalculator, StateSpace
 
 from corpus import corpus
+from witnesses import inverse, weighted_degree
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -25,7 +26,7 @@ def dense_gram(state, phases):
     form per entry, read at the socle and normalized so res(hessian) = mu,
     and the inversion scalar exp(pi i t / d_w) computed afresh."""
     space = state.space(phases)
-    other = state.space(GroupElement(phases).inverse().phases)
+    other = state.space(inverse(GroupElement(phases)).phases)
     if space.narrow:
         return [[Cyclo.one()]]
     model = state.model
@@ -120,10 +121,10 @@ def test_nonzero_residues_lie_in_the_socle_class(name):
                              [Fraction(c, model.d_w) for c in model.r_charges])
     by_degree = {}
     for e in calc.ideal.quotient_basis():
-        by_degree.setdefault(calc.weighted_degree(e), []).append(e)
+        by_degree.setdefault(weighted_degree(calc, e), []).append(e)
     sums = {tuple(a + b for a, b in zip(e1, e2))
             for deg, left in by_degree.items() for e1 in left
-            for e2 in by_degree.get(calc.socle_degree - deg, ())}
+            for e2 in by_degree.get(weighted_degree(calc, calc.socle_monomial) - deg, ())}
     nonzero = [e for e in sums if calc.ideal.normal_form(
         MultiPoly.monomial(calc.variables, e)).terms.get(calc.socle_monomial)]
     assert calc.socle_monomial in nonzero
@@ -195,7 +196,7 @@ def test_fermat_partner_is_socle_minus_e1(name, model):
     for phases, space in state.spaces.items():
         if space.narrow:
             continue
-        other = state.space(space.element.inverse().phases)
+        other = state.space(inverse(space.element).phases)
         calc = space.calculator
         for e1, row in zip(space.basis, state.gram_rows(phases)):
             dual = tuple(s - a for s, a in zip(calc.socle_monomial, e1))

@@ -20,7 +20,7 @@ from lgck.statespace import (
 
 from conftest import make_quintic_lg
 from corpus import corpus, fermat_model, loop_model, small_corpus
-from witnesses import residue, with_scaled_charges
+from witnesses import inverse, residue, with_scaled_charges
 
 
 # -- residues ------------------------------------------------------------------
@@ -143,7 +143,7 @@ def _eta(state, phases, i, j) -> Cyclo:
 def test_inv_pullback_narrow(quintic_state):
     """The pullback moves a narrow class to the inverse sector unscaled."""
     phases = (Fraction(1, 5),) * 5
-    assert GroupElement(phases).inverse().phases == (Fraction(4, 5),) * 5
+    assert inverse(GroupElement(phases)).phases == (Fraction(4, 5),) * 5
     assert quintic_state._inversion_scalars(quintic_state.space(phases)) == [1]
 
 
@@ -160,7 +160,7 @@ def test_inv_pullback_broad_socle(quintic_state):
 def test_pairing_narrow_duals(quintic_state):
     for k in range(1, 5):
         phases = (Fraction(k, 5),) * 5
-        assert GroupElement(phases).inverse().phases == (Fraction(5 - k, 5),) * 5
+        assert inverse(GroupElement(phases)).phases == (Fraction(5 - k, 5),) * 5
         assert _eta(quintic_state, phases, 0, 0) == 1
 
 
@@ -168,7 +168,7 @@ def test_pairing_sector_selection(quintic_state):
     """A sector pairs only with its inverse: the Gram block of the narrow
     sector 1/5 is indexed by the basis of the sector 4/5, not its own."""
     phases = (Fraction(1, 5),) * 5
-    inv = GroupElement(phases).inverse().phases
+    inv = inverse(GroupElement(phases)).phases
     assert inv != phases
     assert quintic_state.gram_block(phases).width == quintic_state.space(inv).dimension
 
@@ -179,7 +179,7 @@ def test_pairing_degree_selection_all_corpus():
         state = StateSpace(model)
         target = 2 * model.central_charge
         for phases, space in state.spaces.items():
-            inv = space.element.inverse().phases
+            inv = inverse(space.element).phases
             other = state.spaces[inv]
             gram = state.gram_matrix(phases)
             has_nonzero = any(x for row in gram for x in row)
@@ -199,7 +199,7 @@ def test_sector_dimension_symmetry():
     for name, model in corpus():
         state = StateSpace(model)
         for space in state.spaces.values():
-            inv = space.element.inverse().phases
+            inv = inverse(space.element).phases
             assert space.dimension == state.spaces[inv].dimension, name
 
 
@@ -263,7 +263,7 @@ def test_pairing_supersymmetry_corpus():
     for model in picks:
         state = StateSpace(model)
         for phases, space in state.spaces.items():
-            inv = space.element.inverse().phases
+            inv = inverse(space.element).phases
             other = state.spaces[inv]
             sign = (-1) ** (len(space.element.fixed_support()) % 2)
             for i in range(space.dimension):
@@ -279,7 +279,7 @@ def test_inv_pullback_is_involution():
         state = StateSpace(model)
         for space in state.spaces.values():
             there = state._inversion_scalars(space)
-            back = state._inversion_scalars(state.space(space.element.inverse().phases))
+            back = state._inversion_scalars(state.space(inverse(space.element).phases))
             assert len(there) == len(back), name
             assert all(s * t == 1 for s, t in zip(there, back)), name
 
@@ -462,8 +462,8 @@ def test_kunneth_pairing_scales(rng):
         for i1 in range(sp1.dimension):
             for j1 in range(sp2.dimension):
                 a = _tensor_index(state, s1, s2, k1, k2, i1, j1)
-                invk1 = GroupElement(k1).inverse().phases
-                invk2 = GroupElement(k2).inverse().phases
+                invk1 = inverse(GroupElement(k1)).phases
+                invk2 = inverse(GroupElement(k2)).phases
                 for i2 in range(s1.space(invk1).dimension):
                     for j2 in range(s2.space(invk2).dimension):
                         b = _tensor_index(state, s1, s2, invk1, invk2, i2, j2)

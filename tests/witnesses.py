@@ -2,7 +2,7 @@
 exp(-h) homotopy isomorphisms, tensor products, Borel-Serre, Frobenius toys, the
 Thom-Sullivan product and unit, the one-point Thom-Sullivan/Koszul comparison,
 residue closed forms, group-invariant characters, rescaled charges and R-fixed
-loci."""
+loci, group inverses, and validate's weight scans in Fractions."""
 
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from lgck.forms import DiffForm, _merge_sign
 from lgck.glsm import GlsmModel, PhaseDescription, _dot
 from lgck.matfact import (Factorization, FactorizationError, _align_ring, _assemble,
                           _contractions, _subsets, koszul)
-from lgck.orbifold import DiagonalGroup
+from lgck.orbifold import DiagonalGroup, GroupElement
 from lgck.simplicial import (CosimplicialModule, FinitePosetSheaf, ThElement, godement,
                              simplex_variables, th_complex)
 from lgck.statespace import ResidueCalculator
@@ -420,6 +420,10 @@ def residue(p: MultiPoly, w: MultiPoly, weights=None) -> Cyclo:
     return sum((c * calc.residue_of_monomial(e) for e, c in p.terms.items()), Cyclo.zero())
 
 
+def weighted_degree(calc: ResidueCalculator, exp) -> Fraction:
+    return sum((w_ * a for w_, a in zip(calc.weights, exp)), Fraction(0))
+
+
 def _infer_weights(w: MultiPoly):
     exps = sorted(w.terms, key=drl_key)
     if not exps:
@@ -437,6 +441,11 @@ def fixes(group: DiagonalGroup, character, support=None) -> bool:
     support = tuple(range(len(group.rows)) if support is None else support)
     rows = {tuple(row[i] for i in support) for row in group.rows} - {(0,) * len(support)}
     return all(sum(map(mul, row, character)) % group.d == 0 for row in rows)
+
+
+def inverse(h: GroupElement) -> GroupElement:
+    """The inverse element, by Fraction phases."""
+    return GroupElement(-p for p in h.phases)
 
 
 def with_scaled_charges(model: GlsmModel, factor: int) -> GlsmModel:
@@ -466,3 +475,37 @@ def r_fixed_locus(model: GlsmModel, subgroup) -> frozenset[int]:
     if len(rho) != model.torus_rank:
         raise ValueError("subgroup vector must match the torus rank")
     return frozenset(i for i in range(model.n_vars) if _dot(rho, model.weight_column(i)) == 0)
+
+
+# validate's weight scans in Fractions, and the Euler sum by polynomial products
+
+
+def euler_sum(model: GlsmModel) -> MultiPoly:
+    """sum (c_i/d_w) x_i dw/dx_i."""
+    w = model.potential
+    euler = MultiPoly.zero(w.variables)
+    for i, v in enumerate(model.variables):
+        euler = euler + MultiPoly.var(w.variables, v) * w.derivative(v) * (
+            Fraction(model.r_charges[i], model.d_w)
+        )
+    return euler
+
+
+def weight_checks(model: GlsmModel) -> list[tuple]:
+    """(name, passed, detail) of validate's quasi_homogeneous, euler_identity
+    and chi_weight_of_potential entries, from Fraction scans and ``euler_sum``."""
+    w, n = model.potential, model.n_vars
+    bad = [exp for exp in w.terms
+           if sum(c * a for c, a in zip(model.r_charges, exp)) != model.d_w]
+    out = [("quasi_homogeneous", not bad,
+            "" if not bad else f"monomial exponents {bad[0]} have the wrong R-weight")]
+    euler = euler_sum(model)
+    out.append(("euler_identity", euler == w,
+                "" if euler == w else "sum (c_i/d_w) x_i dw/dx_i != w"))
+    if model.torus_rank:
+        bad = [exp for exp in w.terms
+               if any(sum(row[i] * exp[i] for i in range(n)) != model.chi[r]
+                      for r, row in enumerate(model.torus_weights))]
+        out.append(("chi_weight_of_potential", not bad,
+                    "" if not bad else f"monomial {bad[0]} has torus weight != chi"))
+    return out
