@@ -4,8 +4,8 @@ Group elements are phase vectors in (Q/Z)^n; the element acts on the i-th
 coordinate by exp(2 pi i phase_i).  Everything is abelian, so conjugacy
 classes are singletons and centralizers are the whole group, and each
 element is the record of its own inertia sector.  An element also holds
-its phases as integer numerators over one modulus d: ages, fixed loci and
-inverses are integer sums, and the ``Fraction`` phases are printed or keys.
+its phases as integer numerators over one modulus d, which give its age,
+fixed locus and inverse; the ``Fraction`` phases are printed or keys.
 """
 
 from __future__ import annotations

@@ -222,8 +222,10 @@ def test_integer_element_data_matches_the_phases(quintic_state):
 def test_affine_test_matches_semistable_locus():
     """inertia_sectors refuses a model exactly when semistable_locus at nu
     has a maximal unstable support: never on the corpus, on the GLSM quintic."""
+    models = corpus()
+    assert len(models) == 20
     glsm = make_quintic_glsm([1, 0], [0, 0, 0, 0, 0, 1], 1)
-    for name, model in corpus() + [("glsm quintic", glsm)]:
+    for name, model in models + [("glsm quintic", glsm)]:
         affine = semistable_locus(model, model.nu).max_unstable_supports == ()
         try:
             inertia_sectors(model)
@@ -231,7 +233,6 @@ def test_affine_test_matches_semistable_locus():
             assert not affine, name
         else:
             assert affine, name
-    assert len(corpus()) == 20
 
 
 def test_sectors_refuses_the_glsm_quintic(tmp_path, capsys):

@@ -480,26 +480,20 @@ def r_fixed_locus(model: GlsmModel, subgroup) -> frozenset[int]:
 # validate's weight scans in Fractions, and the Euler sum by polynomial products
 
 
-def euler_sum(model: GlsmModel) -> MultiPoly:
-    """sum (c_i/d_w) x_i dw/dx_i."""
-    w = model.potential
-    euler = MultiPoly.zero(w.variables)
-    for i, v in enumerate(model.variables):
-        euler = euler + MultiPoly.var(w.variables, v) * w.derivative(v) * (
-            Fraction(model.r_charges[i], model.d_w)
-        )
-    return euler
-
-
 def weight_checks(model: GlsmModel) -> list[tuple]:
     """(name, passed, detail) of validate's quasi_homogeneous, euler_identity
-    and chi_weight_of_potential entries, from Fraction scans and ``euler_sum``."""
+    and chi_weight_of_potential entries: Fraction scans, and the Euler sum
+    sum (c_i/d_w) x_i dw/dx_i built from polynomial products."""
     w, n = model.potential, model.n_vars
     bad = [exp for exp in w.terms
            if sum(c * a for c, a in zip(model.r_charges, exp)) != model.d_w]
     out = [("quasi_homogeneous", not bad,
             "" if not bad else f"monomial exponents {bad[0]} have the wrong R-weight")]
-    euler = euler_sum(model)
+    euler = MultiPoly.zero(w.variables)
+    for i, v in enumerate(model.variables):
+        euler = euler + MultiPoly.var(w.variables, v) * w.derivative(v) * (
+            Fraction(model.r_charges[i], model.d_w)
+        )
     out.append(("euler_identity", euler == w,
                 "" if euler == w else "sum (c_i/d_w) x_i dw/dx_i != w"))
     if model.torus_rank:
