@@ -31,6 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from .linalg import integral
+
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
@@ -90,8 +92,7 @@ class Cyclo:
     def __init__(self, order: int, coeffs):
         """sum_k coeffs[k] zeta_order^k, reduced modulo Phi_order."""
         c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
-        den = lcm(*(x.denominator for x in c))
-        nums = [x.numerator * (den // x.denominator) for x in c]
+        nums, den = integral(c)
         value = _make(order, _divmod_monic(nums, cyclotomic_polynomial(order))[1], den)
         self.order, self.nums, self.den = value.order, value.nums, value.den
 

@@ -26,6 +26,7 @@ depend on the order of elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def sparse(mat):
@@ -89,6 +90,12 @@ def _echelon(rows) -> dict:
                 break
             _subtract(row, row[col] / pivot[col], pivot)  # clears col
     return pivots
+
+
+def integral(values) -> tuple[tuple[int, ...], int]:
+    """A sequence of rationals as integer numerators over their least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 def integer_echelon(rows) -> list:

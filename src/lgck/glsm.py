@@ -39,14 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from .config import MODEL, ConfigError, read
 from .exactalg import MultiPoly, exact_lp_cone_membership
-from .exactalg.linalg import rank as mat_rank
-from .exactalg.linalg import solve as lin_solve
-from .exactalg.linalg import sparse
+from .exactalg.linalg import integral, rank as mat_rank, solve as lin_solve, sparse
 
 
 @dataclass(frozen=True)
@@ -121,12 +118,6 @@ class GlsmModel:
             "d_w": self.d_w,
             "potential": self.potential.canonical_str(),
         }
-
-
-def integral(values) -> tuple[tuple[int, ...], int]:
-    """A sequence of rationals as integer numerators over their least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .exactalg.linalg import integer_echelon
-from .glsm import ConeTester, GlsmModel, _maximal_unstable, integral
+from .exactalg.linalg import integer_echelon, integral
+from .glsm import ConeTester, GlsmModel, _maximal_unstable
 
 DEFAULT_GROUP_BOUND = 10 ** 6
 

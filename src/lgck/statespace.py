@@ -24,9 +24,9 @@ from math import prod
 from operator import mul
 
 from .exactalg import Cyclo, MultiPoly, jacobian_ideal
-from .exactalg.linalg import integer_echelon, is_nonsingular
+from .exactalg.linalg import integer_echelon, integral, is_nonsingular
 from .forms import DiffForm, d_of_poly
-from .glsm import GlsmModel, integral
+from .glsm import GlsmModel
 from .orbifold import DEFAULT_GROUP_BOUND, DiagonalGroup, GroupElement, inertia_sectors, inverses
 
 CONVENTIONS = {
