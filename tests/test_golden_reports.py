@@ -20,7 +20,7 @@ from lgck.cohft import narrow_sector_data
 from lgck.statespace import StateSpace
 
 from conftest import make_quintic_glsm, make_quintic_lg
-from corpus import fermat_model
+from corpus import chain_model, fermat_model
 from test_cohft import _tables_jsonable
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -74,6 +74,8 @@ def _configs(root: Path) -> dict:
     half_charges = {"variables": ["x", "y"], "torus_weights": [["1/2", "1/2"]],
                     "chi": ["1"], "nu": ["0"], "r_charges": ["1/2", "1/2"], "d_w": 1,
                     "potential": "x^2 + y^2"}
+    # E7, x^3 + x*y^3: a non-Fermat chain, so (0,4) entries need not be diagonal
+    e7 = chain_model(3, 3).to_dict()
     lg = make_quintic_lg()
     user_tables = lg.to_dict()
     user_tables["cohft"] = {"basis": "narrow", "tables": _tables_jsonable(
@@ -85,7 +87,8 @@ def _configs(root: Path) -> dict:
                        ("unit_koszul", unit_koszul), ("custom_poset", custom_poset),
                        ("user_tables", user_tables), ("fermat_6_6", fermat_6_6),
                        ("dwork_quintic", dwork), ("quartic_fourfold", quartic_fourfold),
-                       ("quartic_z8", quartic_z8), ("half_charges", half_charges)):
+                       ("quartic_z8", quartic_z8), ("half_charges", half_charges),
+                       ("E7", e7)):
         paths[name] = root / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     return paths
@@ -107,6 +110,7 @@ def _cases(paths: dict) -> dict:
     cases["simplicial-demo-custom-poset"] = ["simplicial-demo", paths["custom_poset"]]
     cases["verify-cohft-user-tables"] = ["verify-cohft", paths["user_tables"]]
     cases["verify-cohft-fermat_3_4_gmax"] = ["verify-cohft", paths["fermat_3_4_gmax"]]
+    cases["verify-cohft-E7"] = ["verify-cohft", paths["E7"]]
     cases["validate-mirror_quintic"] = ["validate", paths["mirror_quintic"]]
     cases["validate-glsm_quintic"] = ["validate", paths["glsm"]]
     cases["validate-half_charges"] = ["validate", paths["half_charges"]]
