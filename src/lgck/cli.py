@@ -266,18 +266,42 @@ _HANDLERS = {
 }
 
 
-def _json_write(obj, write, indent: str = "") -> None:
-    """Write ``json.dumps(obj, indent=2, sort_keys=True)``, nested at
-    ``indent``, piece by piece; a ``GramBlock`` as its dense rows of entry
-    strings.  Anything else but a string, int, bool, None, non-empty list or
-    str-keyed dict is json's own text, re-indented (json escapes newlines)."""
-    inner = indent + "  "
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        write("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
+
+
+def _json_write(obj, write, indent: str = "", layouts: dict | None = None) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``,
+    piece by piece: each run of exactly-str/int/bool/None members of a list,
+    tuple or str-keyed dict (``layouts`` caches each dict shape's key prefixes);
+    each dense row of a ``GramBlock``'s entry strings.  Anything else, a float,
+    an empty container or a subclass, is json's text, re-indented."""
+    kind, inner, layouts = type(obj), indent + "  ", {} if layouts is None else layouts
+    shape = (indent, *obj) if kind is dict and obj else None
+    layout = layouts.get(shape)
+    if layout is None and shape and all(type(key) is str for key in obj):
+        keys = sorted(obj)
+        prefixes = [f",\n{inner}{encode_basestring_ascii(key)}: " for key in keys]
+        layout = layouts[shape] = keys, ["{" + prefixes[0][1:], *prefixes[1:]], "}"
+    if layout or (kind is list or kind is tuple) and obj:
+        if layout:
+            keys, prefixes, close = layout
+            obj = map(obj.__getitem__, keys)
+        else:
+            prefixes, close = ["[\n" + inner] + [",\n" + inner] * (len(obj) - 1), "]"
+        parts = []
+        for head, value in zip(prefixes, obj):
+            text = _SCALAR_TEXT.get(type(value))
+            if text is None:  # a nested container: flush this run, then recurse
+                write("".join(parts) + head)
+                parts = []
+                _json_write(value, write, inner, layouts)
+            else:
+                parts.append(head + text(value))
+        parts.append("\n" + indent + close)
+        write("".join(parts))
+    elif kind in _SCALAR_TEXT:
+        write(_SCALAR_TEXT[kind](obj))
     elif isinstance(obj, GramBlock) and obj.rows and obj.width:
         sep = ",\n" + inner + "  "
         zeros = '"0"' + sep  # str(Cyclo.zero()), then its separator
@@ -291,16 +315,6 @@ def _json_write(obj, write, indent: str = "") -> None:
         write("\n" + indent + "]")
     elif isinstance(obj, GramBlock):
         _json_write([[]] * len(obj.rows), write, indent)
-    elif isinstance(obj, (list, tuple)) and obj:
-        for i, value in enumerate(obj):
-            write(",\n" + inner if i else "[\n" + inner)
-            _json_write(value, write, inner)
-        write("\n" + indent + "]")
-    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
-        for i, (key, value) in enumerate(sorted(obj.items())):
-            write((",\n" if i else "{\n") + inner + encode_basestring_ascii(key) + ": ")
-            _json_write(value, write, inner)
-        write("\n" + indent + "}")
     else:
         write(json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 

@@ -319,14 +319,21 @@ def check_loop_gluing(data: CohftData) -> list[dict]:
 
 def check_forgetting_tails(data: CohftData) -> list[dict]:
     """(0,4) with a unit insertion is the pulled-back (0,3) table: its
-    degree-0 part matches and its degree-2 part vanishes."""
+    degree-0 part matches and its degree-2 part vanishes.  Only the stored
+    entries are summed, each in the field of every unit coefficient c, since
+    an absent one adds c * 0 in the field of c."""
     n = data.basis.dimension
-    unit = [(l, c) for l, c in enumerate(data.unit_vector) if c]
+    unit = {l: c for l, c in enumerate(data.unit_vector) if c}
+    order = lcm(*(c.order for c in unit.values()))
+    tails = {}  # the stored entries with a unit in the last slot, by their first three
+    for key, parts in data.omega04.items():
+        if key[3] in unit:
+            tails.setdefault(key[:3], []).append(
+                (unit[key[3]], *(v.promote(lcm(v.order, order)) for v in parts)))
     out = []
     for key in iproduct(range(n), repeat=3):
         c0 = c2 = _ZERO  # the (0,4) table with the unit in the last slot
-        for l, c in unit:
-            v0, v2 = data.o4(key + (l,))
+        for c, v0, v2 in tails.get(key, ()):
             c0, c2 = c0 + c * v0, c2 + c * v2
         out.append(_entry("forgetting_tails_deg0", key, c0, data.o3(*key)))
         out.append(_entry("forgetting_tails_deg2", key, c2, _ZERO))

@@ -163,6 +163,8 @@ class Cyclo:
         return not self.is_zero()
 
     def __eq__(self, other):
+        if type(other) is Cyclo and other.order == self.order:  # one representation each
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self.nums[0] == other * self.den and self.is_rational()
         a, b = self._pair(other)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from lgck.exactalg import Cyclo, MultiPoly, jacobian_ideal
-from lgck.glsm import check_dagger, semistable_locus
+from lgck.glsm import check_dagger, semistable_locus, validate
 from lgck.matfact import (
     TwistedClass,
     chern_char,
@@ -127,9 +127,10 @@ def test_criterion_06_kunneth_random_pairs(rng):
         m1 = _reprefix(m1, next(prefixes))
         m2 = _reprefix(m2, next(prefixes))
         scale = lcm(m1.d_w, m2.d_w)
-        combined, state, witness = kunneth_sum(
-            with_scaled_charges(m1, scale // m1.d_w),
-            with_scaled_charges(m2, scale // m2.d_w))
+        m1s = with_scaled_charges(m1, scale // m1.d_w)
+        m2s = with_scaled_charges(m2, scale // m2.d_w)
+        assert validate(m1s).passed and validate(m2s).passed, (n1, n2)
+        combined, state, witness = kunneth_sum(m1s, m2s)
         for entry in witness.pairs:
             assert entry["dim_sum"] == entry["dim_1"] * entry["dim_2"], (n1, n2)
         checked += 1

@@ -4,9 +4,12 @@
 earlier dense code: every basis element is a length-n unit vector paired
 with a length-n dual vector, and each contraction loops over all n
 coordinates.  ``dense_seeded_tables`` fills the (0,4) table on all n^4
-index tuples, where ``axiom_seeded_data`` walks only the stored entries.  Values are compared with ``str``, so a sum that lands in a
-different cyclotomic field (a different printed order) is a mismatch even
-when the two numbers are equal.
+index tuples, where ``axiom_seeded_data`` walks only the stored entries.
+``dense_forgetting_tails`` sums every unit coefficient against every (0,4)
+slot, where ``check_forgetting_tails`` walks only the stored entries.
+Values are compared with ``str``, so a sum that lands in a different
+cyclotomic field (a different printed order) is a mismatch even when the
+two numbers are equal.
 """
 
 import random
@@ -22,14 +25,16 @@ from lgck.cohft import (
     _handle_trace,
     axiom_seeded_data,
     casimir_check,
+    check_forgetting_tails,
     narrow_sector_data,
 )
+from lgck.cli import _json_text
 from lgck.exactalg import Cyclo
 from lgck.exactalg.linalg import inverse, sparse
 from lgck.statespace import StateSpace
 
 from corpus import corpus, fermat_model
-from witnesses import frobenius_toy
+from witnesses import dense_forgetting_tails, frobenius_toy
 
 
 def dense_pairs(basis):
@@ -214,3 +219,29 @@ def test_absent_entries_keep_the_field():
     assert str(got) == str(dense_contract(data, dense_pairs(basis), (0, 0), (1, 1)))
     assert str(got) == "-1 + z12^2" and got == z3
     assert_contractions_match(data)
+
+
+@pytest.mark.parametrize("name, model", _MODELS, ids=[name for name, _ in _MODELS])
+def test_forgetting_tails_match_dense(name, model):
+    """The sparse forgetting-tails walk writes the dense walk's bytes on
+    every corpus model's narrow data."""
+    data = narrow_sector_data(model, StateSpace(model))
+    sparse_entries = check_forgetting_tails(data)
+    assert len(sparse_entries) == 2 * data.basis.dimension ** 3
+    assert _json_text(sparse_entries) == _json_text(dense_forgetting_tails(data))
+
+
+def test_tails_absent_entries_keep_the_field():
+    """The unit is z8*T_0 + T_1 and the only stored (0,4) entry with a unit
+    slot is (0, 0, 0, 1) = (z3, z3^2).  The absent (0, 0, 0, 0) still adds
+    z8 * 0, so the sums print in Q(z24), not in Q(z3)."""
+    z8, z3 = Cyclo.root_of_unity(8), Cyclo.root_of_unity(3)
+    basis = PairedBasis(["a", "b"], ["1", "1"], {"1": "1"}, [Fraction(0)] * 2,
+                        [0, 0], {"1": sparse([[Cyclo.one(), Cyclo.zero()],
+                                               [Cyclo.zero(), Cyclo.one()]])})
+    data = CohftData(basis, [z8, Cyclo.one()], Fraction(0), {(0, 0, 0): z3},
+                     {(0, 0, 0, 1): (z3, z3 ** 2), (1, 1, 1, 0): (z3, z3)}, {})
+    entries = check_forgetting_tails(data)
+    assert _json_text(entries) == _json_text(dense_forgetting_tails(data))
+    assert [(e["lhs"], e["pass"]) for e in entries[:2]] == [("-1 + z24^4", True),
+                                                          ("-z24^4", False)]

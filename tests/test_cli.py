@@ -2,13 +2,14 @@
 
 import json
 import time
+from enum import IntEnum
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from lgck import cli
-from lgck.cli import _json_text, build_parser, main
+from lgck.cli import _json_text, _json_write, build_parser, main
 from lgck.exactalg import Cyclo
 from lgck.glsm import GlsmModel
 from lgck.statespace import GramBlock, StateSpace
@@ -773,14 +774,28 @@ def test_oversized_group_refused_up_front(tmp_path, capsys, model):
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10 ** 20
+
+
+class _Tag(str):
+    """A str subclass: the writer hands it to json, which writes its text."""
+
+
 _scalars = (st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats()
-            | st.text())
+            | st.text() | st.sampled_from(_Level) | st.text().map(_Tag))
 _numeric_keys = st.integers(-5, 5) | st.floats(allow_nan=False) | st.booleans()
 _json_values = st.recursive(_scalars, lambda inner: (
     st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(), inner, max_size=4)
     | st.dictionaries(_numeric_keys, inner, max_size=3)
-    | st.dictionaries(st.none(), inner, max_size=1)), max_leaves=25)
+    | st.dictionaries(st.none(), inner, max_size=1)
+    | st.dictionaries(st.text().map(_Tag), inner, max_size=2)
+    # report entries: same-shape dicts in one list, a tuple nested in each
+    | st.lists(st.fixed_dictionaries({"tuple": st.lists(inner, max_size=3).map(tuple),
+                                      "lhs": inner, "axiom": st.text()}), max_size=4)),
+    max_leaves=25)
 
 
 _entries = (st.fractions().filter(bool)
@@ -809,12 +824,16 @@ _one, _half, _z = Cyclo.one(), Fraction(1, 2), Cyclo.root_of_unity(5, 2)
 @example(None, [GramBlock([], 0), GramBlock([], 3), GramBlock([{}, {}], 0)])
 @example([], [GramBlock([{}, {}], 2), GramBlock([{0: _one, 1: _half, 2: _z}], 3)])
 @example({}, [GramBlock([{2: _z}, {}, {1: -_half, 0: _z}], 3), GramBlock([{0: _half}], 1)])
+@example([{"b": {"b": (1, _Level.LOW), "a": _Tag("t")}, "a": [True, None]},
+          {"a": {"a": 2.5, "b": {}}, "b": ()}, {"b": 1, "a": {_Tag("a"): 0, "b": 1}}], [])
 def test_report_writer_matches_json_dumps(obj, grams):
     """The report writer gives the bytes of json.dumps(indent=2,
     sort_keys=True): non-ASCII strings, int/float/bool/None keys and
-    values, empty containers and tuples; and Gram blocks at any depth as
-    their dense rows of entry strings (width 0, no rows, all-zero rows, full
-    rows, a nonzero in the last column)."""
+    values, IntEnum and str-subclass values and keys, empty containers,
+    tuples nested in dicts, lists of same-shape dicts and one dict shape at
+    several depths; and Gram blocks at any depth as their dense rows of
+    entry strings (width 0, no rows, all-zero rows, full rows, a nonzero in
+    the last column)."""
     assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
     for block in grams:
         assert _json_text(block) == json.dumps(_dense(block), indent=2)
@@ -822,3 +841,20 @@ def test_report_writer_matches_json_dumps(obj, grams):
     dense = {"grams": [_dense(b) for b in grams], "value": obj,
              "nested": [{"gram": _dense(b), "n": 1} for b in grams]}
     assert _json_text(report) == json.dumps(dense, indent=2, sort_keys=True)
+
+
+def test_report_writer_streams_pieces():
+    """The writer hands over each run of scalars and each Gram row as its
+    own piece: no piece is longer than the text of the longest single entry,
+    though the report is 20,000 entries and a Gram block of 300 rows."""
+    entries = [{"axiom": "forgetting_tails_deg0", "tuple": (i % 7, i % 5, i),
+                "lhs": str(i), "rhs": str(i), "pass": i % 3 != 0} for i in range(20000)]
+    gram = GramBlock([{i % 4: _z} for i in range(300)], 4)
+    pieces = []
+    _json_write({"entries": entries, "gram": gram}, pieces.append)
+    dense = {"entries": entries, "gram": _dense(gram)}
+    assert "".join(pieces) == json.dumps(dense, indent=2, sort_keys=True)
+    longest = max(len(json.dumps(e, indent=2, sort_keys=True).replace("\n", "\n    "))
+                  for e in entries)
+    assert len(json.dumps(_dense(gram), indent=2)) > longest
+    assert max(map(len, pieces)) <= longest

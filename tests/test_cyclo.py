@@ -64,6 +64,52 @@ def test_matches_fraction_reference(pair, q, integral):
     assert observe(new, q) == observe(old, q)
 
 
+@st.composite
+def equality_pairs(draw):
+    """Two values to compare, as (order, coefficients), and the second as
+    the reference gets it.  The second is of another order M, or of the
+    first's order N: drawn alone, the first times a rational (the same
+    numerators over another denominator), the first with one coefficient
+    moved, or the first plus q * zeta_N^k * Phi_N, an equal value from other
+    coefficients (the reference reads no coefficient past phi(N), so it gets
+    the first's)."""
+    (m, first), (n, other) = draw(operand_pairs())
+    kind = draw(st.sampled_from(["order M", "order N", "scaled", "moved", "equal"]))
+    if kind == "order M":
+        second = n, other
+    elif kind == "order N":
+        second = coefficient_list(draw, m)
+    elif kind == "scaled":
+        q = draw(rationals)
+        second = m, [c * q for c in first]
+    elif kind == "moved":
+        coeffs = list(first) + [0] * (euler_phi(m) - len(first))
+        coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(rationals)
+        second = m, coeffs
+    else:
+        q, k, phi = draw(rationals), draw(st.integers(0, 2)), cyclotomic_polynomial(m)
+        coeffs = list(first) + [0] * (k + len(phi) - len(first))
+        for i, c in enumerate(phi):
+            coeffs[i + k] += q * c
+        return (m, first), (m, coeffs), (m, first)
+    return (m, first), second, second
+
+
+@settings(max_examples=300, deadline=None)
+@given(equality_pairs(), st.integers(1, 4))
+def test_equality_matches_reference(values, scale):
+    """``a == b`` holds exactly when the reference values are equal: across
+    two fields, within one (where ``__eq__`` compares the stored numerators
+    and denominator), and for a value against its own promotion."""
+    a, b, b_ref = values
+    x, y = Cyclo(*a), Cyclo(*b)
+    equal = ref.Cyclo(*a) == ref.Cyclo(*b_ref)
+    assert (x == y) == (y == x) == equal
+    up = x.promote(x.order * scale)
+    assert x == up and up == x
+    assert (up == y) == (y == up) == equal
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
        st.integers(1, 24))

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from lgck.exactalg import Cyclo, MultiPoly, PolyIdeal, jacobian_ideal
-from lgck.glsm import GlsmModel
+from lgck.glsm import GlsmModel, validate
 from lgck.orbifold import GroupElement
 from lgck.statespace import (
     NonIsolatedSingularityError,
@@ -374,7 +374,6 @@ def test_one_invariant_basis_per_fixed_support(monkeypatch):
 
 
 def test_corpus_models_validate():
-    from lgck.glsm import validate
     for name, model in corpus():
         assert validate(model).passed, name
 
@@ -385,7 +384,6 @@ def test_sum_model_group_is_product():
     m1 = fermat_model([3], prefix="x")
     m2 = fermat_model([3], prefix="y")
     combined = sum_model(m1, m2)
-    from lgck.glsm import validate
     assert validate(combined).passed
     state = StateSpace(combined)
     assert state.group_order == 9
@@ -411,8 +409,10 @@ def test_kunneth_mismatched_degree_rejected():
     m2 = fermat_model([3], prefix="y")
     with pytest.raises(ValueError, match="mismatched d_w"):
         sum_model(m1, m2)
-    # rescaling fixes it
-    combined = sum_model(with_scaled_charges(m1, 3), with_scaled_charges(m2, 2))
+    # rescaling fixes it, and a rescaled model is still valid
+    s1, s2 = with_scaled_charges(m1, 3), with_scaled_charges(m2, 2)
+    assert validate(s1).passed and validate(s2).passed
+    combined = sum_model(s1, s2)
     assert combined.d_w == 6
 
 
@@ -436,6 +436,7 @@ def test_kunneth_random_pairs(rng):
         scale = lcm(m1.d_w, m2.d_w)
         m1s = with_scaled_charges(m1, scale // m1.d_w)
         m2s = with_scaled_charges(m2, scale // m2.d_w)
+        assert validate(m1s).passed and validate(m2s).passed, (n1, n2)
         combined, state, witness = kunneth_sum(m1s, m2s)
         for entry in witness.pairs:
             assert entry["dim_sum"] == entry["dim_1"] * entry["dim_2"], \

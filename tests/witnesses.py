@@ -1,7 +1,7 @@
 """Paper identities that the tests check and no CLI verb computes: cdga folding,
 exp(-h) homotopy isomorphisms, tensor products, Borel-Serre, Frobenius toys, the
 Thom-Sullivan product and unit, the one-point Thom-Sullivan/Koszul comparison,
-residue closed forms, group-invariant characters, rescaled charges and R-fixed
+the dense forgetting-tails walk, residue closed forms, group-invariant characters, rescaled charges and R-fixed
 loci, group inverses, and validate's weight scans in Fractions."""
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial
 from operator import mul
 
-from lgck.cohft import CohftData, PairedBasis, _handle_trace
+from lgck.cohft import CohftData, PairedBasis, _entry, _handle_trace
 from lgck.exactalg import Cyclo, MultiPoly, drl_key
 from lgck.exactalg.linalg import mat_mul, rank, solve, sparse, transpose
 from lgck.exactalg.poly import accumulate
@@ -331,6 +331,23 @@ def frobenius_toy(labels, degrees, trace, mult_table, central_charge=None) -> Co
     return data
 
 
+def dense_forgetting_tails(data: CohftData) -> list[dict]:
+    """The forgetting-tails entries from a dense walk: at each of the n^3
+    keys, every unit coefficient times its (0,4) entry, stored or absent, so
+    an absent entry still adds c * 0 in the field of c."""
+    n = data.basis.dimension
+    unit = [(l, c) for l, c in enumerate(data.unit_vector) if c]
+    out = []
+    for key in iproduct(range(n), repeat=3):
+        c0 = c2 = Cyclo.zero()
+        for l, c in unit:
+            v0, v2 = data.o4(key + (l,))
+            c0, c2 = c0 + c * v0, c2 + c * v2
+        out.append(_entry("forgetting_tails_deg0", key, c0, data.o3(*key)))
+        out.append(_entry("forgetting_tails_deg2", key, c2, Cyclo.zero()))
+    return out
+
+
 # Thom-Sullivan elements: the product, the unit, and every monotone map
 
 
@@ -449,12 +466,13 @@ def inverse(h: GroupElement) -> GroupElement:
 
 
 def with_scaled_charges(model: GlsmModel, factor: int) -> GlsmModel:
-    """Rescale (r_charges, d_w) by an integer factor; the theory is unchanged."""
+    """Rescale (r_charges, d_w), and each torus row with its chi entry, by an
+    integer factor; the theory is unchanged."""
     if factor <= 0:
         raise ValueError("scale factor must be positive")
     return GlsmModel(
         variables=model.variables,
-        torus_weights=model.torus_weights,
+        torus_weights=tuple(tuple(w * factor for w in row) for row in model.torus_weights),
         finite_generators=model.finite_generators,
         chi=tuple(x * factor for x in model.chi),
         nu=model.nu,
