@@ -266,7 +266,7 @@ _HANDLERS = {
 }
 
 
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: repr,
                 bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
 
 
