@@ -2,8 +2,8 @@
 
 import json
 import time
-from enum import IntEnum
 import tracemalloc
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -773,6 +773,7 @@ def test_oversized_group_refused_up_front(tmp_path, capsys, model):
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
 
 class _Level(IntEnum):
     LOW = 1

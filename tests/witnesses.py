@@ -1,8 +1,9 @@
 """Paper identities that the tests check and no CLI verb computes: cdga folding,
 exp(-h) homotopy isomorphisms, tensor products, Borel-Serre, Frobenius toys, the
-Thom-Sullivan product and unit, the one-point Thom-Sullivan/Koszul comparison,
-the dense forgetting-tails walk, residue closed forms, group-invariant characters, rescaled charges and R-fixed
-loci, group inverses, and validate's weight scans in Fractions."""
+dense forgetting-tails walk, the Thom-Sullivan product and unit, the one-point
+Thom-Sullivan/Koszul comparison, residue closed forms, group-invariant
+characters, rescaled charges and R-fixed loci, group inverses, and validate's
+weight scans in Fractions."""
 
 from __future__ import annotations
 
