@@ -18,6 +18,7 @@ from itertools import product
 
 import pytest
 
+from lgck.cli import _json_text
 from lgck.cohft import (
     CohftData,
     PairedBasis,
@@ -28,7 +29,6 @@ from lgck.cohft import (
     check_forgetting_tails,
     narrow_sector_data,
 )
-from lgck.cli import _json_text
 from lgck.exactalg import Cyclo
 from lgck.exactalg.linalg import inverse, sparse
 from lgck.statespace import StateSpace
@@ -232,9 +232,9 @@ def test_forgetting_tails_match_dense(name, model):
 
 
 def test_tails_absent_entries_keep_the_field():
-    """The unit is z8*T_0 + T_1 and the only stored (0,4) entry with a unit
-    slot is (0, 0, 0, 1) = (z3, z3^2).  The absent (0, 0, 0, 0) still adds
-    z8 * 0, so the sums print in Q(z24), not in Q(z3)."""
+    """The unit is z8*T_0 + T_1, and at the key (0, 0, 0) only (0, 0, 0, 1)
+    = (z3, z3^2) is stored.  The absent (0, 0, 0, 0) still adds z8 * 0, so
+    the sums print in Q(z24), not in Q(z3)."""
     z8, z3 = Cyclo.root_of_unity(8), Cyclo.root_of_unity(3)
     basis = PairedBasis(["a", "b"], ["1", "1"], {"1": "1"}, [Fraction(0)] * 2,
                         [0, 0], {"1": sparse([[Cyclo.one(), Cyclo.zero()],
