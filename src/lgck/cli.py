@@ -37,8 +37,8 @@ from .statespace import CONVENTIONS, GramBlock, StateSpace, kunneth_sum
 from .cohft import (cohft_data_from_jsonable, narrow_sector_data, paired_basis_from_state,
                     run_all_checks, virdim)
 
-# simplicial-demo is sized for Godement levels up to 3, where a discrete poset
-# of MAX_POSET_POINTS points takes about a second; a deeper level is refused.
+# simplicial-demo is sized for Godement levels up to 3, where the costliest poset
+# the budgets admit (top dimension 99) takes half a second; a deeper level is refused.
 MAX_LEVEL_BOUND = 3
 
 

@@ -47,14 +47,17 @@ def transpose(rows, width: int):
 
 
 def mat_mul(a, b):
-    """The product a . b, row by row; entries that cancel are dropped."""
-    out, inner = [], len(b)
+    """The product a . b, row by row; entries that cancel are dropped.  The
+    right factor may also be a mapping from the columns of a to rows."""
+    out = []
     for row_a in a:
         row = {}
         for t, x in row_a.items():
-            if t >= inner:
-                raise ValueError(f"inner dimensions differ: {inner} rows on the right")
-            for j, y in b[t].items():
+            try:
+                right = b[t]
+            except IndexError:
+                raise ValueError(f"inner dimensions differ: {len(b)} rows on the right") from None
+            for j, y in right.items():
                 row[j] = row[j] + x * y if j in row else x * y
         out.append({j: x for j, x in row.items() if x} if row else row)
     return out

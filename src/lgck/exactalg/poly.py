@@ -175,6 +175,9 @@ class MultiPoly:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, Cyclo)):  # a scalar scales each coefficient
+            scaled = {e: x for e, c in self.terms.items() if (x := c * other)}
+            return MultiPoly._make(self.variables, scaled)
         a, b = self._align(other)
         if b is None:
             return NotImplemented

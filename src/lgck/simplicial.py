@@ -87,8 +87,7 @@ def integrate_simplex(omega: DiffForm) -> Fraction:
     via int t^a dt = (prod a_i!) / (n + sum a_i)!."""
     n = len(omega.variables)
     if n == 0:
-        c = omega.coefficient(())
-        return c.constant_term().as_fraction()
+        return omega.coefficient(()).constant_term().as_fraction()
     if omega.form_degrees() - {n}:
         raise ValueError("integrand must be a top-degree form")
     top = omega.coefficient(tuple(range(n)))
@@ -120,6 +119,11 @@ def whitney_form(indices, n: int) -> DiffForm:
     return out.scale(Fraction(factorial(len(idx) - 1)))
 
 
+def _row(form: DiffForm) -> dict:
+    """A form as a coordinate row {(dt-index, exponent): coefficient}."""
+    return {(idx, exp): c for idx, p in form.terms.items() for exp, c in p.terms.items()}
+
+
 # ---------------------------------------------------------------------------
 # cosimplicial modules
 
@@ -133,8 +137,8 @@ class CosimplicialModule:
         self.cofaces = cofaces      # (n, i): matrix A[n-1] -> A[n], 0 <= i <= n
         self.codegens = codegens    # (n, i): matrix A[n+1] -> A[n], 0 <= i <= n
         self._verify_identities()
-        self._maps: dict[tuple, list[dict]] = {}  # the maps are fixed from here on
-        self._pulls: dict[tuple, object] = {}  # pullback(f, m) of forms, per (f, m)
+        # memo tables per (f, m), (f, m, monomial form) and (face, level); the maps are fixed
+        self._maps, self._columns, self._pulls, self._pulled, self._whitney = {}, {}, {}, {}, {}
 
     def _verify_identities(self):
         N = self.top_level
@@ -171,14 +175,31 @@ class CosimplicialModule:
                             if sj_di != expect:
                                 raise ValueError("mixed identity fails (i>j+1)")
 
+    @staticmethod
+    def _memo(table: dict, key: tuple, build):
+        """table[key], built by build(*key) the first time it is asked for."""
+        if (hit := table.get(key)) is None:
+            hit = table[key] = build(*key)
+        return hit
+
     def map_into(self, f, m: int) -> list[dict[int, Fraction]]:
         """Matrix of A(f) for monotone f: [n] -> [m] with explicit target,
         memoized per (f, m); callers must not mutate it."""
-        f = tuple(f)
-        hit = self._maps.get((f, m))
-        if hit is None:
-            hit = self._maps[(f, m)] = self._build_map(f, m)
-        return hit
+        return self._memo(self._maps, (tuple(f), m), self._build_map)
+
+    def columns(self, f: tuple, m: int) -> list[dict[int, Fraction]]:
+        """Column k of ``map_into(f, m)`` is A(f) of basis vector k, memoized."""
+        return self._memo(self._columns, (f, m),
+                          lambda f, m: transpose(self.map_into(f, m), self.dims[len(f) - 1]))
+
+    def pulled(self, f: tuple, m: int, key: tuple) -> dict:
+        """f^* of the monomial form key = (dt-index, exponent) on the m-simplex, as
+        a coordinate row on the n-simplex, substituted by ``pullback(f, m)`` the first
+        time it is asked for; a form on another simplex is refused, as pull does."""
+        def substitute(f, m, key):
+            names, pull = simplex_variables(len(key[1])), self._memo(self._pulls, (f, m), pullback)
+            return _row(pull(DiffForm(names, {key[0]: MultiPoly.monomial(names, key[1])})))
+        return self._memo(self._pulled, (f, m, key), substitute)
 
     def _build_map(self, f: tuple, m: int) -> list[dict[int, Fraction]]:
         if not _monotone(f):
@@ -253,19 +274,19 @@ def normalized_complex(cs: CosimplicialModule) -> NormalizedComplex:
 
 # A discrete poset of n points has 2^n up-sets, and the Godement checks lay
 # chains out over each: at level 3 the checks on 10/11/12 discrete points take
-# 0.25/0.4/0.8 s, of which flasqueness takes 0.11/0.2/0.6 s.
+# 0.06/0.12/0.26 s in process, of which flasqueness takes 0.05/0.11/0.25 s.
 MAX_POSET_POINTS = 10
 # A stalk of dimension d is read as a d-row identity and d-row restriction
 # maps before any Godement dimension is predicted; at level 3 one point of
-# dimension 8/10/12/16 takes 0.21/0.22/0.23/0.26 s end to end (Python 3.11,
-# one core of a shared 2-core x86-64 host).
+# dimension 8, 10, 12 or 16 takes 0.13-0.17 s from a fresh interpreter
+# (Python 3.11, one core of a shared 2-core x86-64 host).
 MAX_STALK_DIM = 10
 # The checks grow with the top level's dimension, a sum of stalk dimensions
 # over weak chains known before any matrix is built.  End to end on that host,
-# a discrete poset of 10-dimensional stalks at level 3 takes 0.5-0.9 s at
-# dimension 60 and 1.1-1.8 s at 99 (1.6-2.8 s at 60 with dense matrices); a
-# chain of 10 points takes 1.3 s at level 2 (220).  At 99, one dimension more
-# still fits in MAX_POSET_POINTS stalks of MAX_STALK_DIM.
+# a discrete poset of 10-dimensional stalks at level 3 takes 0.21-0.28 s at
+# dimension 60 and 0.46-0.53 s at 99; in process, a chain of 10 points takes
+# 0.2 s at level 2 (220).  At 99, one dimension more still fits in
+# MAX_POSET_POINTS stalks of MAX_STALK_DIM.
 MAX_GODEMENT_DIM = 99
 
 
@@ -460,39 +481,35 @@ class ThElement:
         if check and not self.compatible():
             raise ValueError("family violates the Thom-Sullivan equalizer")
 
-    @cached_property
-    def _columns(self) -> list[list[dict[int, DiffForm]]]:
-        """Each level c_n as a one-column matrix of sparse rows."""
-        return [sparse([[form] for form in level]) for level in self.levels]
+    def _rows(self) -> list[dict[int, dict]]:
+        """Each level as its nonzero coordinate rows {component: row}."""
+        return [{k: _row(form) for k, form in enumerate(level) if form} for level in self.levels]
 
-    def _check_map(self, f, m: int) -> bool:
-        """A(f) c_n == f^* c_m for a monotone f: [n] -> [m]."""
-        pull = self.cs._pulls.get((f, m)) or self.cs._pulls.setdefault((f, m), pullback(f, m))
-        pulled = sparse([[form and pull(form)] for form in self.levels[m]])  # 0 pulls back to 0
-        return mat_mul(self.cs.map_into(f, m), self._columns[len(f) - 1]) == pulled
+    def _check_map(self, f, m: int, rows) -> bool:
+        """A(f) c_n == f^* c_m for a monotone f: [n] -> [m] on the nonzero coordinate
+        rows; f^* is linear, so it combines the pullbacks of c_m's monomial forms."""
+        cs, n, at = self.cs, len(f) - 1, {}  # at: A(f) on the nonzero components of c_n
+        for k in rows[n]:
+            for j, x in cs.columns(f, m)[k].items():
+                at.setdefault(j, {})[k] = x
+        pulled = {key: cs.pulled(f, m, key) for row in rows[m].values() for key in row}
+        lhs, rhs = mat_mul(at.values(), rows[n]), mat_mul(rows[m].values(), pulled)
+        return {j: r for j, r in zip(at, lhs) if r} == {j: r for j, r in zip(rows[m], rhs) if r}
 
     def compatible(self) -> bool:
         """Verify the equalizer condition.  Checking cofaces and
         codegeneracies suffices since both actions are functorial by
         construction."""
-        N = self.cs.top_level
-        for n in range(1, N + 1):
-            for i in range(n + 1):
-                face = tuple(v for v in range(n + 1) if v != i)
-                if not self._check_map(face, n):
-                    return False
-        for n in range(0, N):
-            for i in range(n + 1):
-                degen = tuple(min(v, i) if v <= i + 1 else v - 1
-                              for v in range(n + 2))
-                if not self._check_map(degen, n):
-                    return False
-        return True
+        N, rows = self.cs.top_level, self._rows()
+        faces = [(tuple(v for v in range(n + 1) if v != i), n)
+                 for n in range(1, N + 1) for i in range(n + 1)]
+        degens = [(tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)), n)
+                  for n in range(N) for i in range(n + 1)]
+        return all(self._check_map(f, m, rows) for f, m in faces + degens)
 
     def d(self) -> "ThElement":
-        return ThElement(self.cs, self.degree + 1,
-                         [[f.exterior_derivative() for f in level]
-                          for level in self.levels], check=False)
+        return ThElement(self.cs, self.degree + 1, [list(map(DiffForm.exterior_derivative, level))
+                                                    for level in self.levels], check=False)
 
     def integrate(self) -> dict[int, Fraction]:
         """Integration over the degree-d simplex: a sparse vector of A[d]."""
@@ -503,23 +520,20 @@ class ThElement:
         return {k: x for k, piece in pieces if piece and (x := integrate_simplex(piece))}
 
     def __eq__(self, other):
-        return isinstance(other, ThElement) and all(
-            a == b for l1, l2 in zip(self.levels, other.levels)
-            for a, b in zip(l1, l2))
+        return isinstance(other, ThElement) and (self.cs, self.degree, *map(list, self.levels)) \
+            == (other.cs, other.degree, *map(list, other.levels))
 
 
 def whitney_extension(cs: CosimplicialModule, degree: int, vec) -> ThElement:
     """Extend a normalized cochain to a compatible family by elementary
     forms: c_n = sum over strict monotone g: [d] -> [n] of A(g)(a) w_g."""
-    column = transpose([vec], cs.dims[degree])
     levels = []
     for n in range(cs.top_level + 1):
         level = [DiffForm.zero(simplex_variables(n))] * cs.dims[n]  # shared: never changed in place
         for image in combinations(range(n + 1), degree + 1):
-            w = whitney_form(image, n)
-            for k, row in enumerate(mat_mul(cs.map_into(image, n), column)):
-                if row:
-                    level[k] = level[k] + w.scale(row[0])
+            w = cs._memo(cs._whitney, (image, n), whitney_form)
+            for k, x in mat_mul([vec], cs.columns(image, n))[0].items():
+                level[k] = level[k] + w.scale(x)
         levels.append(level)
     return ThElement(cs, degree, levels)
 
@@ -566,11 +580,8 @@ class TriangleReport:
 
     @property
     def passed(self) -> bool:
-        base = (self.whitney_compatible and self.whitney_chain_map
-                and self.integration_left_inverse and self.triangle_commutes)
-        if self.cohomology_matches_oracle is None:
-            return base
-        return base and self.cohomology_matches_oracle
+        return (self.whitney_compatible and self.whitney_chain_map and self.triangle_commutes
+                and self.integration_left_inverse and self.cohomology_matches_oracle is not False)
 
     def to_jsonable(self):
         return {**asdict(self), "passed": self.passed}
@@ -593,15 +604,15 @@ def de_rham_triangle_check(resolution: GodementResolution,
     # every Whitney extension was checked compatible when it was built
     left_inverse = all(el.integrate() == v for els, vs in zip(basis, norm.bases)
                        for el, v in zip(els, vs))
-    # d E = E d_N: at each level, the d of the extensions of N^d are the
-    # extensions of N^(d+1) combined by the columns of d_N
-    chain_map = True
-    for d in range(N):
-        de = [el.d() for el in basis[d]]
-        columns = transpose(norm.differentials[d], norm.dims[d])
-        for n in range(N + 1):
-            combined = mat_mul(columns, sparse([el.levels[n] for el in basis[d + 1]]))
-            chain_map = chain_map and combined == sparse([e.levels[n] for e in de])
+    # d E = E d_N: the d of the extensions of N^d are the extensions of
+    # N^(d+1) combined by the columns of d_N, each family read as one
+    # coordinate row over (level, component, monomial form)
+    def row(el):
+        return {(n, k) + key: c for n, level in enumerate(el._rows())
+                for k, row in level.items() for key, c in row.items()}
+    chain_map = all(mat_mul(transpose(norm.differentials[d], norm.dims[d]),
+                            [row(el) for el in basis[d + 1]]) == [row(el.d()) for el in basis[d]]
+                    for d in range(N))
 
     # the augmentation triangle: integrate(Th(iota) v) == N(iota) v; each
     # constant family is checked compatible when it is built
@@ -616,9 +627,7 @@ def de_rham_triangle_check(resolution: GodementResolution,
             triangle = False
 
     ranks = norm.cohomology_ranks()
-    matches = None
-    if oracle_ranks is not None:
-        matches = ranks[:N] == list(oracle_ranks)[:N]
+    matches = None if oracle_ranks is None else ranks[:N] == list(oracle_ranks)[:N]
     return TriangleReport(True, chain_map, left_inverse, triangle,
                           ranks, oracle_ranks, matches)
 

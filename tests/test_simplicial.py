@@ -29,8 +29,8 @@ from lgck.simplicial import (
 )
 
 from conftest import SEED
-from witnesses import (compatible_on_every_map, is_zero, multiply, scale, tk_point_check,
-                       unit_element)
+from witnesses import (check_map_on_forms, compatible_on_every_map, generating_maps, is_zero,
+                       multiply, scale, tk_point_check, unit_element)
 
 
 def random_polyform(rng, n, degree):
@@ -528,11 +528,24 @@ def test_whitney_extension_exhaustive_compatibility():
             assert compatible_on_every_map(el)
 
 
-@pytest.mark.parametrize("make_module", [
+PERTURBED_MODULES = [
     lambda: godement(_constant_sheaf(["c", "o"], [("c", "o")]), 2).module,
     # A[0] = 0 and A[1] = Q: the cochains Q in degree 1, so A(f) c_0 = 0
     lambda: CosimplicialModule([0, 1], {(1, 0): [{}], (1, 1): [{}]}, {(0, 0): []}),
-], ids=["godement", "zero_at_level_0"])
+]
+
+
+def _perturbed(el: ThElement):
+    """el with the last component at one nonempty level moved by a constant,
+    for each such level, unchecked."""
+    for n, level in enumerate(el.levels):
+        if level:
+            bumped = [list(forms) for forms in el.levels]
+            bumped[n][-1] = level[-1] + DiffForm.const(simplex_variables(n), 1)
+            yield ThElement(el.cs, el.degree, bumped, check=False)
+
+
+@pytest.mark.parametrize("make_module", PERTURBED_MODULES, ids=["godement", "zero_at_level_0"])
 def test_equalizer_rejects_perturbed_families(make_module):
     """Whitney extensions are compatible; moving the last component at one
     level by a constant fails both compatibility checks and is refused."""
@@ -540,17 +553,72 @@ def test_equalizer_rejects_perturbed_families(make_module):
     norm = normalized_complex(cs)
     for d, basis in enumerate(norm.bases):
         for vec in basis:
-            el = whitney_extension(cs, d, vec)
-            for n, level in enumerate(el.levels):
-                if not level:
-                    continue
-                bumped = [list(forms) for forms in el.levels]
-                bumped[n][-1] = level[-1] + DiffForm.const(simplex_variables(n), 1)
-                bad = ThElement(cs, d, bumped, check=False)
+            for bad in _perturbed(whitney_extension(cs, d, vec)):
                 assert not bad.compatible()
                 assert not compatible_on_every_map(bad)
                 with pytest.raises(ValueError, match="equalizer"):
-                    ThElement(cs, d, bumped)
+                    ThElement(cs, d, bad.levels)
+
+
+def _golden_custom_sheaf():
+    """The custom poset of the golden simplicial-demo case: a 0-dimensional
+    stalk at b and a 1 x 2 restriction a -> e."""
+    return FinitePosetSheaf(["a", "b", "c", "e"], [("a", "b"), ("b", "c"), ("a", "e")],
+                            [2, 0, 2, 1], {("a", "b"): [], ("b", "c"): [[], []],
+                                           ("a", "e"): [[1, -1]]})
+
+
+def test_compatible_agrees_with_the_form_level_reference():
+    """On every coface and codegeneracy, the coordinate-row check gives the
+    verdict of substituting each form and multiplying a column of forms:
+    on the Whitney extensions of the built-in posets and of the golden
+    custom poset at level 2, on their products (compatible or not: the
+    custom stalks are no algebra), and on the perturbed families."""
+    modules = [godement(sheaf, 2).module
+               for sheaf in [*_builtin_posets().values(), _golden_custom_sheaf()]]
+    modules += [make() for make in PERTURBED_MODULES]
+    verdicts = set()
+    for cs in modules:
+        _, basis = th_complex(cs)
+        pool = [el for degree in basis for el in degree]
+        families = pool + [multiply(a, b) for i, a in enumerate(pool) for b in pool[i:]]
+        families += [bad for el in pool for bad in _perturbed(el)]
+        maps = generating_maps(cs.top_level)
+        for el in families:
+            rows = el._rows()
+            got = [el._check_map(f, m, rows) for f, m in maps]
+            assert got == [check_map_on_forms(el, f, m) for f, m in maps], (cs.dims, el.degree)
+            assert el.compatible() == all(got)
+            verdicts.add(all(got))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_family_with_a_form_on_another_simplex_is_refused(level):
+    """A component on the 3-simplex at a lower level is not read as a form on
+    that level's simplex: pulling it back refuses it."""
+    cs = godement(FinitePosetSheaf(["pt"], [], [1], {}), 2).module
+    bad = [list(forms) for forms in th_complex(cs)[1][0][0].levels]
+    bad[level][0] = DiffForm.from_poly(MultiPoly.parse("t1*t2 + 1", simplex_variables(3)))
+    with pytest.raises(ValueError, match=f"expected a form on the {level}-simplex"):
+        ThElement(cs, 0, bad)
+
+
+def test_equality_compares_module_degree_and_every_level():
+    """A family equals the same forms on the same module in the same degree
+    only: not its truncation to fewer levels or shorter levels, not the
+    same forms one degree higher, and not the same forms on another
+    module."""
+    sheaf = _constant_sheaf(["c", "o"], [("c", "o")])
+    cs = godement(sheaf, 2).module
+    el = th_complex(cs)[1][0][0]
+    assert el == ThElement(cs, el.degree, [list(level) for level in el.levels])
+    truncated = ThElement(cs, el.degree, el.levels[:1], check=False)
+    shortened = ThElement(cs, el.degree, [level[:-1] for level in el.levels], check=False)
+    relabelled = ThElement(cs, el.degree + 1, el.levels, check=False)
+    elsewhere = ThElement(godement(sheaf, 2).module, el.degree, el.levels)
+    for other in (truncated, shortened, relabelled, elsewhere):
+        assert el != other and other != el
 
 
 def test_th_product_closure_random(rng):

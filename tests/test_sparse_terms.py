@@ -4,7 +4,9 @@ coefficient, also when terms cancel."""
 
 import pytest
 
-from lgck.exactalg import MultiPoly
+from fractions import Fraction
+
+from lgck.exactalg import Cyclo, MultiPoly
 from lgck.forms import DiffForm
 
 from witnesses import koszul_cdga
@@ -22,6 +24,12 @@ polys = st.dictionaries(
     max_size=4).map(lambda t: MultiPoly(XYZ, t))
 one_forms = st.tuples(polys, polys, polys).map(
     lambda ps: DiffForm(XYZ, {(i,): p for i, p in enumerate(ps)}))
+cyclos = st.builds(Cyclo, st.sampled_from([1, 3, 4, 5]),
+                   st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+cyclo_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), cyclos,
+                              max_size=4).map(lambda t: MultiPoly(XYZ, t))
+scalars = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                    st.just(0), st.just(Fraction(0)), cyclos)
 elements = st.dictionaries(st.integers(0, 3), polys).map(  # 4 = dim of the cdga
     lambda x: {k: p for k, p in x.items() if p})
 
@@ -81,3 +89,24 @@ def test_sums_match_sympy_and_store_no_zero(cdga, p, q, omega, eta, a, b):
     assert cdga.add(a, minus_a) == {}
     assert cdga.apply_diff(cdga.apply_diff(b)) == {}
 
+
+
+def exact_terms(p: MultiPoly):
+    """The terms with each coefficient's field and representation."""
+    return {e: (c.order, c.nums, c.den) for e, c in p.terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(polys, cyclo_polys), scalars)
+@example(X + Y, 0)
+@example(X + Y, Cyclo.zero(5))
+@example(MultiPoly(XYZ, {(1, 0, 0): Cyclo.root_of_unity(3)}), Cyclo.root_of_unity(4))
+def test_scalar_product_is_the_constant_polynomial_product(p, c):
+    """p * c and c * p scale each coefficient, in the field and the one
+    representation that p times the constant polynomial c gives, dropping
+    each product that is zero; an int, a Fraction, zero and a Cyclo of
+    another order alike."""
+    want = exact_terms(p * MultiPoly.const(p.variables, c))
+    assert exact_terms(p * c) == exact_terms(c * p) == want
+    assert (p * c).variables == p.variables
+    assert_no_zero(p * c)

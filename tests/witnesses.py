@@ -1,6 +1,7 @@
 """Paper identities that the tests check and no CLI verb computes: cdga folding,
 exp(-h) homotopy isomorphisms, tensor products, Borel-Serre, Frobenius toys, the
-dense forgetting-tails walk, the Thom-Sullivan product and unit, the one-point
+dense forgetting-tails walk, the Thom-Sullivan product and unit, the
+form-level equalizer check on every monotone map, the one-point
 Thom-Sullivan/Koszul comparison, residue closed forms, group-invariant
 characters, rescaled charges and R-fixed loci, group inverses, and validate's
 weight scans in Fractions."""
@@ -22,7 +23,7 @@ from lgck.matfact import (Factorization, FactorizationError, _align_ring, _assem
                           _contractions, _subsets, koszul)
 from lgck.orbifold import DiagonalGroup, GroupElement
 from lgck.simplicial import (CosimplicialModule, FinitePosetSheaf, ThElement, godement,
-                             simplex_variables, th_complex)
+                             pullback, simplex_variables, th_complex)
 from lgck.statespace import ResidueCalculator
 
 # tensor products of factorizations
@@ -352,15 +353,33 @@ def dense_forgetting_tails(data: CohftData) -> list[dict]:
 # Thom-Sullivan elements: the product, the unit, and every monotone map
 
 
+def check_map_on_forms(el: ThElement, f, m: int) -> bool:
+    """A(f) c_n == f^* c_m for a monotone f: [n] -> [m], on forms: every form
+    of c_m is substituted by ``pullback(f, m)``, and A(f) multiplies c_n as
+    a column of forms.  The reference for ``ThElement._check_map``, which
+    works on coordinate rows and pulls back each monomial form once."""
+    pull, column = pullback(f, m), sparse([[form] for form in el.levels[len(f) - 1]])
+    pulled = sparse([[form and pull(form)] for form in el.levels[m]])  # 0 pulls back to 0
+    return mat_mul(el.cs.map_into(f, m), column) == pulled
+
+
+def generating_maps(top: int):
+    """Every coface and codegeneracy (f, m) between levels 0..top."""
+    faces = [(tuple(v for v in range(n + 1) if v != i), n)
+             for n in range(1, top + 1) for i in range(n + 1)]
+    return faces + [(tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)), n)
+                    for n in range(top) for i in range(n + 1)]
+
+
 def compatible_on_every_map(el: ThElement) -> bool:
-    """The equalizer condition on every monotone map between represented
-    levels: the reference for ``ThElement.compatible``, which checks the
-    cofaces and codegeneracies alone."""
+    """The equalizer condition, on forms, on every monotone map between
+    represented levels: the reference for ``ThElement.compatible``, which
+    checks the cofaces and codegeneracies alone, on coordinate rows."""
     N = el.cs.top_level
     for n in range(N + 1):
         for m in range(N + 1):
             for f in combinations_with_replacement(range(m + 1), n + 1):
-                if not el._check_map(f, m):
+                if not check_map_on_forms(el, f, m):
                     return False
     return True
 
