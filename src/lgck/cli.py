@@ -34,8 +34,8 @@ from .simplicial import (
     order_complex_cohomology,
 )
 from .statespace import CONVENTIONS, GramBlock, StateSpace, kunneth_sum
-from .cohft import (cohft_data_from_jsonable, narrow_sector_data, paired_basis_from_state,
-                    run_all_checks, virdim)
+from .cohft import (CheckEntry, cohft_data_from_jsonable, narrow_sector_data,
+                    paired_basis_from_state, run_all_checks, virdim)
 
 # simplicial-demo is sized for Godement levels up to 3, where the costliest poset
 # the budgets admit (top dimension 99) takes half a second; a deeper level is refused.
@@ -268,14 +268,34 @@ _HANDLERS = {
 
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: repr,
                 bool: {True: "true", False: "false"}.get, type(None): {None: "null"}.get}
+_EMPTY_TEXT = {list: "[]", tuple: "[]", dict: "{}"}
+
+
+@functools.cache
+def _check_entry_layout(indent: str, arity: int) -> str:
+    """The %-template of a ``CheckEntry``'s text nested at ``indent``: its
+    sorted keys (axiom, lhs, pass, rhs) and then its tuple's ``arity`` members."""
+    inner = indent + "  "
+    keys = "".join(f'{inner}"{key}": %s,\n' for key in ("axiom", "lhs", "pass", "rhs"))
+    members = f",\n{inner}  ".join(["%s"] * arity)
+    return f'{{\n{keys}{inner}"tuple": [\n{inner}  {members}\n{inner}]\n{indent}}}'
+
+
+def _check_entry_text(entry: CheckEntry, indent: str) -> str:
+    tup, encode = entry["tuple"], encode_basestring_ascii
+    return _check_entry_layout(indent, len(tup)) % (
+        encode(entry["axiom"]), encode(entry["lhs"]), "true" if entry["pass"] else "false",
+        encode(entry["rhs"]), *(tup if type(tup[0]) is int else map(encode, tup)))
 
 
 def _json_write(obj, write, indent: str = "", layouts: dict | None = None) -> None:
     """Write ``json.dumps(obj, indent=2, sort_keys=True)``, nested at ``indent``,
     piece by piece: each run of exactly-str/int/bool/None members of a list,
     tuple or str-keyed dict (``layouts`` caches each dict shape's key prefixes);
-    each dense row of a ``GramBlock``'s entry strings.  Anything else, a float,
-    an empty container or a subclass, is json's text, re-indented."""
+    each ``CheckEntry`` member of a container through its fixed layout; each
+    dense row of a ``GramBlock``'s entry strings.  An empty list, tuple or dict
+    is ``[]`` or ``{}``; anything else, a float or a subclass, is json's text,
+    re-indented."""
     kind, inner, layouts = type(obj), indent + "  ", {} if layouts is None else layouts
     shape = (indent, *obj) if kind is dict and obj else None
     layout = layouts.get(shape)
@@ -295,13 +315,18 @@ def _json_write(obj, write, indent: str = "", layouts: dict | None = None) -> No
             if text is None:  # a nested container: flush this run, then recurse
                 write("".join(parts) + head)
                 parts = []
-                _json_write(value, write, inner, layouts)
+                if type(value) is CheckEntry:
+                    write(_check_entry_text(value, inner))
+                else:
+                    _json_write(value, write, inner, layouts)
             else:
                 parts.append(head + text(value))
         parts.append("\n" + indent + close)
         write("".join(parts))
     elif kind in _SCALAR_TEXT:
         write(_SCALAR_TEXT[kind](obj))
+    elif kind in _EMPTY_TEXT and not obj:
+        write(_EMPTY_TEXT[kind])
     elif isinstance(obj, GramBlock) and obj.rows and obj.width:
         sep = ",\n" + inner + "  "
         zeros = '"0"' + sep  # str(Cyclo.zero()), then its separator

@@ -28,7 +28,7 @@ from math import lcm
 
 from .config import COHFT_TABLES, ConfigError, read
 from .exactalg import Cyclo
-from .exactalg.linalg import inverse as mat_inverse, mat_mul, transpose
+from .exactalg.linalg import integral, inverse as mat_inverse, mat_mul, transpose
 from .glsm import GlsmModel
 from .orbifold import GroupElement
 
@@ -59,16 +59,17 @@ class PairedBasis:
             idx = self.by_sector.setdefault(k, [])
             self.position.append(len(idx))
             idx.append(i)
+        self._eta_rows = [  # eta(i, .) by global index: pairs only with the inverse sector
+            {self.by_sector[self.inverse[k]][p]: x
+             for p, x in self.gram[k][self.position[i]].items()}
+            for i, k in enumerate(self.sector_keys)]
 
     @property
     def dimension(self) -> int:
         return len(self.labels)
 
     def eta(self, i: int, j: int) -> Cyclo:
-        ki = self.sector_keys[i]
-        if self.inverse[ki] != self.sector_keys[j]:
-            return _ZERO
-        return self.gram[ki][self.position[i]].get(self.position[j], _ZERO)
+        return self._eta_rows[i].get(j, _ZERO)
 
     def sector_parity(self, key) -> int:
         return self.parities[self.by_sector[key][0]]
@@ -110,6 +111,15 @@ def paired_basis_from_state(state, narrow_only: bool = False) -> PairedBasis:
     return PairedBasis(labels, sector_keys, inverse, degrees, parities, gram)
 
 
+class CheckEntry(dict):
+    """One compared tuple of an axiom check: a dict with exactly the keys
+    ``axiom``, ``lhs``, ``pass``, ``rhs`` and ``tuple``, holding str, str,
+    bool, str and a non-empty tuple of ints or of strs.  The report writer
+    fills one template per indent and tuple length with it."""
+
+    __slots__ = ()
+
+
 def casimir_check(basis: PairedBasis) -> list[dict]:
     """eta(a, b) = sum_{h,j} eta(a, T^h_j) eta(T_h^j, b) on all basis pairs.
 
@@ -126,13 +136,8 @@ def casimir_check(basis: PairedBasis) -> list[dict]:
         c = [{basis.position[l]: x for l, x in duals[i].items()}
              for i in basis.by_sector[basis.inverse[key]]]
         ok = mat_mul(mat_mul(g, c), g) == g
-        report.append({
-            "axiom": "casimir",
-            "tuple": ("sector", str(key)),
-            "lhs": "gram",
-            "rhs": "gram . duals . gram",
-            "pass": ok,
-        })
+        report.append(CheckEntry({"axiom": "casimir", "tuple": ("sector", str(key)),
+                                  "lhs": "gram", "rhs": "gram . duals . gram", "pass": ok}))
     return report
 
 
@@ -174,9 +179,11 @@ class CohftData:
     def o3(self, i, j, k) -> Cyclo:
         return self.omega03.get((i, j, k), _ZERO)
 
-    def o3_unit(self, i, j) -> Cyclo:
-        return sum((c * self.o3(i, j, k) for k, c in enumerate(self.unit_vector) if c),
-                   _ZERO)
+    def o3_unit_rows(self) -> list[list[Cyclo]]:
+        """Omega_{0,3}(a, b, unit) on all basis pairs, as rows."""
+        n, unit = self.basis.dimension, [(k, c) for k, c in enumerate(self.unit_vector) if c]
+        return [[sum((c * self.o3(i, j, k) for k, c in unit), _ZERO) for j in range(n)]
+                for i in range(n)]
 
     def o4(self, key) -> tuple:
         return self.omega04.get(tuple(key), (_ZERO, _ZERO))
@@ -193,32 +200,26 @@ def _stored(data: CohftData):
 
 
 def _entry(axiom, tup, lhs, rhs):
-    return {"axiom": axiom, "tuple": tuple(tup), "lhs": str(lhs),
-            "rhs": str(rhs), "pass": lhs == rhs}
+    return CheckEntry({"axiom": axiom, "tuple": tuple(tup),
+                       "lhs": "0" if lhs is _ZERO else str(lhs),
+                       "rhs": "0" if rhs is _ZERO else str(rhs), "pass": lhs == rhs})
 
 
-def check_metric_axiom(data: CohftData) -> list[dict]:
-    """Omega_{0,3}(a, b, unit) = eta(a, b) on all basis pairs."""
-    n = data.basis.dimension
-    out = []
-    for i in range(n):
-        for j in range(n):
-            lhs = data.o3_unit(i, j)
-            rhs = data.basis.eta(i, j)
-            out.append(_entry("metric", (i, j), lhs, rhs))
-    return out
+def check_metric_axiom(data: CohftData, units=None) -> list[dict]:
+    """Omega_{0,3}(a, b, unit) = eta(a, b) on all basis pairs; ``units`` is
+    ``data.o3_unit_rows()`` when the caller has it."""
+    return [_entry("metric", (i, j), lhs, data.basis.eta(i, j))
+            for i, row in enumerate(units or data.o3_unit_rows()) for j, lhs in enumerate(row)]
 
 
-def check_selection_rules(data: CohftData) -> list[dict]:
+def check_selection_rules(data: CohftData, units=None) -> list[dict]:
     """Group selection for pairs against the unit, and the degree
     bookkeeping sum deg + shift = 2 * (component index) on every stored
-    nonzero table entry."""
+    nonzero table entry, summed as integer numerators over one denominator."""
     out = []
     basis = data.basis
-    n = basis.dimension
-    for i in range(n):
-        for j in range(n):
-            val = data.o3_unit(i, j)
+    for i, row in enumerate(units or data.o3_unit_rows()):
+        for j, val in enumerate(row):
             if not val:
                 continue
             ki, kj = basis.sector_keys[i], basis.sector_keys[j]
@@ -226,11 +227,12 @@ def check_selection_rules(data: CohftData) -> list[dict]:
             out.append(_entry("selection_group", (i, j),
                               "product is identity" if ok else "product is not identity",
                               "product is identity"))
+    (*degrees, shift), den = integral([*basis.degrees, data.shift_genus0])
     for key, parts, _ in _stored(data):
-        total = sum((basis.degrees[i] for i in key), Fraction(0)) + data.shift_genus0
+        total = Fraction(sum(degrees[i] for i in key) + shift, den)
         for c, part in enumerate(parts):
             if part:
-                out.append(_entry("selection_degree", key, total, Fraction(2 * c)))
+                out.append(_entry("selection_degree", key, total, 2 * c))
     return out
 
 
@@ -341,9 +343,10 @@ def check_forgetting_tails(data: CohftData) -> list[dict]:
 
 
 def run_all_checks(data: CohftData) -> dict:
+    units = data.o3_unit_rows()  # one sweep for the metric and selection checks
     report = {
-        "metric": check_metric_axiom(data),
-        "selection": check_selection_rules(data),
+        "metric": check_metric_axiom(data, units),
+        "selection": check_selection_rules(data, units),
         "sr_covariance": check_sr_covariance(data),
         "tree_gluing": check_tree_gluing(data),
         "loop_gluing": check_loop_gluing(data),

@@ -10,6 +10,7 @@ import pytest
 
 from lgck import cli
 from lgck.cli import _json_text, _json_write, build_parser, main
+from lgck.cohft import CheckEntry
 from lgck.exactalg import Cyclo
 from lgck.glsm import GlsmModel
 from lgck.statespace import GramBlock, StateSpace
@@ -845,17 +846,64 @@ def test_report_writer_matches_json_dumps(obj, grams):
 
 
 def test_report_writer_streams_pieces():
-    """The writer hands over each run of scalars and each Gram row as its
-    own piece: no piece is longer than the text of the longest single entry,
-    though the report is 20,000 entries and a Gram block of 300 rows."""
+    """The writer hands over each run of scalars, each check entry and each
+    Gram row as its own piece: no piece is longer than the text of the
+    longest single entry, though the report is 20,000 entries as dicts and
+    as check entries and a Gram block of 300 rows."""
     entries = [{"axiom": "forgetting_tails_deg0", "tuple": (i % 7, i % 5, i),
                 "lhs": str(i), "rhs": str(i), "pass": i % 3 != 0} for i in range(20000)]
     gram = GramBlock([{i % 4: _z} for i in range(300)], 4)
     pieces = []
-    _json_write({"entries": entries, "gram": gram}, pieces.append)
-    dense = {"entries": entries, "gram": _dense(gram)}
+    checks = list(map(CheckEntry, entries))
+    _json_write({"entries": entries, "checks": checks, "gram": gram}, pieces.append)
+    dense = {"entries": entries, "checks": entries, "gram": _dense(gram)}
     assert "".join(pieces) == json.dumps(dense, indent=2, sort_keys=True)
     longest = max(len(json.dumps(e, indent=2, sort_keys=True).replace("\n", "\n    "))
                   for e in entries)
     assert len(json.dumps(_dense(gram), indent=2)) > longest
     assert max(map(len, pieces)) <= longest
+
+
+_check_entries = st.builds(
+    lambda axiom, tup, lhs, rhs, ok: CheckEntry(
+        {"axiom": axiom, "tuple": tup, "lhs": lhs, "rhs": rhs, "pass": ok}),
+    st.text(), st.lists(st.integers(-10**20, 10**20), min_size=1, max_size=8).map(tuple)
+    | st.lists(st.text(), min_size=1, max_size=3).map(tuple),
+    st.text(), st.text(), st.booleans())
+
+
+@st.composite
+def _nested_check_entries(draw):
+    """A check entry at depth 0, or 1-3 levels down in lists, tuples and
+    str-keyed dicts, beside scalars and other entries."""
+    obj = draw(_check_entries)
+    for depth in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["list", "tuple", "dict"] if depth else ["list", "tuple"]))
+        members = draw(st.lists(_check_entries | _scalars, max_size=3))
+        members.insert(draw(st.integers(0, len(members))), obj)
+        if kind == "dict":
+            obj = dict(zip(draw(st.lists(st.text(), min_size=len(members),
+                                         max_size=len(members), unique=True)), members))
+        else:
+            obj = members if kind == "list" else tuple(members)
+    return obj
+
+
+_quoted = CheckEntry({"axiom": 'sel"ection\\', "tuple": ("sector", "(1/3, 2/3)"),
+                      "lhs": "z3 - 1/2 \u00e9", "rhs": "\u2211 \\ \"0\"", "pass": False})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_check_entries())
+@example(_quoted)
+@example([_quoted, 1, CheckEntry({"axiom": "metric", "tuple": (0, 12), "lhs": "0", "rhs": "1",
+                                  "pass": False})])
+@example({"entries": {"casimir": [_quoted]}, "failures": (_quoted, None)})
+@example([[[CheckEntry({"axiom": "loop", "tuple": (3,), "lhs": "z5", "rhs": "z5",
+                        "pass": True})]]])
+def test_check_entry_layout_matches_json_dumps(obj):
+    """A check entry writes the bytes of json.dumps(indent=2, sort_keys=True)
+    at depths 0-3, inside lists, tuples and dicts: int and str tuples of
+    every length up to 8, non-ASCII strings, quotes and backslashes, and
+    both pass values."""
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)

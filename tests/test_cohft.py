@@ -16,6 +16,7 @@ from lgck.cohft import (
     check_selection_rules,
     check_sr_covariance,
     check_tree_gluing,
+    cohft_data_from_jsonable,
     homogeneity_shift,
     narrow_sector_data,
     paired_basis_from_state,
@@ -26,7 +27,8 @@ from lgck.exactalg import Cyclo, linalg
 from lgck.exactalg.linalg import sparse
 from lgck.orbifold import GroupElement
 
-from witnesses import frobenius_toy
+from corpus import corpus, fermat_model
+from witnesses import fraction_selection_degrees, frobenius_toy
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +118,33 @@ def test_casimir_inverts_each_gram_block_once(quintic_lg, quintic_state, monkeyp
     assert len(calls) == len(narrow.basis.by_sector) == 4
 
 
+def _sector_eta(basis, i, j) -> Cyclo:
+    """eta(i, j) read off the Gram block of i's sector when j lies in its inverse."""
+    ki = basis.sector_keys[i]
+    if basis.inverse[ki] != basis.sector_keys[j]:
+        return Cyclo.zero()
+    return basis.gram[ki][basis.position[i]].get(basis.position[j], Cyclo.zero())
+
+
+@pytest.mark.parametrize("name", ["quintic_full", "fermat_3_4_gmax"])
+def test_eta_rows_match_sector_lookup(name, quintic_state):
+    """eta on every pair of the full quintic basis (broad, odd and non-self-inverse
+    sectors) and of Sum_{i<=4} x_i^3 with the full group is the sector-key lookup."""
+    from lgck.statespace import StateSpace
+    if name == "quintic_full":
+        state = quintic_state
+    else:
+        state = StateSpace(fermat_model([3] * 4, extra_generators=[
+            ["1/3" if j == i else "0" for j in range(4)] for i in range(4)]))
+    basis = paired_basis_from_state(state)
+    n = basis.dimension
+    assert n == (208 if name == "quintic_full" else 16)
+    for i in range(n):
+        for j in range(n):
+            got, want = basis.eta(i, j), _sector_eta(basis, i, j)
+            assert got == want and str(got) == str(want), (i, j)
+
+
 def test_singular_gram_rejected():
     gram = [[Cyclo.zero()]]
     basis = PairedBasis(["a"], ["1"], {"1": "1"}, [Fraction(0)], [0],
@@ -173,6 +202,24 @@ def test_selection_rule_flags_bad_group_pair(quintic_cohft):
 def test_selection_rule_accepts_inverse_pair(quintic_cohft):
     entries = check_selection_rules(quintic_cohft)
     assert _all_pass(entries)
+
+
+def test_selection_degrees_match_fraction_sums(quintic_lg, quintic_state):
+    """The integer degree sums give every selection_degree entry the old
+    Fraction sum gives, on every corpus model and on user-supplied tables,
+    as supplied and with a misstated shift, so that no sum is 0."""
+    from lgck.statespace import StateSpace
+    cases = [(name, narrow_sector_data(model, StateSpace(model))) for name, model in corpus()]
+    basis = paired_basis_from_state(quintic_state, narrow_only=True)
+    tables = _tables_jsonable(narrow_sector_data(quintic_lg, quintic_state))
+    cases.append(("user_tables", cohft_data_from_jsonable(basis, tables)))
+    misstated = cohft_data_from_jsonable(basis, dict(tables, shift_genus0="-7/3"))
+    assert not _all_pass(check_selection_rules(misstated))
+    cases.append(("user_tables_misstated_shift", misstated))
+    for name, data in cases:
+        got = [e for e in check_selection_rules(data) if e["axiom"] == "selection_degree"]
+        assert got == fraction_selection_degrees(data), name
+        assert got, name
 
 
 # -- perturbation detection: each check catches a single bad entry ----------------

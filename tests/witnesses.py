@@ -4,7 +4,7 @@ dense forgetting-tails walk, the Thom-Sullivan product and unit, the
 form-level equalizer check on every monotone map, the one-point
 Thom-Sullivan/Koszul comparison, residue closed forms, group-invariant
 characters, rescaled charges and R-fixed loci, group inverses, and validate's
-weight scans in Fractions."""
+weight scans and the selection-rule degree sums in Fractions."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement, product as iproduct
 from math import comb, factorial
 from operator import mul
 
-from lgck.cohft import CohftData, PairedBasis, _entry, _handle_trace
+from lgck.cohft import CohftData, PairedBasis, _entry, _handle_trace, _stored
 from lgck.exactalg import Cyclo, MultiPoly, drl_key
 from lgck.exactalg.linalg import mat_mul, rank, solve, sparse, transpose
 from lgck.exactalg.poly import accumulate
@@ -347,6 +347,18 @@ def dense_forgetting_tails(data: CohftData) -> list[dict]:
             c0, c2 = c0 + c * v0, c2 + c * v2
         out.append(_entry("forgetting_tails_deg0", key, c0, data.o3(*key)))
         out.append(_entry("forgetting_tails_deg2", key, c2, Cyclo.zero()))
+    return out
+
+
+def fraction_selection_degrees(data: CohftData) -> list[dict]:
+    """The selection_degree entries with each stored entry's degrees summed
+    as Fractions: sum deg + shift against 2 * (component index) on every
+    stored nonzero part."""
+    out = []
+    for key, parts, _ in _stored(data):
+        total = sum((data.basis.degrees[i] for i in key), Fraction(0)) + data.shift_genus0
+        out += [_entry("selection_degree", key, total, Fraction(2 * c))
+                for c, part in enumerate(parts) if part]
     return out
 
 
